@@ -29,6 +29,7 @@ from .errors import (
     NotReducedError,
     NotSinkOrSourceError,
     NotSymmetrizerError,
+    SymquivError,
 )
 
 RootVector = tuple  # integer tuple in the simple-root basis
@@ -287,7 +288,7 @@ def _classify_one(datum, comp):
     subD = [datum.D[i] for i in comp]
     try:
         d = validate_datum(sub, subD)
-    except Exception:
+    except SymquivError:
         return None
     if not is_dynkin(d):
         return None

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import cartan, cluster, functors, grassmann, hmod, pimod, verify
@@ -56,8 +55,8 @@ def _prime_pool(args):
     return user + extension
 
 
-def _engine(args, executor=None):
-    return grassmann.EulerEngine(pool=_prime_pool(args), executor=executor)
+def _engine(args):
+    return grassmann.EulerEngine(pool=_prime_pool(args))
 
 
 def _emit(args, payload, csv_rows=None, table_rows=None):
@@ -78,8 +77,6 @@ def _write_transcripts(args, engine):
     os.makedirs(args.results_dir, exist_ok=True)
     out = {}
     for label, poly in engine.transcripts.items():
-        if not isinstance(label, str):
-            continue
         out[label] = {
             "coefficients": list(poly.coefficients),
             "samples": [list(s) for s in poly.samples],
@@ -212,16 +209,15 @@ def cmd_fpoly(args):
     datum, omega = _load_datum(args)
     spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
     table = functors.all_root_modules(spec)
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        engine = _engine(args, executor=pool if args.workers > 1 else None)
-        entries = []
-        for beta, m in zip(table.betas, table.modules):
-            terms = engine.f_polynomial(m)
-            entries.append({
-                "rank": list(beta),
-                "terms": [{"e": list(e), "coeff": c} for e, c in sorted(terms.items())],
-                "g": list(grassmann.g_vector(m)),
-            })
+    engine = _engine(args)
+    entries = []
+    for beta, m in zip(table.betas, table.modules):
+        terms = engine.f_polynomial(m)
+        entries.append({
+            "rank": list(beta),
+            "terms": [{"e": list(e), "coeff": c} for e, c in sorted(terms.items())],
+            "g": list(grassmann.g_vector(m)),
+        })
     _write_transcripts(args, engine)
     _emit(args, entries)
     return 0
@@ -231,10 +227,9 @@ def cmd_cluster_match(args):
     datum, omega = _load_datum(args)
     spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
     table = functors.all_root_modules(spec)
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
-        engine = _engine(args, executor=pool if args.workers > 1 else None)
-        module_side = [(beta, engine.f_polynomial(m), grassmann.g_vector(m))
-                       for beta, m in zip(table.betas, table.modules)]
+    engine = _engine(args)
+    module_side = [(beta, engine.f_polynomial(m), grassmann.g_vector(m))
+                   for beta, m in zip(table.betas, table.modules)]
     report = cluster.match_report(datum, omega, module_side)
     total = len(module_side)
     print(f"{len(report['matched'])}/{total} matched")
@@ -271,9 +266,6 @@ def cmd_pbw_check(args):
 
 def cmd_serre_check(args):
     datum, omega = _load_datum(args)
-    if args.seed is None:
-        print("usage error: --seed is mandatory for randomized commands", file=sys.stderr)
-        return 2
     import random as _random
     rng = _random.Random(args.seed)
     spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
@@ -298,9 +290,6 @@ def cmd_serre_check(args):
 
 def cmd_pi_check(args):
     datum, omega = _load_datum(args)
-    if args.seed is None:
-        print("usage error: --seed is mandatory for randomized commands", file=sys.stderr)
-        return 2
     import random as _random
     rng = _random.Random(args.seed)
     spec = hmod.HAlgebraSpec(datum, omega, prime_field_spec(7))
@@ -402,46 +391,44 @@ def build_parser():
                     "and cluster-algebra cross-checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_datum=True):
-        if needs_datum:
-            p.add_argument("--datum", help="path to a datum JSON file")
-            p.add_argument("--omega", help="orientation override, e.g. '1,2;2,3' (1-based)")
-        p.add_argument("--prime-set", help="comma-separated sample primes (extendable)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (mandatory when randomized)")
-        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
-        p.add_argument("--workers", type=int, default=1, help="parallel prime workers")
-        p.add_argument("--results-dir", help="persist counting transcripts here")
-
-    for name, fn, extra in [
-        ("roots", cmd_roots, None),
-        ("forms", cmd_forms, None),
-        ("coxeter-check", cmd_coxeter_check, "coxeter"),
-        ("root-modules", cmd_root_modules, "rootmod"),
-        ("homext-table", cmd_homext_table, None),
-        ("tau-orbits", cmd_tau_orbits, None),
-        ("fpoly", cmd_fpoly, None),
-        ("cluster-match", cmd_cluster_match, None),
-        ("pbw-check", cmd_pbw_check, "pbw"),
-        ("serre-check", cmd_serre_check, "samples"),
-        ("pi-check", cmd_pi_check, "samples"),
-        ("nofilt-check", cmd_nofilt_check, None),
+    # flags beyond --datum, --omega and --format, each on the commands that read it
+    for name, fn, extras in [
+        ("roots", cmd_roots, ()),
+        ("forms", cmd_forms, ()),
+        ("coxeter-check", cmd_coxeter_check, ("coxeter",)),
+        ("root-modules", cmd_root_modules, ("rootmod",)),
+        ("homext-table", cmd_homext_table, ()),
+        ("tau-orbits", cmd_tau_orbits, ()),
+        ("fpoly", cmd_fpoly, ("primes", "results")),
+        ("cluster-match", cmd_cluster_match, ("primes",)),
+        ("pbw-check", cmd_pbw_check, ("primes", "pbw")),
+        ("serre-check", cmd_serre_check, ("primes", "seed", "samples")),
+        ("pi-check", cmd_pi_check, ("seed", "samples")),
+        ("nofilt-check", cmd_nofilt_check, ("primes",)),
     ]:
         p = sub.add_parser(name)
-        common(p)
-        if extra == "coxeter":
+        p.add_argument("--datum", help="path to a datum JSON file")
+        p.add_argument("--omega", help="orientation override, e.g. '1,2;2,3' (1-based)")
+        p.add_argument("--format", choices=("json", "csv", "table"), default="json")
+        if "primes" in extras:
+            p.add_argument("--prime-set", help="comma-separated sample primes (extendable)")
+        if "seed" in extras:
+            p.add_argument("--seed", type=int, required=True, help="RNG seed")
+        if "results" in extras:
+            p.add_argument("--results-dir", help="persist counting transcripts here")
+        if "coxeter" in extras:
             p.add_argument("--all-orientations", action="store_true")
             p.add_argument("--include-doubled", action="store_true",
                            help="also check the doubled symmetrizer")
-        if extra == "rootmod":
+        if "rootmod" in extras:
             p.add_argument("--full", action="store_true", help="serialize the modules")
-        if extra == "pbw":
+        if "pbw" in extras:
             p.add_argument("--weight-bound", default="2,2")
-        if extra == "samples":
+        if "samples" in extras:
             p.add_argument("--samples", type=int, default=50)
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("verify", help="run an acceptance criterion (1-13 or 'all')")
-    common(p, needs_datum=False)
     p.add_argument("--criterion", default="all")
     p.set_defaults(fn=cmd_verify)
     return parser

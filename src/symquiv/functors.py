@@ -356,13 +356,3 @@ def is_indecomposable(M) -> bool:
              for j in range(dim)] for i in range(dim)]
     rad_dim = dim - linalg.rank(field, gram)
     return dim - rad_dim == 1
-
-
-def module_table_to_json(table: RootModuleTable) -> str:
-    import json
-
-    entries = []
-    for beta, m in zip(table.betas, table.modules):
-        entries.append({"beta": list(beta), "module": json.loads(hmod.module_to_json(m))})
-    return json.dumps({"word": [i + 1 for i in table.word], "modules": entries},
-                      sort_keys=True, separators=(",", ":"))

@@ -23,11 +23,34 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import cartan, hmod, linalg
-from .errors import InterpolationError, PrimeReductionError, TooLargeError
+from .errors import (
+    InterpolationError,
+    InternalMismatchError,
+    PrimeReductionError,
+    TooLargeError,
+)
 from .fields import PrimeField
 
 PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 DEFAULT_BUDGET = 10 ** 7
+
+
+class _Budget:
+    """Enumeration units left to one query.  Every top-level count (one
+    count_locally_free_submodules call, one external Counter.flag_count or
+    ClassFlagCounter.count call) gets a fresh instance; each enumerated
+    candidate or generator spends one unit."""
+
+    __slots__ = ("units", "left")
+
+    def __init__(self, units):
+        self.units = units
+        self.left = units
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise TooLargeError(f"enumeration budget of {self.units} exhausted")
 
 
 # --- H-element helpers (truncated polynomials as int tuples) ----------------
@@ -183,25 +206,18 @@ class CountingPolynomial:
         return len(self.coefficients) - 1
 
 
-def interpolate_counts(count_fn, degree_bound, min_points=5, pool=PRIME_POOL,
-                       executor=None):
+def interpolate_counts(count_fn, degree_bound, min_points=5, pool=PRIME_POOL):
     """Fit a single integer polynomial through exact counts over primes.
 
     Samples are accumulated from the pool; a fit through all but the last
     sample must have integer coefficients, degree within the bound, and must
     reproduce the held-out last sample exactly.  Failures to stabilize within
-    degree_bound + 2 points surface as InterpolationError.  An optional
-    executor prefetches the first batch of primes concurrently; assembly is
-    by prime, so the result does not depend on completion order.
+    degree_bound + 2 points surface as InterpolationError.
     """
-    futures = {}
-    if executor is not None:
-        for p in pool[:max(3, min_points)]:
-            futures[p] = executor.submit(count_fn, p)
     samples = []
     for p in pool:
         try:
-            count = futures.pop(p).result() if p in futures else count_fn(p)
+            count = count_fn(p)
         except PrimeReductionError:
             continue  # integral model not reducible at this prime; use the next one
         samples.append((p, count))
@@ -221,15 +237,20 @@ def interpolate_counts(count_fn, degree_bound, min_points=5, pool=PRIME_POOL,
 # --- submodule counting (Grassmannians) --------------------------------------
 
 
+def _eps_powers(field, eps, c):
+    """[eps^0, ..., eps^(c-1)] for the loop matrix eps of one vertex."""
+    powers = [linalg.identity(field, len(eps))]
+    for _ in range(c - 1):
+        powers.append(linalg.mat_mul(field, eps, powers[-1]))
+    return powers
+
+
 def _out_arrow_stack(M, j):
     """Rows of the map testing 'killed by every arrow leaving j, H-stably'."""
     field = M.field()
     c = M.spec.datum.D[j]
     rows = []
-    eps_pow = linalg.identity(field, M.dims[j])
-    powers = [eps_pow]
-    for _ in range(c - 1):
-        powers.append(linalg.mat_mul(field, M.eps[j], powers[-1]))
+    powers = _eps_powers(field, M.eps[j], c)
     for key, A in M.arrows.items():
         (_, src, _) = key
         if src != j or not A or M.dims[key[0]] == 0:
@@ -343,12 +364,38 @@ def _constraint_order(M):
     return seen if len(seen) == len(verts) else None
 
 
+def _forced_rows(field, M, v, chosen):
+    """Vectors the v-component of a submodule must contain: the eps-multiples
+    of the images of the chosen components along the arrows into v."""
+    powers = _eps_powers(field, M.eps[v], M.spec.datum.D[v])
+    rows = []
+    for key, A in M.arrows.items():
+        (i, j, _) = key
+        if i != v or j not in chosen or M.dims[j] == 0:
+            continue
+        for vec in chosen[j].k_basis():
+            img = linalg.mat_vec(field, A, vec)
+            rows.extend(linalg.mat_vec(field, P, img) for P in powers)
+    return rows
+
+
+def _vertex_candidates(field, M, v, e_v, chosen, budget):
+    """Free rank-e_v candidates at v that contain the forced rows; every
+    enumerated candidate spends one unit of budget."""
+    w_rows = _forced_rows(field, M, v, chosen)
+    for cand in iter_free_submodules(field.p, M.spec.datum.D[v], _vertex_rank(M, v), e_v):
+        budget.spend()
+        if not w_rows or all(cand.contains_kvec(r) for r in w_rows):
+            yield cand
+
+
 def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
     """Exact number of locally free rank-e submodules of M over its prime field.
 
     Works for modules of H (arrows of the orientation) and of the
     preprojective algebra (both arrow directions); closed sink vertices are
-    counted by formula rather than enumeration.
+    counted by formula rather than enumeration.  Each call may enumerate at
+    most `budget` candidates.
     """
     field = M.field()
     if not isinstance(field, PrimeField):
@@ -376,47 +423,24 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
     enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
     closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
     p = field.p
-    state = {"budget": budget}
-
-    def w_rows_at(v, chosen):
-        rows = []
-        c = datum.D[v]
-        powers = [linalg.identity(field, M.dims[v])]
-        for _ in range(c - 1):
-            powers.append(linalg.mat_mul(field, M.eps[v], powers[-1]))
-        for key, A in M.arrows.items():
-            (i, j, _) = key
-            if i != v or j not in chosen or M.dims[j] == 0:
-                continue
-            for vec in chosen[j].k_basis():
-                img = linalg.mat_vec(field, A, vec)
-                for t in range(c):
-                    rows.append(linalg.mat_vec(field, powers[t], img))
-        return rows
+    query = _Budget(budget)
 
     def recurse(idx, chosen):
         if idx == len(enum_verts):
             total = 1
             for v in closed_verts:
                 c = datum.D[v]
-                rows = w_rows_at(v, chosen)
+                rows = _forced_rows(field, M, v, chosen)
                 qt = quotient_type(field, M.dims[v], c, rows)
                 total *= count_free_submodules_of_type(qt, _vertex_rank(M, v) - e[v], p, c)
                 if total == 0:
                     return 0
             return total
         v = enum_verts[idx]
-        c = datum.D[v]
-        w_rows = w_rows_at(v, chosen)
         total = 0
-        for cand in iter_free_submodules(p, c, _vertex_rank(M, v), e[v]):
-            state["budget"] -= 1
-            if state["budget"] < 0:
-                raise TooLargeError("submodule enumeration budget exhausted")
-            if w_rows and not all(cand.contains_kvec(r) for r in w_rows):
-                continue
-            # arrows from already-chosen vertices into v were handled via w_rows;
-            # arrows from v into already-chosen vertices (non-DAG case):
+        for cand in _vertex_candidates(field, M, v, e[v], chosen, query):
+            # arrows from already-chosen vertices into v were handled by the
+            # forced rows; arrows from v into already-chosen vertices (non-DAG case):
             ok = True
             for key, A in M.arrows.items():
                 (i, j, _) = key
@@ -441,40 +465,62 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
 # --- flag counting -----------------------------------------------------------
 
 
+def _soft_iso(A, B):
+    """is_isomorphic, with an inconclusive search read as 'distinct': a missed
+    merge only costs speed."""
+    try:
+        return hmod.is_isomorphic(A, B)
+    except InternalMismatchError:
+        return False
+
+
+def _merge_isomorphic(quotients):
+    """[(representative, multiplicity)] of the isomorphism classes among
+    quotients: byte-equal modules are grouped by key first, then groups with
+    isomorphic representatives are merged, in first-seen order."""
+    groups = {}
+    for quotient in quotients:
+        qk = quotient.key()
+        if qk in groups:
+            groups[qk][1] += 1
+        else:
+            groups[qk] = [quotient, 1]
+    merged = []
+    for quotient, count in groups.values():
+        for entry in merged:
+            if entry[0].dims == quotient.dims and _soft_iso(entry[0], quotient):
+                entry[1] += count
+                break
+        else:
+            merged.append([quotient, count])
+    return [(rep, count) for rep, count in merged]
+
+
 class Counter:
     """Memoizing per-prime counting engine for flags and Grassmannians.
 
-    The memo tables are idempotent maps keyed by exact module fingerprints;
-    concurrent workers may share an instance (last write wins on identical
-    values).
+    The memo tables are keyed by exact module fingerprints and outlive
+    queries; the budget does not: each flag_count call may enumerate at most
+    `budget` generators.
     """
 
     def __init__(self, budget=DEFAULT_BUDGET):
         self.budget = budget
+        self._query = _Budget(budget)
         self.flag_memo = {}
         self.group_memo = {}
         self.class_reps = []
 
-    # -- isomorphism-class dedup (false negatives only cost speed) --
-
-    def _soft_iso(self, A, B):
-        try:
-            return hmod.is_isomorphic(A, B)
-        except Exception:
-            return False
-
     def class_rep(self, M):
-        inv = (M.spec.fieldspec, M.dims,
+        inv = (M.spec, M.dims,
                tuple(hmod.eps_partition(M, v) for v in range(M.spec.datum.n)),
                tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
                             for k, m in M.arrows.items())))
         for inv2, rep in self.class_reps:
-            if inv2 == inv and self._soft_iso(M, rep):
+            if inv2 == inv and _soft_iso(M, rep):
                 return rep
         self.class_reps.append((inv, M))
         return M
-
-    # -- bottom factor groups --
 
     def bottom_e_groups(self, M, j):
         """[(quotient representative, multiplicity)] over E_j-submodules of M."""
@@ -483,45 +529,27 @@ class Counter:
             return self.group_memo[key]
         field = M.field()
         c = M.spec.datum.D[j]
-        core = allowed_bottom_space(M, j)
-        groups = {}
-        reps = {}
         n = M.spec.datum.n
-        if core:
-            powers = [linalg.identity(field, M.dims[j])]
-            for _ in range(c - 1):
-                powers.append(linalg.mat_mul(field, M.eps[j], powers[-1]))
+        core = allowed_bottom_space(M, j)
+
+        def quotients():
+            powers = _eps_powers(field, M.eps[j], c)
             for u in iter_free_rank1_generators(field, M.eps[j], core, c):
-                self.budget -= 1
-                if self.budget < 0:
-                    raise TooLargeError("flag enumeration budget exhausted")
-                span = [linalg.mat_vec(field, powers[t], u) for t in range(c)]
-                subspaces = [span if v == j else [] for v in range(n)]
-                quotient = hmod.quotient_by_subspaces(M, subspaces)
-                qk = quotient.key()
-                if qk in groups:
-                    groups[qk] += 1
-                else:
-                    groups[qk] = 1
-                    reps[qk] = quotient
-        # merge byte-distinct but isomorphic quotients
-        merged = []
-        for qk, count in groups.items():
-            quotient = reps[qk]
-            for entry in merged:
-                if entry[0].dims == quotient.dims and self._soft_iso(entry[0], quotient):
-                    entry[1] += count
-                    break
-            else:
-                merged.append([quotient, count])
-        out = [(rep, count) for rep, count in merged]
+                self._query.spend()
+                span = [linalg.mat_vec(field, P, u) for P in powers]
+                yield hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
+
+        out = _merge_isomorphic(quotients()) if core else []
         self.group_memo[key] = out
         return out
 
     def flag_count(self, M, word):
         """Number of flags of submodules with subquotients E_{word[0]}, ... ,
         E_{word[-1]} from the bottom, over the prime field of M."""
-        word = tuple(word)
+        self._query = _Budget(self.budget)
+        return self._flag_count(M, tuple(word))
+
+    def _flag_count(self, M, word):
         if not word:
             return 1 if M.total_dim() == 0 else 0
         # grading: the word content must exactly exhaust the module
@@ -536,7 +564,7 @@ class Counter:
             return self.flag_memo[key]
         total = 0
         for quotient, count in self.bottom_e_groups(M, word[0]):
-            total += count * self.flag_count(quotient, word[1:])
+            total += count * self._flag_count(quotient, word[1:])
         self.flag_memo[key] = total
         return total
 
@@ -559,11 +587,11 @@ def _grlf_degree_bound(datum, r, e):
 class EulerEngine:
     """Reduces an integral model mod each sample prime and interpolates counts."""
 
-    def __init__(self, budget=DEFAULT_BUDGET, pool=PRIME_POOL, executor=None):
+    def __init__(self, budget=DEFAULT_BUDGET, pool=PRIME_POOL):
         self.pool = pool
         self.budget = budget
-        self.executor = executor
         self.counters = {}
+        # "kind [rank] [e or word]" -> CountingPolynomial of the latest such count
         self.transcripts = {}
         self._dedup = Counter(budget)  # iso classes of integral models
 
@@ -572,11 +600,10 @@ class EulerEngine:
             self.counters[p] = Counter(self.budget)
         return self.counters[p]
 
-    def _record(self, label, poly: CountingPolynomial):
-        self.transcripts[label] = poly
-        return poly
+    def _record(self, kind, rk, letters, poly: CountingPolynomial):
+        self.transcripts[f"{kind} {list(rk)} {list(letters)}"] = poly
 
-    def euler_char_grlf(self, M, e, label=None):
+    def euler_char_grlf(self, M, e):
         """chi of the locally free Grassmannian of rank e, via interpolation."""
         rk = hmod.require_locally_free(M)
         e = tuple(e)
@@ -588,8 +615,8 @@ class EulerEngine:
         def count(p):
             return count_locally_free_submodules(hmod.reduce_mod_p(M, p), e, self.budget)
 
-        poly = interpolate_counts(count, bound, pool=self.pool, executor=self.executor)
-        self._record(label or ("grlf", M.key(), e), poly)
+        poly = interpolate_counts(count, bound, pool=self.pool)
+        self._record("grlf", rk, e, poly)
         return poly.value_at_one()
 
     def f_polynomial(self, M):
@@ -605,7 +632,7 @@ class EulerEngine:
             raise InterpolationError("F-polynomial lacks unit constant or top term")
         return terms
 
-    def flag_euler(self, M, word, label=None):
+    def flag_euler(self, M, word):
         rk = hmod.require_locally_free(M)
         datum = M.spec.datum
         need = [0] * datum.n
@@ -619,8 +646,8 @@ class EulerEngine:
         def count(p):
             return self.counter(p).flag_count(hmod.reduce_mod_p(M, p), word)
 
-        poly = interpolate_counts(count, bound, pool=self.pool, executor=self.executor)
-        self._record(label or ("flag", M.key(), tuple(word)), poly)
+        poly = interpolate_counts(count, bound, pool=self.pool)
+        self._record("flag", rk, word, poly)
         return poly.value_at_one()
 
     def theta_eval(self, combination, M):
@@ -651,9 +678,9 @@ def serre_commutator(i, j, power):
 # --- prescribed-isomorphism-class flags (PBW / filtration order) -------------
 
 
-def _iter_lf_submodules(M, e, budget_state):
-    """Yield (per-vertex candidate tuple, submodule) over locally free rank-e
-    submodules of M; requires an acyclic constraint order (H-modules)."""
+def _iter_lf_submodules(M, e, budget):
+    """Yield the per-vertex subspaces of every locally free rank-e submodule
+    of M; requires an acyclic constraint order (H-modules)."""
     field = M.field()
     datum = M.spec.datum
     n = datum.n
@@ -662,37 +689,15 @@ def _iter_lf_submodules(M, e, budget_state):
     if order is None:
         raise ValueError("prescribed-class enumeration needs an acyclic quiver")
     verts = [v for v in order if M.dims[v] > 0 or e[v] > 0]
-    p = field.p
 
     def recurse(idx, chosen):
         if idx == len(verts):
-            subspaces = []
-            for v in range(n):
-                subspaces.append(chosen[v].k_basis() if v in chosen else [])
-            yield dict(chosen), subspaces
+            yield [chosen[v].k_basis() if v in chosen else [] for v in range(n)]
             return
         v = verts[idx]
-        c = datum.D[v]
         if datum.D[v] * e[v] > M.dims[v]:
             return
-        w_rows = []
-        powers = [linalg.identity(field, M.dims[v])]
-        for _ in range(c - 1):
-            powers.append(linalg.mat_mul(field, M.eps[v], powers[-1]))
-        for key, A in M.arrows.items():
-            (i, j, _) = key
-            if i != v or j not in chosen or M.dims[j] == 0:
-                continue
-            for vec in chosen[j].k_basis():
-                img = linalg.mat_vec(field, A, vec)
-                for t in range(c):
-                    w_rows.append(linalg.mat_vec(field, powers[t], img))
-        for cand in iter_free_submodules(p, c, _vertex_rank(M, v), e[v]):
-            budget_state["budget"] -= 1
-            if budget_state["budget"] < 0:
-                raise TooLargeError("submodule enumeration budget exhausted")
-            if w_rows and not all(cand.contains_kvec(r) for r in w_rows):
-                continue
+        for cand in _vertex_candidates(field, M, v, e[v], chosen, budget):
             chosen[v] = cand
             yield from recurse(idx + 1, chosen)
             del chosen[v]
@@ -701,7 +706,11 @@ def _iter_lf_submodules(M, e, budget_state):
 
 
 class ClassFlagCounter:
-    """Counts flags whose subquotients run through prescribed rigid classes."""
+    """Counts flags whose subquotients run through prescribed rigid classes.
+
+    The memo table outlives queries; the budget does not: each count call may
+    enumerate at most `budget` candidates.
+    """
 
     def __init__(self, spec_p, class_modules, budget=DEFAULT_BUDGET):
         # class_modules: list of rigid locally free modules over the prime field
@@ -710,75 +719,52 @@ class ClassFlagCounter:
         self.ranks = [hmod.require_locally_free(m) for m in class_modules]
         self.end_dims = [hmod.hom_dim(m, m) for m in class_modules]
         self.memo = {}
-        self.budget_state = {"budget": budget}
+        self.budget = budget
+        self._query = _Budget(budget)
 
     def _sub_groups(self, M, cls_idx):
         key = (M.key(), cls_idx)
         if key in self.memo:
             return self.memo[key]
-        target = self.classes[cls_idx]
-        beta = self.ranks[cls_idx]
-        groups = {}
-        reps = {}
-        if hmod.hom_dim(target, M) == 0:
-            self.memo[key] = []
-            return []
-        for _, subspaces in _iter_lf_submodules(M, beta, self.budget_state):
-            sub = hmod.submodule_from_subspaces(M, subspaces)
-            # rigid locally free modules of a fixed rank form one class:
-            # membership is detected by the minimal endomorphism dimension
-            if hmod.hom_dim(sub, sub) != self.end_dims[cls_idx]:
-                continue
-            quotient = hmod.quotient_by_subspaces(M, subspaces)
-            qk = quotient.key()
-            if qk in groups:
-                groups[qk] += 1
-            else:
-                groups[qk] = 1
-                reps[qk] = quotient
-        merged = []
-        for qk, count in groups.items():
-            quotient = reps[qk]
-            for entry in merged:
-                if entry[0].dims == quotient.dims and _soft_iso(entry[0], quotient):
-                    entry[1] += count
-                    break
-            else:
-                merged.append([quotient, count])
-        out = [(rep, count) for rep, count in merged]
+
+        def quotients():
+            for subspaces in _iter_lf_submodules(M, self.ranks[cls_idx], self._query):
+                sub = hmod.submodule_from_subspaces(M, subspaces)
+                # rigid locally free modules of a fixed rank form one class:
+                # membership is detected by the minimal endomorphism dimension
+                if hmod.hom_dim(sub, sub) == self.end_dims[cls_idx]:
+                    yield hmod.quotient_by_subspaces(M, subspaces)
+
+        out = _merge_isomorphic(quotients()) if hmod.hom_dim(self.classes[cls_idx], M) else []
         self.memo[key] = out
         return out
 
     def count(self, M, class_word):
+        self._query = _Budget(self.budget)
+        return self._count(M, tuple(class_word))
+
+    def _count(self, M, class_word):
         if not class_word:
             return 1 if M.total_dim() == 0 else 0
-        key = (M.key(), tuple(class_word))
+        key = (M.key(), class_word)
         if key in self.memo:
             return self.memo[key]
         total = 0
         for quotient, count in self._sub_groups(M, class_word[0]):
-            total += count * self.count(quotient, class_word[1:])
+            total += count * self._count(quotient, class_word[1:])
         self.memo[key] = total
         return total
-
-
-def _soft_iso(A, B):
-    try:
-        return hmod.is_isomorphic(A, B)
-    except Exception:
-        return False
 
 
 class PBWEngine:
     """Dual PBW pairing: evaluates theta_n on M(m) through flags of prescribed
     root-module subquotients, counted per prime and interpolated."""
 
-    def __init__(self, table, pool=PRIME_POOL, budget=DEFAULT_BUDGET, executor=None):
+    def __init__(self, table, pool=PRIME_POOL, budget=DEFAULT_BUDGET):
         # table: functors.RootModuleTable over the rationals (integral models)
         self.table = table
         self.pool = pool
         self.budget = budget
-        self.executor = executor
         self.spec = table.modules[0].spec
         self._per_prime = {}
 
@@ -831,7 +817,7 @@ class PBWEngine:
 
         if not word:
             return Fraction(1) if M.total_dim() == 0 else Fraction(0)
-        poly = interpolate_counts(count, bound, pool=self.pool, executor=self.executor)
+        poly = interpolate_counts(count, bound, pool=self.pool)
         norm = 1
         for mult in n:
             norm *= math.factorial(mult)
@@ -856,35 +842,3 @@ def g_vector(M):
     fd = cartan.forms(M.spec.datum, M.spec.omega)
     return tuple(-sum(fd.R[i][j] * rk[j] for j in range(M.spec.datum.n))
                  for i in range(M.spec.datum.n))
-
-
-# --- flat convenience API (delegates to a shared engine; memo tables are
-# idempotent, so the shared instance is safe under concurrent use) -----------
-
-_SHARED_ENGINE = EulerEngine()
-
-
-def euler_char_grlf(M, e):
-    return _SHARED_ENGINE.euler_char_grlf(M, e)
-
-
-def f_polynomial(M):
-    return _SHARED_ENGINE.f_polynomial(M)
-
-
-def flag_euler(M, word):
-    return _SHARED_ENGINE.flag_euler(M, word)
-
-
-def theta_eval(combination, M):
-    return _SHARED_ENGINE.theta_eval(combination, M)
-
-
-def pbw_pairing(table, m, n, pool=PRIME_POOL):
-    """One-shot dual PBW pairing; reuse a PBWEngine to amortize many pairings."""
-    return PBWEngine(table, pool=pool).pairing(m, n)
-
-
-def filtration_exists(table, M, prescription, primes=None, pool=PRIME_POOL):
-    """One-shot ordered-filtration existence per sampled prime."""
-    return PBWEngine(table, pool=pool).filtration_exists(M, prescription, primes=primes)

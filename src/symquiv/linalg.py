@@ -245,12 +245,6 @@ def int_inverse(a):
     return out
 
 
-def int_rational_inverse(a):
-    """Inverse over Q of an integer matrix (Fraction entries), or None."""
-    qa = [[Fraction(x) for x in row] for row in a]
-    return inverse(QQ_SINGLETON, qa)
-
-
 def lagrange_interpolate(points):
     """Integer-polynomial coefficients (ascending) through exact points (x, y).
 

@@ -1,0 +1,38 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps library functions and
+engine methods by name; a refactor that renames or moves them breaks it."""
+
+import pathlib
+
+from symquiv import cartan, functors, grassmann, hmod
+from symquiv.fields import RATIONALS
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
+SPEC_B2 = hmod.HAlgebraSpec(B2, cartan.validate_orientation(B2, [(0, 1)]), RATIONALS)
+
+
+def test_tracer_records_engine_layers(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    originals = {
+        "flag_count": grassmann.Counter.__dict__["flag_count"],
+        "_iter_lf_submodules": grassmann._iter_lf_submodules,
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        e1 = hmod.generalized_simple(SPEC_B2, 0)
+        assert grassmann.EulerEngine().flag_euler(hmod.direct_sum(e1, e1), (0, 0)) == 2
+        table = functors.all_root_modules(SPEC_B2)
+        idx = table.betas.index((1, 2))
+        found = grassmann.PBWEngine(table).filtration_exists(
+            table.module_of((1, 2)), [(idx, 1)], primes=(5,))
+        assert found == {5: True}
+    finally:
+        tracer.uninstall()
+    calls = tracer.counts.calls
+    assert calls.get("grassmann.Counter.flag_count", 0) > 0
+    assert calls.get("grassmann._iter_lf_submodules", 0) > 0
+    assert grassmann.Counter.__dict__["flag_count"] is originals["flag_count"]
+    assert grassmann._iter_lf_submodules is originals["_iter_lf_submodules"]

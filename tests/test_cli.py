@@ -64,6 +64,10 @@ class TestExitCodes:
                        "--samples", "2")
         assert proc.returncode == 2
 
+    def test_flag_of_another_command_rejected(self):
+        proc = run_cli("roots", "--datum", str(DATA / "b2.json"), "--seed", "3")
+        assert proc.returncode == 2
+
     def test_missing_datum(self):
         proc = run_cli("roots")
         assert proc.returncode == 2
@@ -101,15 +105,16 @@ class TestTranscripts:
         proc = run_cli("fpoly", "--datum", str(DATA / "b2.json"),
                        "--results-dir", str(tmp_path))
         assert proc.returncode == 0
-        assert (tmp_path / "transcripts.json").exists()
-
-
-class TestWorkers:
-    def test_workers_flag_matches_serial(self):
-        serial = run_cli("fpoly", "--datum", str(DATA / "b2.json"))
-        threaded = run_cli("fpoly", "--datum", str(DATA / "b2.json"),
-                           "--workers", "4")
-        assert serial.stdout == threaded.stdout
+        transcripts = json.loads((tmp_path / "transcripts.json").read_text())
+        # one Grassmannian per root rank r of B2 and rank vector e <= r
+        expected = {f"grlf {[r0, r1]} {[e0, e1]}"
+                    for r0, r1 in ((1, 0), (1, 1), (1, 2), (0, 1))
+                    for e0 in range(r0 + 1) for e1 in range(r1 + 1)}
+        assert set(transcripts) == expected
+        for label, entry in transcripts.items():
+            prime, count = entry["held_out"]
+            value = sum(c * prime ** k for k, c in enumerate(entry["coefficients"]))
+            assert value == count, label
 
 
 class TestVerifyCommand:

@@ -170,6 +170,16 @@ class TestFlags:
             counter = grassmann.Counter()
             assert counter.flag_count(hmod.reduce_mod_p(m, p), (0, 0)) == p * p + p
 
+    def test_merge_propagates_unexpected_errors(self, monkeypatch):
+        # only an inconclusive isomorphism search may be read as "distinct"
+        def broken(A, B, *args, **kwargs):
+            raise ValueError("broken isomorphism test")
+
+        m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (2, 1), 1), 5)
+        monkeypatch.setattr(hmod, "is_isomorphic", broken)
+        with pytest.raises(ValueError):
+            grassmann.Counter().bottom_e_groups(m, 0)
+
     def test_flag_through_root_module(self):
         # He_2 has a unique E-flag structure E_1 then E_2 and none reversed
         engine = grassmann.EulerEngine()
@@ -296,6 +306,24 @@ class TestBudgets:
         counter = grassmann.Counter(budget=1)
         with pytest.raises(TooLargeError):
             counter.flag_count(m, (0, 0, 1))
+
+    def test_flag_budget_is_per_query(self):
+        # each module needs 32 generators for the word (0, 1, 0); a budget that
+        # lasted as long as the counter would run out on the second query
+        counter = grassmann.Counter(budget=32)
+        for seed in (1, 2):
+            m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (2, 1), seed), 5)
+            assert counter.flag_count(m, (0, 1, 0)) == 1
+
+    def test_class_flag_budget_is_per_query(self):
+        # 32 candidates per query at p = 5: M(beta_2) + M(beta_1) filtered
+        # bottom-first by M(beta_2), M(beta_1), and likewise for beta_3
+        table = functors.all_root_modules(SPEC_B2)
+        engine = grassmann.PBWEngine(table, budget=32)
+        for m, prescription in (((1, 1, 0, 0), [(1, 1), (0, 1)]),
+                                ((1, 0, 1, 0), [(2, 1), (0, 1)])):
+            module = engine.module_of_multiplicity(m)
+            assert engine.filtration_exists(module, prescription, primes=(5,)) == {5: True}
 
 
 class TestInterpolation:
