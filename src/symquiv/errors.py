@@ -46,7 +46,8 @@ class NotLocallyFreeError(SymquivError):
 
 
 class InternalMismatchError(SymquivError):
-    """Two independent computation routes disagree; indicates a bug, never expected."""
+    """Two independent computation routes disagree (a bug, never expected), or
+    a randomized search was inconclusive: the answer is unknown, not false."""
 
 
 class TooLargeError(SymquivError):

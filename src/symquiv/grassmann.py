@@ -510,17 +510,25 @@ class Counter:
         self.flag_memo = {}
         self.group_memo = {}
         self.class_reps = []
+        self.rep_memo = {}  # (spec, key) -> representative; key() omits the spec
 
     def class_rep(self, M):
+        """The first-seen module isomorphic to M (M itself if none is)."""
+        memo_key = (M.spec, M.key())
+        if memo_key in self.rep_memo:
+            return self.rep_memo[memo_key]
         inv = (M.spec, M.dims,
                tuple(hmod.eps_partition(M, v) for v in range(M.spec.datum.n)),
                tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
                             for k, m in M.arrows.items())))
         for inv2, rep in self.class_reps:
             if inv2 == inv and _soft_iso(M, rep):
-                return rep
-        self.class_reps.append((inv, M))
-        return M
+                break
+        else:
+            self.class_reps.append((inv, M))
+            rep = M
+        self.rep_memo[memo_key] = rep
+        return rep
 
     def bottom_e_groups(self, M, j):
         """[(quotient representative, multiplicity)] over E_j-submodules of M."""

@@ -13,6 +13,7 @@ and submodule enumeration pure linear algebra.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -514,10 +515,16 @@ class HomBasis:
 
 
 def hom_basis(M, N) -> HomBasis:
-    """Basis of Hom_H(M, N): vertex tuples intertwining eps and all arrows."""
+    """Basis of Hom_H(M, N): vertex tuples intertwining eps and all arrows.
+
+    The unknowns are the coefficients of the vertex bases of H_i-linear maps;
+    each arrow (i, j) contributes the block f_i A^M - A^N f_j = 0, assembled
+    straight from the sparse (row, col[, val]) entries of those basis maps.
+    """
     if M.spec != N.spec:
         raise SpecMismatchError("hom needs a common algebra spec")
     field = M.field()
+    z = field.zero
     n = M.spec.datum.n
     vertex_bases = _vertex_hom_bases(M, N)
     offsets = []
@@ -527,48 +534,51 @@ def hom_basis(M, N) -> HomBasis:
         total += len(vertex_bases[v])
     if total == 0:
         return HomBasis([], 0)
-    vertex_mats = [
-        [_sparse_to_matrix(field, e, N.dims[v], M.dims[v]) for e in vertex_bases[v]]
-        for v in range(n)
-    ]
     rows = []
     for key in M.arrows:
         (i, j, _) = key
-        if N.dims[i] * M.dims[j] == 0:
+        dj = M.dims[j]
+        if N.dims[i] * dj == 0:
             continue
         AM, AN = M.arrows[key], N.arrows[key]
-        block = [[field.zero] * total for _ in range(N.dims[i] * M.dims[j])]
-        if M.dims[i]:  # f_i A^M factors through M_i
-            for t, fmat in enumerate(vertex_mats[i]):
-                prod = linalg.mat_mul(field, fmat, AM)
+        block = [[z] * total for _ in range(N.dims[i] * dj)]
+        if M.dims[i]:  # f_i A^M: entry (p, c) of f_i meets row c of A^M
+            for t, entries in enumerate(vertex_bases[i]):
                 col = offsets[i] + t
-                for p in range(N.dims[i]):
-                    for q in range(M.dims[j]):
-                        block[p * M.dims[j] + q][col] = prod[p][q]
-        if N.dims[j]:  # A^N f_j factors through N_j
-            for t, fmat in enumerate(vertex_mats[j]):
-                prod = linalg.mat_mul(field, AN, fmat)
+                for e in entries:
+                    p, c = e[0], e[1]
+                    for q, x in enumerate(AM[c]):
+                        if x != z:
+                            y = x if len(e) == 2 else field.mul(e[2], x)
+                            cell = block[p * dj + q]
+                            cell[col] = field.add(cell[col], y)
+        if N.dims[j]:  # A^N f_j: entry (r, q) of f_j meets column r of A^N
+            for t, entries in enumerate(vertex_bases[j]):
                 col = offsets[j] + t
-                for p in range(N.dims[i]):
-                    for q in range(M.dims[j]):
-                        block[p * M.dims[j] + q][col] = field.sub(
-                            block[p * M.dims[j] + q][col], prod[p][q])
+                for e in entries:
+                    r, q = e[0], e[1]
+                    for p in range(N.dims[i]):
+                        x = AN[p][r]
+                        if x != z:
+                            y = x if len(e) == 2 else field.mul(x, e[2])
+                            cell = block[p * dj + q]
+                            cell[col] = field.sub(cell[col], y)
         rows.extend(block)
     if rows:
         sols = linalg.nullspace(field, rows, total)
     else:
-        sols = [[field.one if i == j else field.zero for j in range(total)] for i in range(total)]
+        sols = [[field.one if i == j else z for j in range(total)] for i in range(total)]
     out = []
     for vec in sols:
         maps = []
         for v in range(n):
             m = linalg.zeros(field, N.dims[v], M.dims[v])
-            for t, fmat in enumerate(vertex_mats[v]):
+            for t, entries in enumerate(vertex_bases[v]):
                 coeff = vec[offsets[v] + t]
-                if coeff != field.zero:
-                    for p in range(N.dims[v]):
-                        for q in range(M.dims[v]):
-                            m[p][q] = field.add(m[p][q], field.mul(coeff, fmat[p][q]))
+                if coeff != z:
+                    for e in entries:
+                        y = coeff if len(e) == 2 else field.mul(coeff, e[2])
+                        m[e[0]][e[1]] = field.add(m[e[0]][e[1]], y)
             maps.append(m)
         out.append(tuple(maps))
     return HomBasis(out, len(out))
@@ -716,57 +726,77 @@ def random_locally_free(spec, r, seed) -> HModule:
 
 
 def is_isomorphic(M, N, tries=40, seed=0) -> bool:
+    """Whether M and N are isomorphic, with one of three outcomes:
+
+    - True: an invertible element of Hom(M, N) was found, which proves it;
+    - False: a necessary condition failed (dims, Jordan types of eps, the
+      dimensions of Hom(M, N), Hom(N, M), End M and End N), or the
+      exhaustive search over every element of Hom(M, N) over F_p found no
+      invertible one;
+    - InternalMismatchError: inconclusive, i.e. `tries` random elements were
+      not invertible and the field is Q or too large to search exhaustively.
+
+    The common case is an isomorphism that exists, so the first random
+    element is tried before the refuting invariants are computed. All random
+    elements come from one random.Random(seed) stream, so the outcome does
+    not depend on where the invariants are checked.
+    """
     if M.spec != N.spec:
         raise SpecMismatchError("isomorphism test needs a common spec")
     if M.dims != N.dims:
         return False
     if M.total_dim() == 0:
         return True
+    hmn = hom_basis(M, N)
+    t = hmn.dimension
+    if t == 0:
+        return False
+    field = M.field()
+    size = field.size()
+    rng = random.Random(seed)
+
+    def random_try():
+        coeffs = [field.from_int(rng.randrange(size) if size else rng.randint(-9, 9))
+                  for _ in range(t)]
+        return _combination_invertible(field, M, hmn.basis, coeffs)
+
+    if tries and random_try():
+        return True
     for v in range(M.spec.datum.n):
         if eps_partition(M, v) != eps_partition(N, v):
             return False
-    hmn = hom_basis(M, N)
-    if hmn.dimension == 0:
+    if not (t == hom_dim(N, M) == hom_dim(M, M) == hom_dim(N, N)):
         return False
-    hnm_dim = hom_dim(N, M)
-    end_m = hom_dim(M, M)
-    end_n = hom_dim(N, N)
-    if not (hmn.dimension == hnm_dim == end_m == end_n):
-        return False
-    field = M.field()
-    rng = random.Random(seed)
-    t = hmn.dimension
-    for _ in range(tries):
-        coeffs = [field.from_int(rng.randrange(field.size())
-                                 if field.size() else rng.randint(-9, 9)) for _ in range(t)]
-        if _combination_invertible(field, M, hmn.basis, coeffs):
+    for _ in range(tries - 1):
+        if random_try():
             return True
-    size = field.size()
     if size is not None and size ** t <= 300000:
-        import itertools
         for combo in itertools.product(range(size), repeat=t):
             if all(c == 0 for c in combo):
                 continue
             if _combination_invertible(field, M, hmn.basis, list(combo)):
                 return True
         return False
-    if size is None:
-        return False  # over Q the random search with 40 dense tries is decisive in corpus sizes
-    raise InternalMismatchError("isomorphism test inconclusive; enlarge field or dims budget")
+    raise InternalMismatchError(
+        f"isomorphism test inconclusive over {field!r}: {tries} random elements of a "
+        f"{t}-dimensional Hom space at dims {M.dims} were singular")
 
 
 def _combination_invertible(field, M, basis, coeffs):
+    z = field.zero
     for v in range(M.spec.datum.n):
-        if M.dims[v] == 0:
+        d = M.dims[v]
+        if d == 0:
             continue
-        m = linalg.zeros(field, M.dims[v], M.dims[v])
+        m = linalg.zeros(field, d, d)
         for coeff, f in zip(coeffs, basis):
-            if coeff != field.zero:
-                fv = f[v]
-                for p in range(M.dims[v]):
-                    for q in range(M.dims[v]):
-                        m[p][q] = field.add(m[p][q], field.mul(coeff, fv[p][q]))
-        if linalg.inverse(field, m) is None:
+            if coeff != z:
+                for p, row in enumerate(f[v]):
+                    out = m[p]
+                    for q, x in enumerate(row):
+                        if x != z:
+                            out[q] = field.add(out[q], field.mul(coeff, x))
+        if linalg.rank(field, m) != d:
             return False
     return True
 
@@ -841,7 +871,6 @@ def _monomials_from(spec, start):
         for key in path:
             a, _ = spec.rel_powers(key[0], key[1])
             ranges.append(range(a))
-        import itertools
         for exps in itertools.product(*ranges):
             monos.append((start, exps[0], tuple((key, e) for key, e in zip(path, exps[1:]))))
     return monos

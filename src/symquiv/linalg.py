@@ -228,7 +228,8 @@ def int_mat_vec(a, v):
 
 
 def int_inverse(a):
-    """Inverse of an integer matrix, returned as integer rows; None if not unimodular-invertible over Z... (entries must come out integral)."""
+    """Inverse of an integer matrix as integer rows; None unless the matrix is
+    unimodular, i.e. invertible with an integral inverse."""
     n = len(a)
     qa = [[Fraction(x) for x in row] for row in a]
     inv = inverse(QQ_SINGLETON, qa)

@@ -4,7 +4,7 @@ engine methods by name; a refactor that renames or moves them breaks it."""
 import pathlib
 
 from symquiv import cartan, functors, grassmann, hmod
-from symquiv.fields import RATIONALS
+from symquiv.fields import RATIONALS, prime_field_spec
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -36,3 +36,29 @@ def test_tracer_records_engine_layers(monkeypatch):
     assert calls.get("grassmann._iter_lf_submodules", 0) > 0
     assert grassmann.Counter.__dict__["flag_count"] is originals["flag_count"]
     assert grassmann._iter_lf_submodules is originals["_iter_lf_submodules"]
+
+
+def test_tracer_counts_inner_hom_basis_calls(monkeypatch):
+    # hmod.hom_basis.calls must keep counting the Hom bases that hom_dim and
+    # is_isomorphic compute, so both reach it through the module global
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    originals = {"is_isomorphic": hmod.is_isomorphic, "hom_basis": hmod.hom_basis}
+    spec = SPEC_B2.with_field(prime_field_spec(5))
+    m = hmod.random_locally_free(spec, (2, 1), 3)
+    n = hmod.random_locally_free(spec, (2, 1), 4)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        hmod.hom_dim(m, n)
+        after_hom_dim = tracer.counts.calls.get("hmod.hom_basis", 0)
+        hmod.is_isomorphic(m, n)
+    finally:
+        tracer.uninstall()
+    calls = tracer.counts.calls
+    assert after_hom_dim == 1
+    assert calls.get("hmod.is_isomorphic", 0) == 1
+    assert calls.get("hmod.hom_basis", 0) > after_hom_dim
+    assert hmod.is_isomorphic is originals["is_isomorphic"]
+    assert hmod.hom_basis is originals["hom_basis"]

@@ -1,6 +1,6 @@
 import pytest
 
-from symquiv import cartan, functors, grassmann, hmod
+from symquiv import cartan, functors, grassmann, hmod, linalg
 from symquiv.errors import InterpolationError
 from symquiv.fields import RATIONALS, PrimeField
 
@@ -222,6 +222,35 @@ class TestSerre:
         for seed in range(5):
             m = hmod.random_locally_free(SPEC_B2, (power, 1), seed)
             assert engine.theta_eval(combo, m) == 0
+
+    def test_class_lookup_once_per_module(self, monkeypatch):
+        # a conjugate of a cached module is matched to it by one isomorphism
+        # test over Q, not one per word of the combination
+        anchor = hmod.random_locally_free(SPEC_B2, (2, 1), 7)
+        conj = hmod.HModule(anchor.spec, anchor.dims, anchor.eps, anchor.arrows)
+        field = SPEC_B2.field()
+        g = linalg.identity(field, 4)
+        g[0][2] = g[1][3] = field.one  # H-linear: identity from chain 2 to chain 1
+        hmod.change_vertex_basis(conj, 0, g)
+        assert conj.eps == anchor.eps and conj.key() != anchor.key()
+        engine = grassmann.EulerEngine()
+        combo = grassmann.serre_commutator(0, 1, 2)
+        assert engine.theta_eval(combo, anchor) == 0
+        q_calls = []
+        is_isomorphic = hmod.is_isomorphic
+
+        def counting(A, B, *args, **kwargs):
+            if A.spec.fieldspec == RATIONALS:
+                q_calls.append((A, B))
+            return is_isomorphic(A, B, *args, **kwargs)
+
+        monkeypatch.setattr(hmod, "is_isomorphic", counting)
+        assert engine.theta_eval(combo, conj) == 0
+        assert len(q_calls) == 1
+        rep = engine._dedup.class_rep(conj)
+        assert rep is anchor
+        assert engine._dedup.class_rep(conj) is rep
+        assert len(q_calls) == 1
 
 
 class TestPBW:

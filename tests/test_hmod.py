@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from symquiv import cartan, hmod, linalg
-from symquiv.errors import SpecMismatchError
+from symquiv.errors import InternalMismatchError, SpecMismatchError
 from symquiv.fields import RATIONALS, prime_field_spec
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -20,6 +21,59 @@ def spec_b2(fieldspec=RATIONALS):
 
 def spec_g2(fieldspec=RATIONALS):
     return hmod.HAlgebraSpec(G2, G2_OMEGA, fieldspec)
+
+
+def h_linear_conjugate(M, rng):
+    """M after a random unimodular H-linear change of basis at every vertex
+    (eps stays canonical): an isomorphic module, integral if M is."""
+    field = M.field()
+    out = hmod.HModule(M.spec, M.dims, M.eps, M.arrows)
+    for v in range(M.spec.datum.n):
+        c, d = M.spec.datum.D[v], M.dims[v]
+        g = linalg.identity(field, d)
+        # block upper triangular, each block a polynomial in the chain shift,
+        # unipotent on the diagonal: commutes with eps and has determinant 1
+        for bi in range(d // c):
+            for bj in range(bi, d // c):
+                for shift in range(1 if bi == bj else 0, c):
+                    coeff = field.from_int(rng.randint(-2, 2))
+                    for a in range(c - shift):
+                        r, col = bi * c + a + shift, bj * c + a
+                        g[r][col] = field.add(g[r][col], coeff)
+        if d:
+            hmod.change_vertex_basis(out, v, g)
+    return out
+
+
+def generic_conjugate(M, rng):
+    """M after a random invertible change of basis at every vertex that need
+    not commute with eps, so eps leaves chain form."""
+    field = M.field()
+    out = hmod.HModule(M.spec, M.dims, M.eps, M.arrows)
+    for v in range(M.spec.datum.n):
+        d = M.dims[v]
+        if d == 0:
+            continue
+        cols = None
+        while cols is None or linalg.inverse(field, cols) is None:
+            cols = [[field.from_int(rng.randint(-3, 3)) for _ in range(d)] for _ in range(d)]
+        hmod.change_vertex_basis(out, v, cols)
+    return out
+
+
+def brute_force_isomorphic(M, N):
+    """Whether some coefficient vector over F_p makes the combination of the
+    Hom(M, N) basis invertible at every vertex; every vector is tried."""
+    field = M.field()
+    basis = hmod.hom_basis(M, N).basis
+    for coeffs in itertools.product(field.elements(), repeat=len(basis)):
+        maps = [linalg.zeros(field, N.dims[v], M.dims[v]) for v in range(len(M.dims))]
+        for coeff, f in zip(coeffs, basis):
+            maps = [linalg.mat_add(field, m, [[field.mul(coeff, x) for x in row] for row in fv])
+                    for m, fv in zip(maps, f)]
+        if all(linalg.inverse(field, m) is not None for m in maps if m):
+            return True
+    return False
 
 
 class TestGeneralizedSimple:
@@ -186,6 +240,42 @@ class TestHom:
                     rhs = linalg.mat_mul(field, n.arrows[key], f[j])
                     assert lhs == rhs
 
+    def test_sparse_assembly_against_dense_oracles(self):
+        # the sparse Hom system against mat_mul checks of every basis tuple and
+        # against ext1_dim, which builds its system from dense maps: over Q and
+        # F_7, on canonical eps and on eps moved out of chain form (sparse
+        # entries with values), with the arrow in both directions
+        rng = random.Random(4)
+        checked = 0
+        for fieldspec in (RATIONALS, prime_field_spec(7)):
+            for datum, edge in ((B2, (0, 1)), (B2, (1, 0)), (G2, (0, 1)), (G2, (1, 0))):
+                omega = cartan.validate_orientation(datum, [edge])
+                spec = hmod.HAlgebraSpec(datum, omega, fieldspec)
+                field = spec.field()
+                for _ in range(3):
+                    rm = (rng.randint(0, 2), rng.randint(1, 2))
+                    rn = (rng.randint(0, 2), rng.randint(1, 2))
+                    m = hmod.random_locally_free(spec, rm, rng.randrange(10 ** 6))
+                    n = hmod.random_locally_free(spec, rn, rng.randrange(10 ** 6))
+                    for mm, nn in ((m, n), (generic_conjugate(m, rng), generic_conjugate(n, rng))):
+                        hb = hmod.hom_basis(mm, nn)
+                        for f in hb.basis:
+                            for v in range(2):
+                                if mm.dims[v] and nn.dims[v]:
+                                    assert (linalg.mat_mul(field, f[v], mm.eps[v])
+                                            == linalg.mat_mul(field, nn.eps[v], f[v]))
+                            for key in mm.arrows:
+                                (i, j, _) = key
+                                if nn.dims[i] and mm.dims[j]:
+                                    assert (linalg.mat_mul(field, f[i], mm.arrows[key])
+                                            == linalg.mat_mul(field, nn.arrows[key], f[j]))
+                        flat = [[x for fv in f for row in fv for x in row] for f in hb.basis]
+                        assert linalg.rank(field, flat) == hb.dimension
+                        euler = cartan.euler_form(datum, omega, rm, rn)
+                        assert hb.dimension - hmod.ext1_dim(mm, nn) == euler
+                        checked += 1
+        assert checked == 48
+
     def test_field_independence_of_dims(self):
         for p in (5, 7, 11):
             spec_q = spec_b2()
@@ -257,6 +347,49 @@ class TestIso:
                                 {(0, 1, 0): [[1], [0]]})
         assert hmod.check_relations(nonsplit) == []
         assert not hmod.is_isomorphic(split, nonsplit)
+
+
+    def test_inconclusive_over_q_is_unknown(self):
+        # no random element tried: over Q that is "unknown", not "distinct";
+        # over F_5 the exhaustive search proves the isomorphism
+        m = hmod.random_locally_free(spec_b2(), (2, 1), 7)
+        n = h_linear_conjugate(m, random.Random(3))
+        assert n.key() != m.key()
+        with pytest.raises(InternalMismatchError):
+            hmod.is_isomorphic(m, n, tries=0)
+        assert hmod.is_isomorphic(hmod.reduce_mod_p(m, 5), hmod.reduce_mod_p(n, 5), tries=0)
+
+    def test_prove_first_against_brute_force(self):
+        rng = random.Random(11)
+        outcomes = set()
+        for p, ranks in ((3, ((1, 1), (2, 1), (1, 2), (2, 2))), (5, ((1, 1), (1, 2), (2, 2)))):
+            spec = spec_b2(prime_field_spec(p))
+            for r in ranks:
+                for seed in range(3):
+                    m = hmod.random_locally_free(spec, r, seed)
+                    for n in (h_linear_conjugate(m, rng),
+                              hmod.random_locally_free(spec, r, 100 + seed)):
+                        expected = brute_force_isomorphic(m, n)
+                        assert hmod.is_isomorphic(m, n) == expected, (p, r, seed)
+                        outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    def test_proved_isomorphism_needs_one_hom_basis(self, monkeypatch):
+        # the first random element of Hom(m, n) is invertible for this pair,
+        # so no refuting invariant (hom_dim) is computed
+        spec = spec_b2(prime_field_spec(5))
+        m = hmod.random_locally_free(spec, (2, 1), 3)
+        n = h_linear_conjugate(m, random.Random(5))
+        calls = []
+        hom_basis = hmod.hom_basis
+
+        def counting(A, B):
+            calls.append((A, B))
+            return hom_basis(A, B)
+
+        monkeypatch.setattr(hmod, "hom_basis", counting)
+        assert hmod.is_isomorphic(m, n)
+        assert calls == [(m, n)]
 
 
 class TestProjectiveInjective:
