@@ -37,7 +37,7 @@ DEFAULT_BUDGET = 10 ** 7
 
 class _Budget:
     """Enumeration units left to one query.  Every top-level count (one
-    count_locally_free_submodules call, one external Counter.flag_count or
+    count_locally_free_submodules, Counter.flag_count or
     ClassFlagCounter.count call) gets a fresh instance; each enumerated
     candidate or generator spends one unit."""
 
@@ -182,12 +182,7 @@ def quotient_type(field, dim, c, w_rows):
                 vec[b * c + tau] = field.one
                 rows.append(vec)
         ranks.append(linalg.rank(field, rows) - w_rank if rows else 0)
-    counts = [ranks[t - 1] - ranks[t] for t in range(1, c + 1)]
-    partition = []
-    for t in range(c, 0, -1):
-        mult = counts[t - 1] - (counts[t] if t < c else 0)
-        partition.extend([t] * mult)
-    return tuple(sorted(partition, reverse=True))
+    return hmod._partition_from_ranks(ranks)
 
 
 # --- counting polynomial machinery ------------------------------------------
@@ -465,6 +460,29 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
 # --- flag counting -----------------------------------------------------------
 
 
+def _fills(M, rank):
+    """The grading cut-off: flags of M whose subquotients add up to `rank`
+    exist only if D * rank = dims M.  Each quotient then passes it too."""
+    return all(c * r == d for c, r, d in zip(M.spec.datum.D, rank, M.dims))
+
+
+def _count_flags(M, word, groups, memo):
+    """Flags of M whose subquotients, from the bottom, are the letters of
+    word; groups(M, letter) lists the (quotient, multiplicity) pairs of the
+    bottom factor `letter`.  The caller has checked the grading, so M is zero
+    when the word is used up."""
+    if not word:
+        return 1
+    key = (M.key(), word)
+    if key in memo:
+        return memo[key]
+    total = 0
+    for quotient, count in groups(M, word[0]):
+        total += count * _count_flags(quotient, word[1:], groups, memo)
+    memo[key] = total
+    return total
+
+
 def _soft_iso(A, B):
     """is_isomorphic, with an inconclusive search read as 'distinct': a missed
     merge only costs speed."""
@@ -554,27 +572,11 @@ class Counter:
     def flag_count(self, M, word):
         """Number of flags of submodules with subquotients E_{word[0]}, ... ,
         E_{word[-1]} from the bottom, over the prime field of M."""
-        self._query = _Budget(self.budget)
-        return self._flag_count(M, tuple(word))
-
-    def _flag_count(self, M, word):
-        if not word:
-            return 1 if M.total_dim() == 0 else 0
-        # grading: the word content must exactly exhaust the module
-        datum = M.spec.datum
-        need = [0] * datum.n
-        for letter in word:
-            need[letter] += datum.D[letter]
-        if list(M.dims) != need:
+        word = tuple(word)
+        if not _fills(M, [word.count(v) for v in range(M.spec.datum.n)]):
             return 0
-        key = (M.key(), word)
-        if key in self.flag_memo:
-            return self.flag_memo[key]
-        total = 0
-        for quotient, count in self.bottom_e_groups(M, word[0]):
-            total += count * self._flag_count(quotient, word[1:])
-        self.flag_memo[key] = total
-        return total
+        self._query = _Budget(self.budget)
+        return _count_flags(M, word, self.bottom_e_groups, self.flag_memo)
 
 
 def _flag_degree_bound(M_rk, datum, word):
@@ -716,7 +718,7 @@ def _iter_lf_submodules(M, e, budget):
 class ClassFlagCounter:
     """Counts flags whose subquotients run through prescribed rigid classes.
 
-    The memo table outlives queries; the budget does not: each count call may
+    The memo tables outlive queries; the budget does not: each count call may
     enumerate at most `budget` candidates.
     """
 
@@ -726,14 +728,15 @@ class ClassFlagCounter:
         self.classes = class_modules
         self.ranks = [hmod.require_locally_free(m) for m in class_modules]
         self.end_dims = [hmod.hom_dim(m, m) for m in class_modules]
-        self.memo = {}
+        self.flag_memo = {}
+        self.group_memo = {}
         self.budget = budget
         self._query = _Budget(budget)
 
     def _sub_groups(self, M, cls_idx):
         key = (M.key(), cls_idx)
-        if key in self.memo:
-            return self.memo[key]
+        if key in self.group_memo:
+            return self.group_memo[key]
 
         def quotients():
             for subspaces in _iter_lf_submodules(M, self.ranks[cls_idx], self._query):
@@ -744,24 +747,18 @@ class ClassFlagCounter:
                     yield hmod.quotient_by_subspaces(M, subspaces)
 
         out = _merge_isomorphic(quotients()) if hmod.hom_dim(self.classes[cls_idx], M) else []
-        self.memo[key] = out
+        self.group_memo[key] = out
         return out
 
     def count(self, M, class_word):
+        """Number of flags of submodules with subquotients in the classes
+        class_word[0], ... , class_word[-1] from the bottom."""
+        class_word = tuple(class_word)
+        rank = [sum(self.ranks[idx][v] for idx in class_word) for v in range(M.spec.datum.n)]
+        if not _fills(M, rank):
+            return 0
         self._query = _Budget(self.budget)
-        return self._count(M, tuple(class_word))
-
-    def _count(self, M, class_word):
-        if not class_word:
-            return 1 if M.total_dim() == 0 else 0
-        key = (M.key(), class_word)
-        if key in self.memo:
-            return self.memo[key]
-        total = 0
-        for quotient, count in self._sub_groups(M, class_word[0]):
-            total += count * self._count(quotient, class_word[1:])
-        self.memo[key] = total
-        return total
+        return _count_flags(M, class_word, self._sub_groups, self.flag_memo)
 
 
 class PBWEngine:

@@ -328,10 +328,9 @@ def normalize_eps(M):
     for v in range(M.spec.datum.n):
         if M.dims[v] == 0:
             continue
-        if read_jordan_blocks(field, M.eps[v]) is not None:
-            blocks = read_jordan_blocks(field, M.eps[v])
-            if blocks == sorted(blocks, reverse=True):
-                continue
+        blocks = read_jordan_blocks(field, M.eps[v])
+        if blocks is not None and blocks == sorted(blocks, reverse=True):
+            continue
         change_vertex_basis(M, v, jordan_basis(field, M.eps[v]))
     return M
 
@@ -347,12 +346,17 @@ def eps_partition(M, v):
     while ranks[-1] > 0:
         power = linalg.mat_mul(field, power, M.eps[v])
         ranks.append(linalg.rank(field, power))
+    return _partition_from_ranks(ranks)
+
+
+def _partition_from_ranks(ranks):
+    """Jordan type (block sizes descending) of a nilpotent whose powers
+    eps^0, eps^1, ... have the given ranks, the last one 0."""
     counts = [ranks[t - 1] - ranks[t] for t in range(1, len(ranks))]  # blocks of size >= t
     partition = []
     for t in range(len(counts), 0, -1):
-        mult = counts[t - 1] - (counts[t] if t < len(counts) else 0)
-        partition.extend([t] * mult)
-    return tuple(sorted(partition, reverse=True))
+        partition.extend([t] * (counts[t - 1] - (counts[t] if t < len(counts) else 0)))
+    return tuple(partition)
 
 
 def submodule_from_subspaces(M, subspaces):
@@ -414,20 +418,16 @@ def quotient_by_subspaces(M, subspaces):
                 w = [field.sub(x, field.mul(f, y)) for x, y in zip(w, row)]
         return [w[c] for c in free]
 
-    def lift(v, idx):
-        vec = [z] * M.dims[v]
-        vec[proj[v][2][idx]] = field.one
-        return vec
-
+    # the image of the lift of basis vector t is column free[t] of the matrix
     dims = [len(proj[v][2]) for v in range(n)]
     eps = []
     for v in range(n):
-        cols = [project(v, linalg.mat_vec(field, M.eps[v], lift(v, t))) for t in range(dims[v])]
+        cols = [project(v, [row[c] for row in M.eps[v]]) for c in proj[v][2]]
         eps.append([[cols[c][r] for c in range(dims[v])] for r in range(dims[v])])
     arrows = {}
     for key, A in M.arrows.items():
         (i, j, _) = key
-        cols = [project(i, linalg.mat_vec(field, A, lift(j, t))) for t in range(dims[j])]
+        cols = [project(i, [row[c] for row in A]) for c in proj[j][2]]
         arrows[key] = [[cols[c][r] for c in range(dims[j])] for r in range(dims[i])]
     return normalize_eps(type(M)(M.spec, dims, eps, arrows))
 
@@ -498,43 +498,29 @@ def _generic_intertwiners(field, eps_m, eps_n):
     return out
 
 
-def _sparse_to_matrix(field, entries, rows, cols):
-    m = linalg.zeros(field, rows, cols)
-    for e in entries:
-        if len(e) == 2:
-            m[e[0]][e[1]] = field.one
-        else:
-            m[e[0]][e[1]] = e[2]
-    return m
+def _hom_system(M, N):
+    """The linear system whose kernel is Hom(M, N), as (vertex bases, offsets,
+    number of unknowns, rows).
 
-
-@dataclass
-class HomBasis:
-    basis: list  # each element: tuple of per-vertex matrices
-    dimension: int
-
-
-def hom_basis(M, N) -> HomBasis:
-    """Basis of Hom_H(M, N): vertex tuples intertwining eps and all arrows.
-
-    The unknowns are the coefficients of the vertex bases of H_i-linear maps;
-    each arrow (i, j) contributes the block f_i A^M - A^N f_j = 0, assembled
-    straight from the sparse (row, col[, val]) entries of those basis maps.
+    The unknowns are the coefficients of the vertex bases of H_i-linear maps
+    (f_v); each arrow (i, j) of M.arrows contributes the rows of the block
+    f_i A^M - A^N f_j, assembled straight from the sparse (row, col[, val])
+    entries of those basis maps.  The same rows are delta*: Hom_S(M, N) ->
+    Hom_S(B (x) M, N) of the projective resolution of M, whose rank Ext^1
+    needs; a Pi-module's arrows carry both directions, so for Pi-modules the
+    rows are d1* of the bimodule resolution.
     """
-    if M.spec != N.spec:
-        raise SpecMismatchError("hom needs a common algebra spec")
     field = M.field()
     z = field.zero
-    n = M.spec.datum.n
     vertex_bases = _vertex_hom_bases(M, N)
     offsets = []
     total = 0
-    for v in range(n):
+    for basis in vertex_bases:
         offsets.append(total)
-        total += len(vertex_bases[v])
-    if total == 0:
-        return HomBasis([], 0)
+        total += len(basis)
     rows = []
+    if total == 0:
+        return vertex_bases, offsets, total, rows
     for key in M.arrows:
         (i, j, _) = key
         dj = M.dims[j]
@@ -564,6 +550,25 @@ def hom_basis(M, N) -> HomBasis:
                             cell = block[p * dj + q]
                             cell[col] = field.sub(cell[col], y)
         rows.extend(block)
+    return vertex_bases, offsets, total, rows
+
+
+@dataclass
+class HomBasis:
+    basis: list  # each element: tuple of per-vertex matrices
+    dimension: int
+
+
+def hom_basis(M, N) -> HomBasis:
+    """Basis of Hom_H(M, N): vertex tuples intertwining eps and all arrows,
+    the kernel of the rows of _hom_system."""
+    if M.spec != N.spec:
+        raise SpecMismatchError("hom needs a common algebra spec")
+    field = M.field()
+    z = field.zero
+    vertex_bases, offsets, total, rows = _hom_system(M, N)
+    if total == 0:
+        return HomBasis([], 0)
     if rows:
         sols = linalg.nullspace(field, rows, total)
     else:
@@ -571,9 +576,9 @@ def hom_basis(M, N) -> HomBasis:
     out = []
     for vec in sols:
         maps = []
-        for v in range(n):
+        for v, basis in enumerate(vertex_bases):
             m = linalg.zeros(field, N.dims[v], M.dims[v])
-            for t, entries in enumerate(vertex_bases[v]):
+            for t, entries in enumerate(basis):
                 coeff = vec[offsets[v] + t]
                 if coeff != z:
                     for e in entries:
@@ -614,43 +619,23 @@ def ext1_dim(M, N) -> int:
     """dim Ext^1_H(M, N) via the functorial projective resolution of M.
 
     Applying Hom(-, N) to 0 -> H (x) B (x) M -> H (x) M -> M -> 0 identifies
-    Ext^1 with the cokernel of delta*: Hom_S(M, N) -> Hom_S(B (x) M, N); both
-    sides are realized as explicit matrices.  When N is also locally free the
-    result is cross-checked against dim Hom - <rk M, rk N>.
+    Ext^1 with the cokernel of delta*: Hom_S(M, N) -> Hom_S(B (x) M, N).
+    delta* is the Hom system (_hom_system), so its rank is read off the rows
+    whose kernel hom_basis takes.  When N is also locally free the result is
+    cross-checked against dim Hom - <rk M, rk N>.
     """
     if M.spec != N.spec:
         raise SpecMismatchError("ext needs a common algebra spec")
     rk_m = require_locally_free(M)
     field = M.field()
-    n = M.spec.datum.n
-    vertex_bases = _vertex_hom_bases(M, N)
-    vertex_mats = [
-        [_sparse_to_matrix(field, e, N.dims[v], M.dims[v]) for e in vertex_bases[v]]
-        for v in range(n)
-    ]
-    y0_dim = sum(len(b) for b in vertex_bases)
+    _, _, y0_dim, rows = _hom_system(M, N)
     y1_dim = 0
     for key in M.arrows:
         (i, j, _) = key
         a, b = M.spec.rel_powers(i, j)
         dim, _ = _relation_space_dim(field, N.eps[i], M.eps[j], a, b)
         y1_dim += dim
-    # rank of delta*: phi = (f_v) maps to (A^N f_j - f_i A^M) per arrow
-    columns = []
-    for v in range(n):
-        for fmat in vertex_mats[v]:
-            col = []
-            for key in M.arrows:
-                (i, j, _) = key
-                block = linalg.zeros(field, N.dims[i], M.dims[j])
-                if v == j and N.dims[j]:
-                    block = linalg.mat_mul(field, N.arrows[key], fmat)
-                if v == i and M.dims[i]:
-                    block = linalg.mat_sub(field, block,
-                                           linalg.mat_mul(field, fmat, M.arrows[key]))
-                col.extend(x for row in block for x in row)
-            columns.append(col)
-    rank_delta = linalg.rank(field, columns) if columns else 0
+    rank_delta = linalg.rank(field, rows) if rows else 0
     ext = y1_dim - rank_delta
     rk_n = is_locally_free(N)
     if rk_n is not None:

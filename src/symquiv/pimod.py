@@ -114,13 +114,14 @@ def check_pi_relations(M: PiModule) -> list:
 # --- fac / sub --------------------------------------------------------------
 
 
-def _partition_from_ranks(ranks):
-    counts = [ranks[t - 1] - ranks[t] for t in range(1, len(ranks))]
-    partition = []
-    for t in range(len(counts), 0, -1):
-        mult = counts[t - 1] - (counts[t] if t < len(counts) else 0)
-        partition.extend([t] * mult)
-    return tuple(sorted((x for x in partition if x > 0), reverse=True))
+def _stable_type(field, powers, space):
+    """Jordan type of eps on the eps-stable span of `space`, from the ranks of
+    its images under powers = [eps^0, ..., eps^c]."""
+    ranks = [len(space)]
+    for power in powers[1:]:
+        imgs = [linalg.mat_vec(field, power, b) for b in space]
+        ranks.append(linalg.rank(field, imgs) if imgs else 0)
+    return hmod._partition_from_ranks(ranks)
 
 
 def in_image_space(M, k):
@@ -164,14 +165,7 @@ def fac_sub(M, k):
     for t in range(1, c + 1):
         cols = [[powers[t][r][s] for r in range(d)] for s in range(d)]
         fac_ranks.append(linalg.rank(field, list(w) + cols) - w_rank)
-    fac = _partition_from_ranks(fac_ranks)
-    s_basis = sub_space(M, k)
-    sub_ranks = [len(s_basis)]
-    for t in range(1, c + 1):
-        imgs = [linalg.mat_vec(field, powers[t], b) for b in s_basis]
-        sub_ranks.append(linalg.rank(field, imgs) if imgs else 0)
-    sub = _partition_from_ranks(sub_ranks)
-    return fac, sub
+    return hmod._partition_from_ranks(fac_ranks), _stable_type(field, powers, sub_space(M, k))
 
 
 # --- crystal modules --------------------------------------------------------
@@ -274,8 +268,11 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
         if not space:
             return [], True
         if isinstance(field, PrimeField):
+            powers = [linalg.identity(field, current.dims[j])]
+            for _ in range(c):
+                powers.append(linalg.mat_mul(field, current.eps[j], powers[-1]))
             count = grassmann.count_free_submodules_of_type(
-                _restriction_type(current, j, space), 1, field.p, c)
+                _stable_type(field, powers, space), 1, field.p, c)
             if count == 0:
                 return [], True
             if count <= 512:
@@ -296,16 +293,6 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
             if any(x != field.zero for x in linalg.mat_vec(field, eps_top, u)):
                 out.append(u)
         return out, False
-
-    def _restriction_type(current, j, space):
-        c = current.spec.datum.D[j]
-        ranks = [len(space)]
-        power = linalg.identity(field, current.dims[j])
-        for t in range(1, c + 1):
-            power = linalg.mat_mul(field, current.eps[j], power)
-            imgs = [linalg.mat_vec(field, power, b) for b in space]
-            ranks.append(linalg.rank(field, imgs) if imgs else 0)
-        return _partition_from_ranks(ranks)
 
     def search(current):
         if current.total_dim() == 0:
@@ -448,8 +435,11 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
     """dim Ext^1_Pi(M, N) from the bimodule-resolution presentation.
 
     Hom(-, N) applied to Pi(x)M -> Pi(x)B(x)M -> Pi(x)M -> M -> 0 computes
-    Ext^1 as ker(d2*)/im(d1*); for finite-dimensional locally free modules
-    the result is cross-checked against the symmetrized Hom formula.
+    Ext^1 as ker(d2*)/im(d1*).  d1* is the Hom system (hmod._hom_system):
+    M.arrows holds both arrow directions, so its rows are the blocks
+    f_i A^M - A^N f_j of d1* and its kernel is Hom_Pi(M, N).  For
+    finite-dimensional locally free modules the result is cross-checked
+    against the symmetrized Hom formula.
     """
     if M.spec != N.spec:
         raise SpecMismatchError("ext needs a common algebra spec")
@@ -458,11 +448,6 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
         raise NotLocallyFreeError("ext1_pi requires locally free first argument")
     field = M.field()
     n = M.spec.datum.n
-    vertex_bases = hmod._vertex_hom_bases(M, N)
-    vertex_mats = [
-        [hmod._sparse_to_matrix(field, e, N.dims[v], M.dims[v]) for e in vertex_bases[v]]
-        for v in range(n)
-    ]
     arrow_keys = sorted(M.arrows)
     y1_bases = {}
     for key in arrow_keys:
@@ -471,22 +456,9 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
         _, basis = hmod._relation_space_dim(field, N.eps[i], M.eps[j], a, b)
         y1_bases[key] = basis
     y1_dim = sum(len(b) for b in y1_bases.values())
-    # d1*:  (f_v) -> (A^N f_j - f_i A^M)_arrows
-    d1_cols = []
-    for v in range(n):
-        for fmat in vertex_mats[v]:
-            col = []
-            for key in arrow_keys:
-                (i, j, _) = key
-                block = linalg.zeros(field, N.dims[i], M.dims[j])
-                if v == j and N.dims[j]:
-                    block = linalg.mat_mul(field, N.arrows[key], fmat)
-                if v == i and M.dims[i]:
-                    block = linalg.mat_sub(field, block,
-                                           linalg.mat_mul(field, fmat, M.arrows[key]))
-                col.extend(x for row in block for x in row)
-            d1_cols.append(col)
-    rank_d1 = linalg.rank(field, d1_cols) if d1_cols else 0
+    # d1*: (f_v) -> (f_i A^M - A^N f_j) over both arrow directions, the Hom system
+    rows = hmod._hom_system(M, N)[3]
+    rank_d1 = linalg.rank(field, rows) if rows else 0
     # d2*:  (G_a) -> per vertex  sum sgn [eps^s A^N_in G_out eps^t + eps^s G_in A^M_out eps^t]
     pow_n = [[linalg.identity(field, N.dims[v])] for v in range(n)]
     pow_m = [[linalg.identity(field, M.dims[v])] for v in range(n)]

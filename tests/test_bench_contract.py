@@ -15,10 +15,12 @@ def test_tracer_records_engine_layers(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
-    originals = {
-        "flag_count": grassmann.Counter.__dict__["flag_count"],
-        "_iter_lf_submodules": grassmann._iter_lf_submodules,
-    }
+    # the flag recursion must reach the group methods through the instance,
+    # so the wrapped methods see every bottom factor of both engines
+    methods = [(grassmann.Counter, "flag_count"), (grassmann.Counter, "bottom_e_groups"),
+               (grassmann.ClassFlagCounter, "_sub_groups"), (grassmann.ClassFlagCounter, "count")]
+    originals = {(cls, name): cls.__dict__[name] for cls, name in methods}
+    original_iter = grassmann._iter_lf_submodules
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -32,10 +34,11 @@ def test_tracer_records_engine_layers(monkeypatch):
     finally:
         tracer.uninstall()
     calls = tracer.counts.calls
-    assert calls.get("grassmann.Counter.flag_count", 0) > 0
+    for cls, name in methods:
+        assert calls.get(f"grassmann.{cls.__name__}.{name}", 0) > 0, name
+        assert cls.__dict__[name] is originals[(cls, name)]
     assert calls.get("grassmann._iter_lf_submodules", 0) > 0
-    assert grassmann.Counter.__dict__["flag_count"] is originals["flag_count"]
-    assert grassmann._iter_lf_submodules is originals["_iter_lf_submodules"]
+    assert grassmann._iter_lf_submodules is original_iter
 
 
 def test_tracer_counts_inner_hom_basis_calls(monkeypatch):

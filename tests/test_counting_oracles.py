@@ -163,13 +163,19 @@ def brute_flag_count(M, word):
 
 class TestFlagBruteForce:
     def test_h_flags(self):
+        # the E-letter engine and the class engine with classes (E_1, E_2)
+        # run the same flag recursion; both must match the brute force
         spec = hmod.HAlgebraSpec(B2, B2_OMEGA, prime_field_spec(3))
         m = hmod.random_locally_free(spec, (2, 1), 3)
         counter = grassmann.Counter()
+        simples = [hmod.generalized_simple(spec, i) for i in range(2)]
+        class_counter = grassmann.ClassFlagCounter(spec, simples)
         for word in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
             fast = counter.flag_count(m, word)
+            by_class = class_counter.count(m, word)
             slow = brute_flag_count(m, word)
-            assert fast == slow, f"word={word}: fast {fast} != brute {slow}"
+            assert fast == by_class == slow, \
+                f"word={word}: fast {fast}, by class {by_class}, brute {slow}"
 
     def test_pi_flags(self):
         spec = hmod.HAlgebraSpec(B2, B2_OMEGA, prime_field_spec(3))

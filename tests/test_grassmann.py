@@ -2,7 +2,7 @@ import pytest
 
 from symquiv import cartan, functors, grassmann, hmod, linalg
 from symquiv.errors import InterpolationError
-from symquiv.fields import RATIONALS, PrimeField
+from symquiv.fields import RATIONALS, PrimeField, prime_field_spec
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
 B2_OMEGA = cartan.validate_orientation(B2, [(0, 1)])
@@ -353,6 +353,16 @@ class TestBudgets:
                                 ((1, 0, 1, 0), [(2, 1), (0, 1)])):
             module = engine.module_of_multiplicity(m)
             assert engine.filtration_exists(module, prescription, primes=(5,)) == {5: True}
+
+    def test_wrong_weight_is_zero_before_enumeration(self):
+        # both engines cut a word whose factors do not add up to the module's
+        # rank at query entry, so a budget of one candidate is never touched
+        spec5 = SPEC_B2.with_field(prime_field_spec(5))
+        table = functors.all_root_modules(spec5)
+        engine = grassmann.ClassFlagCounter(spec5, table.modules, budget=1)
+        m = table.module_of((1, 1))
+        assert engine.count(m, (table.betas.index((1, 0)),)) == 0
+        assert grassmann.Counter(budget=1).flag_count(m, (0,)) == 0
 
 
 class TestInterpolation:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symquiv import cartan, hmod, linalg
+from symquiv import cartan, hmod, linalg, pimod
 from symquiv.errors import InternalMismatchError, SpecMismatchError
 from symquiv.fields import RATIONALS, prime_field_spec
 
@@ -74,6 +74,45 @@ def brute_force_isomorphic(M, N):
         if all(linalg.inverse(field, m) is not None for m in maps if m):
             return True
     return False
+
+
+def dense_hom_dim(M, N):
+    """dim Hom(M, N) from a dense system with no vertex bases: every entry of
+    every f_v is an unknown, and the equations are f_v eps^M_v = eps^N_v f_v
+    at every vertex and f_i A^M = A^N f_j for every arrow (i, j)."""
+    field = M.field()
+    n = len(M.dims)
+
+    def difference(a, b, c, d, rows, inner_ab, inner_cd, cols):
+        """Entries of a b - c d, multiplied out entry by entry."""
+        out = []
+        for r in range(rows):
+            for q in range(cols):
+                x = field.zero
+                for k in range(inner_ab):
+                    x = field.add(x, field.mul(a[r][k], b[k][q]))
+                for k in range(inner_cd):
+                    x = field.sub(x, field.mul(c[r][k], d[k][q]))
+                out.append(x)
+        return out
+
+    unknowns = [(v, p, q) for v in range(n) for p in range(N.dims[v]) for q in range(M.dims[v])]
+    columns = []
+    for (v, p, q) in unknowns:
+        f = [linalg.zeros(field, N.dims[w], M.dims[w]) for w in range(n)]
+        f[v][p][q] = field.one
+        col = []
+        for w in range(n):
+            col += difference(f[w], M.eps[w], N.eps[w], f[w],
+                              N.dims[w], M.dims[w], N.dims[w], M.dims[w])
+        for key in sorted(M.arrows):
+            (i, j, _) = key
+            col += difference(f[i], M.arrows[key], N.arrows[key], f[j],
+                              N.dims[i], M.dims[i], N.dims[j], M.dims[j])
+        columns.append(col)
+    if not columns or not columns[0]:
+        return len(unknowns)
+    return len(unknowns) - linalg.rank(field, columns)
 
 
 class TestGeneralizedSimple:
@@ -241,40 +280,58 @@ class TestHom:
                     assert lhs == rhs
 
     def test_sparse_assembly_against_dense_oracles(self):
-        # the sparse Hom system against mat_mul checks of every basis tuple and
-        # against ext1_dim, which builds its system from dense maps: over Q and
-        # F_7, on canonical eps and on eps moved out of chain form (sparse
-        # entries with values), with the arrow in both directions
+        # the sparse Hom system against a dense system over every matrix entry
+        # and mat_mul checks of every basis tuple: over Q and F_7, on canonical
+        # eps and on eps moved out of chain form (sparse entries with values),
+        # with the arrow in both directions, and on Pi-modules, whose arrows
+        # run both ways at once
         rng = random.Random(4)
-        checked = 0
+        pairs = []
         for fieldspec in (RATIONALS, prime_field_spec(7)):
             for datum, edge in ((B2, (0, 1)), (B2, (1, 0)), (G2, (0, 1)), (G2, (1, 0))):
                 omega = cartan.validate_orientation(datum, [edge])
                 spec = hmod.HAlgebraSpec(datum, omega, fieldspec)
-                field = spec.field()
                 for _ in range(3):
                     rm = (rng.randint(0, 2), rng.randint(1, 2))
                     rn = (rng.randint(0, 2), rng.randint(1, 2))
                     m = hmod.random_locally_free(spec, rm, rng.randrange(10 ** 6))
                     n = hmod.random_locally_free(spec, rn, rng.randrange(10 ** 6))
-                    for mm, nn in ((m, n), (generic_conjugate(m, rng), generic_conjugate(n, rng))):
-                        hb = hmod.hom_basis(mm, nn)
-                        for f in hb.basis:
-                            for v in range(2):
-                                if mm.dims[v] and nn.dims[v]:
-                                    assert (linalg.mat_mul(field, f[v], mm.eps[v])
-                                            == linalg.mat_mul(field, nn.eps[v], f[v]))
-                            for key in mm.arrows:
-                                (i, j, _) = key
-                                if nn.dims[i] and mm.dims[j]:
-                                    assert (linalg.mat_mul(field, f[i], mm.arrows[key])
-                                            == linalg.mat_mul(field, nn.arrows[key], f[j]))
-                        flat = [[x for fv in f for row in fv for x in row] for f in hb.basis]
-                        assert linalg.rank(field, flat) == hb.dimension
-                        euler = cartan.euler_form(datum, omega, rm, rn)
-                        assert hb.dimension - hmod.ext1_dim(mm, nn) == euler
-                        checked += 1
-        assert checked == 48
+                    euler = cartan.euler_form(datum, omega, rm, rn)
+                    pairs.append((m, n, euler))
+                    pairs.append((generic_conjugate(m, rng), generic_conjugate(n, rng), euler))
+        for datum, omega, seqs in ((B2, B2_OMEGA, [(0, 1), (1, 0), (0, 1, 0)]),
+                                   (G2, G2_OMEGA, [(0, 1), (1, 0), (1, 0, 1)])):
+            spec = hmod.HAlgebraSpec(datum, omega, prime_field_spec(7))
+            for _ in range(2):
+                m = pimod.random_E_filtered(spec, rng.choice(seqs), rng.randrange(10 ** 6))
+                n = pimod.random_E_filtered(spec, rng.choice(seqs), rng.randrange(10 ** 6))
+                pairs.append((m, n, None))
+                pairs.append((generic_conjugate(m, rng), generic_conjugate(n, rng), None))
+        reversed_arrows = 0
+        for mm, nn, euler in pairs:
+            field = mm.field()
+            hb = hmod.hom_basis(mm, nn)
+            for f in hb.basis:
+                for v in range(2):
+                    if mm.dims[v] and nn.dims[v]:
+                        assert (linalg.mat_mul(field, f[v], mm.eps[v])
+                                == linalg.mat_mul(field, nn.eps[v], f[v]))
+                for key in mm.arrows:
+                    (i, j, _) = key
+                    if nn.dims[i] and mm.dims[j]:
+                        assert (linalg.mat_mul(field, f[i], mm.arrows[key])
+                                == linalg.mat_mul(field, nn.arrows[key], f[j]))
+            flat = [[x for fv in f for row in fv for x in row] for f in hb.basis]
+            assert linalg.rank(field, flat) == hb.dimension
+            assert dense_hom_dim(mm, nn) == hb.dimension
+            if euler is None:
+                reversed_arrows += any(x != field.zero for key in mm.arrows
+                                       if key not in mm.spec.arrow_keys()
+                                       for row in mm.arrows[key] for x in row)
+            else:
+                assert hb.dimension - hmod.ext1_dim(mm, nn) == euler
+        assert len(pairs) == 56
+        assert reversed_arrows >= 4
 
     def test_field_independence_of_dims(self):
         for p in (5, 7, 11):
