@@ -2,8 +2,9 @@
 
 Every command consumes a datum JSON file {"C": [[...]], "D": [...],
 "Omega": [[i,j], ...]} (1-based vertices), prints deterministic output
-(canonical JSON with sorted keys, CSV rows, or aligned text) and exits
-nonzero when a mathematical invariant fails.  Randomized commands require an
+(canonical JSON with sorted keys, CSV rows, or aligned text) and exits 1
+when a mathematical invariant fails, 2 on a usage error and 3 when an
+enumeration or search runs out of budget.  Randomized commands require an
 explicit --seed.  Counting transcripts (prime, count per variety) can be
 persisted with --results-dir for regression diffing.
 """
@@ -23,7 +24,9 @@ from .errors import (
     NotDynkinError,
     NotOrientationError,
     NotSymmetrizerError,
+    SearchBudgetExceededError,
     SymquivError,
+    TooLargeError,
 )
 from .fields import RATIONALS, prime_field_spec
 
@@ -347,29 +350,8 @@ def cmd_nofilt_check(args):
 
 def _decompositions(betas, target, k):
     """Multiplicity vectors m with sum m_j beta_j = target and m_k = 0."""
-    r = len(betas)
-    out = []
-
-    def rec(idx, rest, acc):
-        if all(x == 0 for x in rest):
-            m = acc + [0] * (r - idx)
-            if any(m):
-                out.append(tuple(m))
-            return
-        if idx == r:
-            return
-        if idx == k:
-            rec(idx + 1, rest, acc + [0])
-            return
-        cur = list(rest)
-        mult = 0
-        while all(x >= 0 for x in cur):
-            rec(idx + 1, tuple(cur), acc + [mult])
-            cur = [a - b for a, b in zip(cur, betas[idx])]
-            mult += 1
-
-    rec(0, tuple(target), [])
-    return [m for m in out if m[k] == 0]
+    bound = [0 if j == k else max(target) for j in range(len(betas))]
+    return [m for m in grassmann._weight_splits(betas, target, bound) if any(m)]
 
 
 def cmd_verify(args):
@@ -442,6 +424,9 @@ def main(argv=None):
     except USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code = 2
+    except (TooLargeError, SearchBudgetExceededError) as exc:
+        print(f"resources exhausted: {exc}", file=sys.stderr)
+        code = 3
     except SymquivError as exc:
         print(f"violated: {exc}", file=sys.stderr)
         code = 1

@@ -761,6 +761,23 @@ class ClassFlagCounter:
         return _count_flags(M, class_word, self._sub_groups, self.flag_memo)
 
 
+def _weight_splits(betas, target, bound):
+    """Count vectors k <= bound (componentwise) with sum_c k_c betas[c] = target."""
+    def rec(c, rest):
+        if c == len(bound):
+            if not any(rest):
+                yield ()
+            return
+        for x in range(bound[c] + 1):
+            left = [t - x * b for t, b in zip(rest, betas[c])]
+            if min(left) < 0:
+                break
+            for tail in rec(c + 1, left):
+                yield (x,) + tail
+
+    return rec(0, target)
+
+
 class PBWEngine:
     """Dual PBW pairing: evaluates theta_n on M(m) through flags of prescribed
     root-module subquotients, counted per prime and interpolated."""
@@ -772,20 +789,13 @@ class PBWEngine:
         self.budget = budget
         self.spec = table.modules[0].spec
         self._per_prime = {}
+        self._root_chi_memo = {}  # (root index, class counts) -> chi
 
     def _prime_setup(self, p):
         if p not in self._per_prime:
             mods_p = [hmod.reduce_mod_p(m, p) for m in self.table.modules]
             self._per_prime[p] = ClassFlagCounter(mods_p[0].spec, mods_p, self.budget)
         return self._per_prime[p]
-
-    def module_of_multiplicity(self, m):
-        """M(m) = direct sum of root modules with multiplicities m (rational model)."""
-        out = None
-        for mult, module in zip(m, self.table.modules):
-            for _ in range(mult):
-                out = module if out is None else hmod.direct_sum(out, module)
-        return out if out is not None else hmod.zero_module(self.spec)
 
     def class_word(self, n):
         """theta_n factor sequence: highest root index first (bottom factor)."""
@@ -794,39 +804,58 @@ class PBWEngine:
             word.extend([idx] * n[idx])
         return tuple(word)
 
+    def _root_chi(self, b, counts):
+        """chi of the flags of the root module M(beta_b) with subquotients
+        class_word(counts), counted per prime and interpolated."""
+        key = (b, counts)
+        if key not in self._root_chi_memo:
+            module = self.table.modules[b]
+            word = self.class_word(counts)
+            bound = 0
+            rho = list(self.table.betas[b])
+            for idx in word:
+                beta = self.table.betas[idx]
+                bound += _grlf_degree_bound(self.spec.datum, rho, beta)
+                rho = [a - x for a, x in zip(rho, beta)]
+
+            def count(p):
+                return self._prime_setup(p).count(hmod.reduce_mod_p(module, p), word)
+
+            poly = interpolate_counts(count, bound, pool=self.pool)
+            self._root_chi_memo[key] = poly.value_at_one()
+        return self._root_chi_memo[key]
+
     def pairing(self, m, n):
-        """delta_{M(m)}(theta_n) as an exact rational."""
-        r = len(self.table.betas)
-        weight_m = [0] * self.spec.datum.n
-        weight_n = [0] * self.spec.datum.n
-        for k in range(r):
-            for v in range(self.spec.datum.n):
-                weight_m[v] += m[k] * self.table.betas[k][v]
-                weight_n[v] += n[k] * self.table.betas[k][v]
-        if weight_m != weight_n:
+        """delta_{M(m)}(theta_n) as an exact rational, counted on root modules
+        only.  The torus scaling the summands s of M(m) = (+) M(beta_s) fixes a
+        flag only when each step lies in one summand (every M(beta) is
+        indecomposable), and class_word is sorted by class, so (README, "How
+        counting works") it is the sum over n = sum_s k^s with weight(k^s) =
+        beta_s of prod_s chi(Fl_{class_word(k^s)}(M(beta_s))) / prod_c k^s_c!."""
+        betas = self.table.betas
+        if any(sum((a - b) * beta[v] for a, b, beta in zip(m, n, betas))
+               for v in range(self.spec.datum.n)):
             return Fraction(0)
-        M = self.module_of_multiplicity(m)
-        word = self.class_word(n)
-        datum = self.spec.datum
-        rk = hmod.require_locally_free(M) if M.total_dim() else tuple([0] * datum.n)
-        bound = 0
-        rho = list(rk)
-        for idx in word:
-            beta = self.table.betas[idx]
-            bound += _grlf_degree_bound(datum, rho, beta)
-            rho = [a - b for a, b in zip(rho, beta)]
+        summands = [b for b, mult in enumerate(m) for _ in range(mult)]
+        memo = {}
 
-        def count(p):
-            engine = self._prime_setup(p)
-            return engine.count(hmod.reduce_mod_p(M, p), word)
+        def share(s, rest):
+            # the weights match, so rest is zero once every summand is served
+            if s == len(summands):
+                return Fraction(1)
+            if (s, rest) not in memo:
+                b = summands[s]
+                total = Fraction(0)
+                for k in _weight_splits(betas, betas[b], rest):
+                    chi = self._root_chi(b, k)
+                    if chi:
+                        left = tuple(r - x for r, x in zip(rest, k))
+                        norm = math.prod(math.factorial(x) for x in k)
+                        total += Fraction(chi, norm) * share(s + 1, left)
+                memo[(s, rest)] = total
+            return memo[(s, rest)]
 
-        if not word:
-            return Fraction(1) if M.total_dim() == 0 else Fraction(0)
-        poly = interpolate_counts(count, bound, pool=self.pool)
-        norm = 1
-        for mult in n:
-            norm *= math.factorial(mult)
-        return Fraction(poly.value_at_one(), norm)
+        return share(0, tuple(n))
 
     def filtration_exists(self, M, prescription, primes=None):
         """Per-prime existence of a flag with ordered subquotients

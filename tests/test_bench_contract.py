@@ -65,3 +65,33 @@ def test_tracer_counts_inner_hom_basis_calls(monkeypatch):
     assert calls.get("hmod.hom_basis", 0) > after_hom_dim
     assert hmod.is_isomorphic is originals["is_isomorphic"]
     assert hmod.hom_basis is originals["hom_basis"]
+
+
+def test_tracer_sees_pairing_root_counts(monkeypatch):
+    # a pairing is recorded under its own name, and the flag counts on its
+    # root modules reach the class-flag counter through the instance, so the
+    # grassmann.classflag.self_s layer still covers them
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    for cls_name, (cls, names) in tracing.CLASS_METHODS.items():
+        for name in names:
+            assert name in cls.__dict__, f"{cls_name}.{name}"
+    assert {"pairing", "filtration_exists"} <= set(
+        tracing.CLASS_METHODS["grassmann.PBWEngine"][1])
+    assert {"_sub_groups", "count"} <= set(
+        tracing.CLASS_METHODS["grassmann.ClassFlagCounter"][1])
+    table = functors.all_root_modules(SPEC_B2)
+    # M(1,0) (+) M(0,1): counted on each summand, never as a direct sum
+    m = tuple(int(beta in ((1, 0), (0, 1))) for beta in table.betas)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert grassmann.PBWEngine(table).pairing(m, m) == 1
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    for name in ("PBWEngine.pairing", "ClassFlagCounter.count", "ClassFlagCounter._sub_groups"):
+        assert counts.calls.get("grassmann." + name, 0) > 0, name
+        assert counts.self_s.get("grassmann." + name, 0) > 0, name
+    assert counts.calls.get("hmod.direct_sum", 0) == 0

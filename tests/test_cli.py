@@ -3,6 +3,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+from symquiv import cartan, cli, grassmann
+from symquiv.errors import SearchBudgetExceededError, TooLargeError
+
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -72,6 +77,19 @@ class TestExitCodes:
         proc = run_cli("roots")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("error", [TooLargeError("enumeration budget of 1 exhausted"),
+                                       SearchBudgetExceededError(1)])
+    def test_exhausted_resources_exit_3(self, monkeypatch, capsys, error):
+        # running out of budget is not a broken invariant (exit 1)
+        def exhausted(self, m, n):
+            raise error
+
+        monkeypatch.setattr(grassmann.PBWEngine, "pairing", exhausted)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["pbw-check", "--datum", str(DATA / "b2.json")])
+        assert info.value.code == 3
+        assert capsys.readouterr().err.startswith("resources exhausted: ")
+
 
 class TestDeterministicRandomized:
     def test_pi_check_deterministic(self):
@@ -87,6 +105,27 @@ class TestDeterministicRandomized:
                        "--samples", "3", "--seed", "4")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+
+class TestPBWCheck:
+    """Weights whose direct-sum flag counts ran out of time or budget before
+    the pairing was localized to root modules."""
+
+    def test_b2_weight_3_3(self):
+        proc = run_cli("pbw-check", "--datum", str(DATA / "b2.json"), "--weight-bound", "3,3")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["identity"] is True
+
+    def test_g2_highest_root(self):
+        path = DATA / "g2.json"
+        datum, _ = cartan.datum_from_json(path.read_text())
+        highest = max(cartan.positive_roots(datum), key=sum)
+        proc = run_cli("pbw-check", "--datum", str(path),
+                       "--weight-bound", ",".join(map(str, highest)))
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["weight_bound"] == [2, 3]
+        assert payload["identity"] is True
 
 
 class TestNofilt:

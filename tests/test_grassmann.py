@@ -1,6 +1,9 @@
+import math
+from fractions import Fraction
+
 import pytest
 
-from symquiv import cartan, functors, grassmann, hmod, linalg
+from symquiv import cartan, functors, grassmann, hmod, linalg, verify
 from symquiv.errors import InterpolationError
 from symquiv.fields import RATIONALS, PrimeField, prime_field_spec
 
@@ -26,6 +29,51 @@ def brute_count_free_subs(p, c, r, e):
     for t in range(e):
         den *= p ** e - p ** t
     return num // den
+
+
+def direct_sum_of(table, m):
+    """M(m) = direct sum of root modules with multiplicities m (rational model)."""
+    out = None
+    for mult, module in zip(m, table.modules):
+        for _ in range(mult):
+            out = module if out is None else hmod.direct_sum(out, module)
+    return out if out is not None else hmod.zero_module(table.modules[0].spec)
+
+
+def direct_sum_pairing(engine, m, n):
+    """Oracle: delta_{M(m)}(theta_n) by counting the class flags of the whole
+    direct sum M(m) per prime and interpolating, with the engine's class word
+    and per-prime counters."""
+    betas = engine.table.betas
+    datum = engine.spec.datum
+    weight = [[sum(x[k] * betas[k][v] for k in range(len(betas))) for v in range(datum.n)]
+              for x in (m, n)]
+    if weight[0] != weight[1]:
+        return Fraction(0)
+    M = direct_sum_of(engine.table, m)
+    word = engine.class_word(n)
+    if not word:
+        return Fraction(1)
+    bound = 0
+    rho = list(hmod.require_locally_free(M))
+    for idx in word:
+        bound += grassmann._grlf_degree_bound(datum, rho, betas[idx])
+        rho = [a - b for a, b in zip(rho, betas[idx])]
+
+    def count(p):
+        return engine._prime_setup(p).count(hmod.reduce_mod_p(M, p), word)
+
+    poly = grassmann.interpolate_counts(count, bound, pool=engine.pool)
+    return Fraction(poly.value_at_one(), math.prod(math.factorial(x) for x in n))
+
+
+class AscendingPBW(grassmann.PBWEngine):
+    """Lowest root index at the bottom.  In this order some root modules have
+    flags through other roots (M(1,2) of B2 through M(1,0), M(0,1), M(0,1)), so
+    the pairing is not the identity and the 1/k! weights show."""
+
+    def class_word(self, n):
+        return tuple(idx for idx in range(len(n)) for _ in range(n[idx]))
 
 
 class TestFreeSubEnumeration:
@@ -300,6 +348,20 @@ class TestPBW:
         assert engine.pairing(split, single) == 0
         assert engine.pairing(split, split) == 1
 
+    @pytest.mark.parametrize("spec,bound,engine_cls", [
+        (SPEC_B2, (2, 2), grassmann.PBWEngine),
+        (SPEC_G2, (2, 1), grassmann.PBWEngine),
+        (SPEC_B2, (1, 2), AscendingPBW),
+    ], ids=["B2-2,2", "G2-2,1", "B2-1,2-ascending"])
+    def test_localized_pairing_matches_direct_sum_oracle(self, spec, bound, engine_cls):
+        table = functors.all_root_modules(spec)
+        engine, oracle = engine_cls(table), engine_cls(table)
+        vectors = verify.pbw_multiplicity_vectors(table, bound)
+        for m, wm in vectors:
+            for n, wn in vectors:
+                if wm == wn:
+                    assert engine.pairing(m, n) == direct_sum_pairing(oracle, m, n), (m, n)
+
 
 class TestFiltrationOrder:
     def test_nofilt_example(self):
@@ -351,7 +413,7 @@ class TestBudgets:
         engine = grassmann.PBWEngine(table, budget=32)
         for m, prescription in (((1, 1, 0, 0), [(1, 1), (0, 1)]),
                                 ((1, 0, 1, 0), [(2, 1), (0, 1)])):
-            module = engine.module_of_multiplicity(m)
+            module = direct_sum_of(table, m)
             assert engine.filtration_exists(module, prescription, primes=(5,)) == {5: True}
 
     def test_wrong_weight_is_zero_before_enumeration(self):
