@@ -24,6 +24,7 @@ from .errors import (
     NotDynkinError,
     NotOrientationError,
     NotSymmetrizerError,
+    PrimePoolExhaustedError,
     SearchBudgetExceededError,
     SymquivError,
     TooLargeError,
@@ -252,8 +253,12 @@ def cmd_pbw_check(args):
     vectors = verify.pbw_multiplicity_vectors(table, bound)
     entries = []
     ok = True
-    for m, _ in vectors:
-        for n, _ in vectors:
+    # the pairing is graded: the entries of unequal weight vanish
+    same_weight = {}
+    for m, weight in vectors:
+        same_weight.setdefault(weight, []).append(m)
+    for m, weight in vectors:
+        for n in same_weight[weight]:
             value = engine.pairing(m, n)
             expected = Fraction(1) if m == n else Fraction(0)
             if value != expected:
@@ -424,7 +429,7 @@ def main(argv=None):
     except USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code = 2
-    except (TooLargeError, SearchBudgetExceededError) as exc:
+    except (TooLargeError, SearchBudgetExceededError, PrimePoolExhaustedError) as exc:
         print(f"resources exhausted: {exc}", file=sys.stderr)
         code = 3
     except SymquivError as exc:

@@ -58,6 +58,10 @@ class InterpolationError(SymquivError):
     """Point counts do not fit a single integer polynomial within the degree bound."""
 
 
+class PrimePoolExhaustedError(InterpolationError):
+    """The sample primes ran out before the fit stabilized; the answer is unknown."""
+
+
 class PrimeReductionError(SymquivError):
     """Integral model has a denominator divisible by the sample prime."""
 

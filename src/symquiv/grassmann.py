@@ -26,6 +26,7 @@ from . import cartan, hmod, linalg
 from .errors import (
     InterpolationError,
     InternalMismatchError,
+    PrimePoolExhaustedError,
     PrimeReductionError,
     TooLargeError,
 )
@@ -226,7 +227,7 @@ def interpolate_counts(count_fn, degree_bound, min_points=5, pool=PRIME_POOL):
         if len(samples) > degree_bound + 2:
             raise InterpolationError(
                 f"counts do not fit an integer polynomial of degree <= {degree_bound}")
-    raise InterpolationError("prime pool exhausted before the fit stabilized")
+    raise PrimePoolExhaustedError("prime pool exhausted before the fit stabilized")
 
 
 # --- submodule counting (Grassmannians) --------------------------------------
@@ -359,10 +360,9 @@ def _constraint_order(M):
     return seen if len(seen) == len(verts) else None
 
 
-def _forced_rows(field, M, v, chosen):
-    """Vectors the v-component of a submodule must contain: the eps-multiples
-    of the images of the chosen components along the arrows into v."""
-    powers = _eps_powers(field, M.eps[v], M.spec.datum.D[v])
+def _forced_rows(field, M, v, chosen, powers):
+    """Vectors the v-component of a submodule must contain: the images under
+    powers (_eps_powers at v) of the chosen components along arrows into v."""
     rows = []
     for key, A in M.arrows.items():
         (i, j, _) = key
@@ -374,10 +374,10 @@ def _forced_rows(field, M, v, chosen):
     return rows
 
 
-def _vertex_candidates(field, M, v, e_v, chosen, budget):
+def _vertex_candidates(field, M, v, e_v, chosen, budget, powers):
     """Free rank-e_v candidates at v that contain the forced rows; every
     enumerated candidate spends one unit of budget."""
-    w_rows = _forced_rows(field, M, v, chosen)
+    w_rows = _forced_rows(field, M, v, chosen, powers)
     for cand in iter_free_submodules(field.p, M.spec.datum.D[v], _vertex_rank(M, v), e_v):
         budget.spend()
         if not w_rows or all(cand.contains_kvec(r) for r in w_rows):
@@ -419,13 +419,14 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
     closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
     p = field.p
     query = _Budget(budget)
+    powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
 
     def recurse(idx, chosen):
         if idx == len(enum_verts):
             total = 1
             for v in closed_verts:
                 c = datum.D[v]
-                rows = _forced_rows(field, M, v, chosen)
+                rows = _forced_rows(field, M, v, chosen, powers[v])
                 qt = quotient_type(field, M.dims[v], c, rows)
                 total *= count_free_submodules_of_type(qt, _vertex_rank(M, v) - e[v], p, c)
                 if total == 0:
@@ -433,7 +434,7 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
             return total
         v = enum_verts[idx]
         total = 0
-        for cand in _vertex_candidates(field, M, v, e[v], chosen, query):
+        for cand in _vertex_candidates(field, M, v, e[v], chosen, query, powers[v]):
             # arrows from already-chosen vertices into v were handled by the
             # forced rows; arrows from v into already-chosen vertices (non-DAG case):
             ok = True
@@ -699,6 +700,7 @@ def _iter_lf_submodules(M, e, budget):
     if order is None:
         raise ValueError("prescribed-class enumeration needs an acyclic quiver")
     verts = [v for v in order if M.dims[v] > 0 or e[v] > 0]
+    powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
 
     def recurse(idx, chosen):
         if idx == len(verts):
@@ -707,7 +709,7 @@ def _iter_lf_submodules(M, e, budget):
         v = verts[idx]
         if datum.D[v] * e[v] > M.dims[v]:
             return
-        for cand in _vertex_candidates(field, M, v, e[v], chosen, budget):
+        for cand in _vertex_candidates(field, M, v, e[v], chosen, budget, powers[v]):
             chosen[v] = cand
             yield from recurse(idx + 1, chosen)
             del chosen[v]

@@ -204,20 +204,23 @@ def _insert_block(target, block, r0, c0):
 # --- relation checking ------------------------------------------------------
 
 
-def check_relations(M) -> list:
-    """Named violations of the defining relations; empty iff M is a module."""
-    field = M.field()
-    datum = M.spec.datum
-    violations = []
-    n = datum.n
-    for v in range(n):
+def _check_shapes(M):
+    for v in range(M.spec.datum.n):
         if len(M.eps[v]) != M.dims[v] or any(len(r) != M.dims[v] for r in M.eps[v]):
             raise ShapeMismatchError(f"eps_{v + 1} has wrong shape")
     for key, A in M.arrows.items():
         (i, j, _) = key
         if len(A) != M.dims[i] or (M.dims[i] and any(len(r) != M.dims[j] for r in A)):
             raise ShapeMismatchError(f"arrow {key} has wrong shape")
-    for v in range(n):
+
+
+def check_relations(M) -> list:
+    """Named violations of the defining relations; empty iff M is a module."""
+    _check_shapes(M)
+    field = M.field()
+    datum = M.spec.datum
+    violations = []
+    for v in range(datum.n):
         if M.dims[v] == 0:
             continue
         power = linalg.mat_pow(field, M.eps[v], datum.D[v])

@@ -11,10 +11,16 @@ with sgn(k, j) = +1 when (k, j) lies in the orientation and -1 otherwise
 (the sign split of the potential).  The orientation enters only through
 these signs; E-filtered and crystal predicates, fac/sub partitions and the
 homological routines below do not depend on it.
+
+All relations live in one table of signed words in the generators ("eps",
+v) and ("arrow", key).  check_pi_relations evaluates it; extensions and Ext^1
+linearize it: on [[top, Y], [0, bottom]] with module diagonal blocks each
+relation's top-right block is linear in Y (see _coupling_rows).
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
 from . import cartan, grassmann, hmod, linalg
@@ -77,37 +83,121 @@ def mesh_terms(spec, k):
     return out
 
 
-def mesh_matrix(M: PiModule, k):
-    field = M.field()
-    d = M.dims[k]
-    total = linalg.zeros(field, d, d)
-    powers = [linalg.identity(field, d)]
-    c = M.spec.datum.D[k]
-    for _ in range(c):
-        powers.append(linalg.mat_mul(field, M.eps[k], powers[-1]))
-    for sgn, key_in, key_out, s, t in mesh_terms(M.spec, k):
-        if M.dims[key_in[1]] == 0:
-            continue  # the composite factors through a zero space
-        term = linalg.mat_mul(field, powers[s],
-                              linalg.mat_mul(field, M.arrows[key_in],
-                                             linalg.mat_mul(field, M.arrows[key_out],
-                                                            powers[t])))
-        if sgn < 0:
-            term = linalg.mat_neg(field, term)
-        total = linalg.mat_add(field, total, term)
-    return total
+# --- the relation table -----------------------------------------------------
+
+
+def _ends(g):
+    """(target, source) of a generator ("eps", v) or ("arrow", (i, j, copy))."""
+    kind, x = g
+    return (x, x) if kind == "eps" else (x[0], x[1])
+
+
+@functools.lru_cache
+def _relation_table(spec):
+    """Every defining relation of Pi as (violation message, target, source,
+    signed words); a word is a tuple of generators, multiplied left to right."""
+    datum = spec.datum
+    table = []
+    for v in range(datum.n):
+        table.append((f"eps_{v + 1}^{datum.D[v]} != 0", v, v, ((1, (("eps", v),) * datum.D[v]),)))
+    for key in double_arrow_keys(spec):
+        (i, j, _) = key
+        a, b = spec.rel_powers(i, j)
+        arrow = ("arrow", key)
+        table.append((f"eps_{i + 1}^{a} A{key} != A{key} eps_{j + 1}^{b}", i, j,
+                      ((1, (("eps", i),) * a + (arrow,)), (-1, (arrow,) + (("eps", j),) * b))))
+    for k in range(datum.n):
+        words = tuple((sgn, (("eps", k),) * s + (("arrow", key_in), ("arrow", key_out))
+                       + (("eps", k),) * t)
+                      for sgn, key_in, key_out, s, t in mesh_terms(spec, k))
+        table.append((f"mesh relation fails at vertex {k + 1}", k, k, words))
+    return tuple(table)
+
+
+def _word_entries(field, M, word, vertex, cache):
+    """Nonzero (row, column, value) entries of the matrix of a word on M; the
+    empty word is the identity at `vertex`, the target of the word.  Each
+    product is its prefix's entries times the last generator's rows, and
+    cache keeps every prefix for the words that share it."""
+    key = (word, vertex)
+    if key not in cache:
+        z = field.zero
+        if not word:
+            cache[key] = [(r, r, field.one) for r in range(M.dims[vertex])]
+        else:
+            g = word[-1]
+            mat = M.eps[g[1]] if g[0] == "eps" else M.arrows[g[1]]
+            rows = {}
+            for r, c, x in _word_entries(field, M, word[:-1], vertex, cache):
+                row = rows.setdefault(r, [z] * M.dims[_ends(g)[1]])
+                for q, y in enumerate(mat[c]):
+                    if y != z:
+                        row[q] = field.add(row[q], field.mul(x, y))
+            cache[key] = [(r, q, x) for r, row in rows.items() for q, x in enumerate(row)
+                          if x != z]
+    return cache[key]
+
+
+def _coupling_rows(top, bottom, unknowns):
+    """(number of unknowns, rows) of the linear map sending coupling blocks Y
+    to the top-right blocks of every relation on [[top, Y], [0, bottom]].
+
+    Y_g (top at the target of g, bottom at its source) is unknown for the
+    generators in `unknowns`, laid out in that order and row-major, and zero
+    for the others.  The diagonal blocks are modules, so each relation is
+    linear in Y: a word g_1 ... g_m contributes, for every position p with g_p
+    unknown, (top product of g_1 ... g_{p-1}) Y_{g_p} (bottom product of
+    g_{p+1} ... g_m).  Zero rows are dropped; the row space is that of the
+    full top-right residual.
+    """
+    field = top.field()
+    z, add, mul, neg = field.zero, field.add, field.mul, field.neg
+    offsets = {}
+    total = 0
+    for g in unknowns:
+        tgt, src = _ends(g)
+        offsets[g] = total
+        total += top.dims[tgt] * bottom.dims[src]
+    rows = []
+    top_cache, bottom_cache = {}, {}
+    for _, tgt, src, words in _relation_table(top.spec):
+        width = bottom.dims[src]
+        if total == 0 or top.dims[tgt] * width == 0:
+            continue
+        block = [[z] * total for _ in range(top.dims[tgt] * width)]
+        for sign, word in words:
+            for p, g in enumerate(word):
+                if g not in offsets:
+                    continue
+                g_src = _ends(g)[1]
+                base, stride = offsets[g], bottom.dims[g_src]
+                right = _word_entries(field, bottom, word[p + 1:], g_src, bottom_cache)
+                for r, a, x in _word_entries(field, top, word[:p], tgt, top_cache):
+                    x = x if sign > 0 else neg(x)
+                    for b, c, y in right:
+                        cell = block[r * width + c]
+                        col = base + a * stride + b
+                        cell[col] = add(cell[col], mul(x, y))
+        rows.extend(row for row in block if any(x != z for x in row))
+    return total, rows
 
 
 def check_pi_relations(M: PiModule) -> list:
-    """eps nilpotence, both directed commutations, and the mesh at every vertex."""
-    violations = hmod.check_relations(M)
+    """Violated relations of the table: eps nilpotence, both directed
+    commutations, and the mesh at every vertex."""
+    hmod._check_shapes(M)
     field = M.field()
-    for k in range(M.spec.datum.n):
-        if M.dims[k] == 0:
+    cache = {}
+    violations = []
+    for message, tgt, src, words in _relation_table(M.spec):
+        if not (M.dims[tgt] and M.dims[src]):
             continue
-        mesh = mesh_matrix(M, k)
-        if any(x != field.zero for row in mesh for x in row):
-            violations.append(f"mesh relation fails at vertex {k + 1}")
+        total = [[field.zero] * M.dims[src] for _ in range(M.dims[tgt])]
+        for sign, word in words:
+            for r, c, x in _word_entries(field, M, word, tgt, cache):
+                total[r][c] = field.add(total[r][c], x if sign > 0 else field.neg(x))
+        if any(x != field.zero for row in total for x in row):
+            violations.append(message)
     return violations
 
 
@@ -129,9 +219,7 @@ def in_image_space(M, k):
     field = M.field()
     c = M.spec.datum.D[k]
     vectors = []
-    powers = [linalg.identity(field, M.dims[k])]
-    for _ in range(c - 1):
-        powers.append(linalg.mat_mul(field, M.eps[k], powers[-1]))
+    powers = grassmann._eps_powers(field, M.eps[k], c)
     for key, A in M.arrows.items():
         (tgt, src, _) = key
         if tgt != k or M.dims[src] == 0 or M.dims[k] == 0:
@@ -158,9 +246,7 @@ def fac_sub(M, k):
     c = M.spec.datum.D[k]
     w = in_image_space(M, k)
     w_rank = len(w)
-    powers = [linalg.identity(field, d)]
-    for _ in range(c):
-        powers.append(linalg.mat_mul(field, M.eps[k], powers[-1]))
+    powers = grassmann._eps_powers(field, M.eps[k], c + 1)
     fac_ranks = [d - w_rank]
     for t in range(1, c + 1):
         cols = [[powers[t][r][s] for r in range(d)] for s in range(d)]
@@ -210,13 +296,11 @@ def is_crystal_module(M: PiModule, _memo=None) -> bool:
     if M.total_dim() == 0:
         return True
     datum = M.spec.datum
-    for j in range(datum.n):
-        fac, sub = fac_sub(M, j)
-        if not _is_free_partition(fac, datum.D[j]) or not _is_free_partition(sub, datum.D[j]):
-            _memo[key] = False
-            return False
-    for j in range(datum.n):
-        fac, sub = fac_sub(M, j)
+    parts = [fac_sub(M, j) for j in range(datum.n)]
+    if not all(_is_free_partition(part, c) for c, pair in zip(datum.D, parts) for part in pair):
+        _memo[key] = False
+        return False
+    for j, (fac, sub) in enumerate(parts):
         if sum(fac):
             child = kernel_of_fac(M, j)
             if child.total_dim() < M.total_dim() and not is_crystal_module(child, _memo):
@@ -268,9 +352,7 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
         if not space:
             return [], True
         if isinstance(field, PrimeField):
-            powers = [linalg.identity(field, current.dims[j])]
-            for _ in range(c):
-                powers.append(linalg.mat_mul(field, current.eps[j], powers[-1]))
+            powers = grassmann._eps_powers(field, current.eps[j], c + 1)
             count = grassmann.count_free_submodules_of_type(
                 _stable_type(field, powers, space), 1, field.p, c)
             if count == 0:
@@ -324,84 +406,45 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
 
 
 def _coupled_module(A, B, couplings):
-    """Block module [[A, Y], [0, B]] from coupling blocks Y per eps/arrow."""
+    """Block module [[A, Y], [0, B]] from coupling blocks Y per generator."""
     field = A.field()
     n = A.spec.datum.n
     dims = [A.dims[v] + B.dims[v] for v in range(n)]
-    eps = []
-    for v in range(n):
-        m = linalg.zeros(field, dims[v], dims[v])
-        hmod._insert_block(m, A.eps[v], 0, 0)
-        hmod._insert_block(m, B.eps[v], A.dims[v], A.dims[v])
-        hmod._insert_block(m, couplings[("eps", v)], 0, A.dims[v])
-        eps.append(m)
-    arrows = {}
-    for key in A.arrows:
-        (i, j, _) = key
-        m = linalg.zeros(field, dims[i], dims[j])
-        hmod._insert_block(m, A.arrows[key], 0, 0)
-        hmod._insert_block(m, B.arrows[key], A.dims[i], A.dims[j])
-        hmod._insert_block(m, couplings[("arrow", key)], 0, A.dims[j])
-        arrows[key] = m
+
+    def block(g, a, b):
+        tgt, src = _ends(g)
+        m = linalg.zeros(field, dims[tgt], dims[src])
+        hmod._insert_block(m, a, 0, 0)
+        hmod._insert_block(m, b, A.dims[tgt], A.dims[src])
+        hmod._insert_block(m, couplings[g], 0, A.dims[src])
+        return m
+
+    eps = [block(("eps", v), A.eps[v], B.eps[v]) for v in range(n)]
+    arrows = {key: block(("arrow", key), A.arrows[key], B.arrows[key]) for key in A.arrows}
     return PiModule(A.spec, dims, eps, arrows)
 
 
 def _extension_below(A, B, rng):
-    """Random extension 0 -> A -> N -> B -> 0 of Pi-modules (A at the bottom)."""
+    """Random extension 0 -> A -> N -> B -> 0 of Pi-modules (A at the bottom):
+    a random element of the kernel of the linearized relations, over the eps
+    and arrow couplings."""
     field = A.field()
-    n = A.spec.datum.n
-    slots = []
-    for v in range(n):
-        slots.append((("eps", v), A.dims[v], B.dims[v]))
-    for key in A.arrows:
-        (i, j, _) = key
-        slots.append((("arrow", key), A.dims[i], B.dims[j]))
-
-    def zero_couplings():
-        return {name: linalg.zeros(field, r, c) for (name, r, c) in slots}
-
-    def residual_vector(module):
-        out = []
-        datum = module.spec.datum
-        for v in range(n):
-            if module.dims[v]:
-                power = linalg.mat_pow(field, module.eps[v], datum.D[v])
-                out.extend(x for row in power for x in row)
-        for key, mat in sorted(module.arrows.items()):
-            (i, j, _) = key
-            if module.dims[i] and module.dims[j]:
-                a, b = module.spec.rel_powers(i, j)
-                lhs = linalg.mat_mul(field, linalg.mat_pow(field, module.eps[i], a), mat)
-                rhs = linalg.mat_mul(field, mat, linalg.mat_pow(field, module.eps[j], b))
-                out.extend(field.sub(x, y) for r1, r2 in zip(lhs, rhs) for x, y in zip(r1, r2))
-        for v in range(n):
-            if module.dims[v]:
-                out.extend(x for row in mesh_matrix(module, v) for x in row)
-        return out
-
+    unknowns = [("eps", v) for v in range(A.spec.datum.n)] + [("arrow", key) for key in A.arrows]
+    total, rows = _coupling_rows(A, B, unknowns)
+    coup = {}
     unknown_index = []
-    for (name, r, c) in slots:
-        for a in range(r):
-            for b in range(c):
-                unknown_index.append((name, a, b))
-    if not unknown_index:
-        return _coupled_module(A, B, zero_couplings())
-    columns = []
-    for (name, a, b) in unknown_index:
-        coup = zero_couplings()
-        coup[name][a][b] = field.one
-        columns.append(residual_vector(_coupled_module(A, B, coup)))
-    rows = [[columns[u][t] for u in range(len(columns))] for t in range(len(columns[0]))]
-    basis = linalg.nullspace(field, rows, len(unknown_index))
-    coup = zero_couplings()
-    for vec in basis:
+    for g in unknowns:
+        tgt, src = _ends(g)
+        coup[g] = linalg.zeros(field, A.dims[tgt], B.dims[src])
+        unknown_index.extend((g, a, b) for a in range(A.dims[tgt]) for b in range(B.dims[src]))
+    for vec in linalg.nullspace(field, rows, total):
         coeff = field.from_int(rng.randrange(field.size())
                                if field.size() else rng.randint(-3, 3))
         if coeff == field.zero:
             continue
-        for (name, a, b), x in zip(unknown_index, vec):
+        for (g, a, b), x in zip(unknown_index, vec):
             if x != field.zero:
-                coup[name][a][b] = field.add(coup[name][a][b], field.mul(coeff, x))
+                coup[g][a][b] = field.add(coup[g][a][b], field.mul(coeff, x))
     module = _coupled_module(A, B, coup)
     if check_pi_relations(module):
         raise InternalMismatchError("extension violates relations")
@@ -437,7 +480,9 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
     Hom(-, N) applied to Pi(x)M -> Pi(x)B(x)M -> Pi(x)M -> M -> 0 computes
     Ext^1 as ker(d2*)/im(d1*).  d1* is the Hom system (hmod._hom_system):
     M.arrows holds both arrow directions, so its rows are the blocks
-    f_i A^M - A^N f_j of d1* and its kernel is Hom_Pi(M, N).  For
+    f_i A^M - A^N f_j of d1* and its kernel is Hom_Pi(M, N).  ker(d2*) is
+    the space of arrow couplings G of [[N, G], [0, M]] that satisfy the
+    linearized commutations (which cut out Y1) and meshes.  For
     finite-dimensional locally free modules the result is cross-checked
     against the symmetrized Hom formula.
     """
@@ -447,68 +492,9 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
     if rk_m is None:
         raise NotLocallyFreeError("ext1_pi requires locally free first argument")
     field = M.field()
-    n = M.spec.datum.n
-    arrow_keys = sorted(M.arrows)
-    y1_bases = {}
-    for key in arrow_keys:
-        (i, j, _) = key
-        a, b = M.spec.rel_powers(i, j)
-        _, basis = hmod._relation_space_dim(field, N.eps[i], M.eps[j], a, b)
-        y1_bases[key] = basis
-    y1_dim = sum(len(b) for b in y1_bases.values())
-    # d1*: (f_v) -> (f_i A^M - A^N f_j) over both arrow directions, the Hom system
-    rows = hmod._hom_system(M, N)[3]
-    rank_d1 = linalg.rank(field, rows) if rows else 0
-    # d2*:  (G_a) -> per vertex  sum sgn [eps^s A^N_in G_out eps^t + eps^s G_in A^M_out eps^t]
-    pow_n = [[linalg.identity(field, N.dims[v])] for v in range(n)]
-    pow_m = [[linalg.identity(field, M.dims[v])] for v in range(n)]
-    for v in range(n):
-        cmax = M.spec.datum.D[v]
-        for _ in range(cmax):
-            pow_n[v].append(linalg.mat_mul(field, N.eps[v], pow_n[v][-1]))
-            pow_m[v].append(linalg.mat_mul(field, M.eps[v], pow_m[v][-1]))
-
-    def d2_image(psi):
-        out = []
-        for v in range(n):
-            res = linalg.zeros(field, N.dims[v], M.dims[v])
-            if N.dims[v] and M.dims[v]:
-                for sgn, key_in, key_out, s, t in mesh_terms(M.spec, v):
-                    j = key_in[1]
-                    terms = []
-                    if N.dims[j]:
-                        terms.append(linalg.mat_mul(
-                            field, pow_n[v][s],
-                            linalg.mat_mul(field, N.arrows[key_in],
-                                           linalg.mat_mul(field, psi[key_out],
-                                                          pow_m[v][t]))))
-                    if M.dims[j]:
-                        terms.append(linalg.mat_mul(
-                            field, pow_n[v][s],
-                            linalg.mat_mul(field, psi[key_in],
-                                           linalg.mat_mul(field, M.arrows[key_out],
-                                                          pow_m[v][t]))))
-                    for term in terms:
-                        if sgn < 0:
-                            term = linalg.mat_neg(field, term)
-                        res = linalg.mat_add(field, res, term)
-            out.extend(x for row in res for x in row)
-        return out
-
-    d2_cols = []
-    for key in arrow_keys:
-        (i, j, _) = key
-        for vec in y1_bases[key]:
-            psi = {k2: linalg.zeros(field, N.dims[k2[0]], M.dims[k2[1]]) for k2 in arrow_keys}
-            mat = psi[key]
-            for p_ in range(N.dims[i]):
-                for q in range(M.dims[j]):
-                    x = vec[p_ * M.dims[j] + q]
-                    if x != field.zero:
-                        mat[p_][q] = x
-            d2_cols.append(d2_image(psi))
-    rank_d2 = linalg.rank(field, d2_cols) if d2_cols else 0
-    ext = (y1_dim - rank_d2) - rank_d1
+    d1 = hmod._hom_system(M, N)[3]
+    total, rows = _coupling_rows(N, M, [("arrow", key) for key in sorted(M.arrows)])
+    ext = total - linalg.rank(field, rows) - linalg.rank(field, d1)
     rk_n = hmod.is_locally_free(N)
     if rk_n is not None:
         expected = hom_pi(M, N) + hom_pi(N, M) - cartan.symmetric_form(

@@ -95,3 +95,26 @@ def test_tracer_sees_pairing_root_counts(monkeypatch):
         assert counts.calls.get("grassmann." + name, 0) > 0, name
         assert counts.self_s.get("grassmann." + name, 0) > 0, name
     assert counts.calls.get("hmod.direct_sum", 0) == 0
+
+
+def test_tracer_sees_pi_generation_and_ext(monkeypatch):
+    # pimod.generate.self_s and pimod.ext1.self_s are the self times of
+    # random_E_filtered and ext1_pi: the relation linearization they run
+    # must stay inside them, not move to a traced public helper
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from symquiv import pimod
+
+    spec = SPEC_B2.with_field(prime_field_spec(7))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        a = pimod.random_E_filtered(spec, (0, 1, 0), 5)
+        b = pimod.random_E_filtered(spec, (1, 0), 6)
+        assert pimod.ext1_pi(a, b) == pimod.ext1_pi(b, a)
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    for name in ("pimod.random_E_filtered", "pimod.ext1_pi"):
+        assert counts.calls.get(name, 0) == 2, name
+        assert counts.self_s.get(name, 0) > 0, name

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from symquiv import cartan, cli, grassmann
-from symquiv.errors import SearchBudgetExceededError, TooLargeError
+from symquiv.errors import InterpolationError, SearchBudgetExceededError, TooLargeError
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -89,6 +89,25 @@ class TestExitCodes:
             cli.main(["pbw-check", "--datum", str(DATA / "b2.json")])
         assert info.value.code == 3
         assert capsys.readouterr().err.startswith("resources exhausted: ")
+
+    def test_prime_pool_exhausted_exit_3(self):
+        # a fit needs at least five points; 67 and 71 end the pool, so the
+        # user set is not extended and the fit stops after two counts
+        proc = run_cli("fpoly", "--datum", str(DATA / "b2.json"), "--prime-set", "67,71")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resources exhausted: prime pool exhausted")
+
+    def test_counts_that_do_not_fit_exit_1(self, monkeypatch, capsys):
+        # counts that no polynomial fits break an invariant; more primes
+        # would not help
+        def no_fit(self, m, n):
+            raise InterpolationError("counts do not fit an integer polynomial of degree <= 1")
+
+        monkeypatch.setattr(grassmann.PBWEngine, "pairing", no_fit)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["pbw-check", "--datum", str(DATA / "b2.json")])
+        assert info.value.code == 1
+        assert capsys.readouterr().err.startswith("violated: counts do not fit")
 
 
 class TestDeterministicRandomized:

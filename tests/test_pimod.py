@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symquiv import cartan, grassmann, hmod, linalg, pimod
+from symquiv import cartan, grassmann, hmod, linalg, pimod, verify
 from symquiv.errors import UndefinedValueError
 from symquiv.fields import RATIONALS, prime_field_spec
 
@@ -214,3 +214,187 @@ class TestPiSerialization:
     def test_reversed_block_present(self):
         m = pimod.pi_simple(SPEC_B2, 0)
         assert '"arrows_reversed"' in pimod.pi_module_to_json(m)
+
+
+# --- differential tests against the per-unknown residual and dense d2* ------
+
+SPEC_G2_F7 = hmod.HAlgebraSpec(verify.G2, verify.OM_G2, prime_field_spec(7))
+SPEC_B3_F7 = hmod.HAlgebraSpec(verify.B3, verify.OM_B3, prime_field_spec(7))
+SEQUENCES = {
+    SPEC_B2_F7: [(0, 1), (1, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)],
+    SPEC_G2_F7: [(0, 1), (1, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1)],
+    # the middle vertex of B3 has mesh terms of both signs; (1, 0, 2, 1)
+    # extends E_2 below a module whose middle vertex maps to both neighbours,
+    # so its extension system mixes them
+    SPEC_B3_F7: [(0, 1, 2), (1, 0, 2), (2, 1, 0, 1), (1, 2, 1), (1, 0, 2, 1)],
+}
+
+
+def _mesh_oracle(M, k):
+    """The mesh sum at k, term by term as dense products, signed +1 for the
+    arrows of the orientation out of k and -1 for the others."""
+    field = M.field()
+    datum = M.spec.datum
+    total = linalg.zeros(field, M.dims[k], M.dims[k])
+    for j in datum.neighbors(k):
+        if M.dims[j] == 0:
+            continue
+        a = M.spec.rel_powers(k, j)[0]
+        for cp in range(datum.g[k][j]):
+            for s in range(a):
+                term = linalg.mat_mul(field, linalg.mat_pow(field, M.eps[k], s),
+                                      linalg.mat_mul(field, M.arrows[(k, j, cp)],
+                                                     M.arrows[(j, k, cp)]))
+                term = linalg.mat_mul(field, term, linalg.mat_pow(field, M.eps[k], a - 1 - s))
+                if (k, j) not in M.spec.omega.pairs:
+                    term = linalg.mat_neg(field, term)
+                total = linalg.mat_add(field, total, term)
+    return total
+
+
+def _residual_oracle(M):
+    """Every relation of M evaluated densely, flattened."""
+    field = M.field()
+    out = []
+    for v in range(M.spec.datum.n):
+        if M.dims[v]:
+            power = linalg.mat_pow(field, M.eps[v], M.spec.datum.D[v])
+            out.extend(x for row in power for x in row)
+    for key, mat in sorted(M.arrows.items()):
+        (i, j, _) = key
+        if M.dims[i] and M.dims[j]:
+            a, b = M.spec.rel_powers(i, j)
+            lhs = linalg.mat_mul(field, linalg.mat_pow(field, M.eps[i], a), mat)
+            rhs = linalg.mat_mul(field, mat, linalg.mat_pow(field, M.eps[j], b))
+            out.extend(field.sub(x, y) for r1, r2 in zip(lhs, rhs) for x, y in zip(r1, r2))
+    for v in range(M.spec.datum.n):
+        if M.dims[v]:
+            out.extend(x for row in _mesh_oracle(M, v) for x in row)
+    return out
+
+
+def _extension_system_oracle(A, B):
+    """(unknown index, rows): the residual of the coupled module rebuilt
+    once per unit coupling, one column per unknown."""
+    field = A.field()
+    slots = [(("eps", v), A.dims[v], B.dims[v]) for v in range(A.spec.datum.n)]
+    slots += [(("arrow", key), A.dims[key[0]], B.dims[key[1]]) for key in A.arrows]
+    index = [(name, a, b) for (name, r, c) in slots for a in range(r) for b in range(c)]
+    columns = []
+    for (name, a, b) in index:
+        coup = {g: linalg.zeros(field, r, c) for (g, r, c) in slots}
+        coup[name][a][b] = field.one
+        columns.append(_residual_oracle(pimod._coupled_module(A, B, coup)))
+    rows = [list(row) for row in zip(*columns)]
+    return index, rows
+
+
+def _random_E_filtered_oracle(spec, seq, seed):
+    rng = random.Random(seed)
+    field = spec.field()
+    current = pimod.pi_simple(spec, seq[-1])
+    for i in reversed(seq[:-1]):
+        A = pimod.pi_simple(spec, i)
+        index, rows = _extension_system_oracle(A, current)
+        coup = {("eps", v): linalg.zeros(field, A.dims[v], current.dims[v])
+                for v in range(spec.datum.n)}
+        coup.update({("arrow", key): linalg.zeros(field, A.dims[key[0]], current.dims[key[1]])
+                     for key in A.arrows})
+        for vec in linalg.nullspace(field, rows, len(index)):
+            coeff = field.from_int(rng.randrange(field.size()))
+            if coeff != field.zero:
+                for (name, a, b), x in zip(index, vec):
+                    coup[name][a][b] = field.add(coup[name][a][b], field.mul(coeff, x))
+        current = pimod._coupled_module(A, current, coup)
+    return hmod.normalize_eps(current)
+
+
+def _ext1_oracle(M, N):
+    """ker(d2*)/im(d1*) with d2* assembled densely: one image per basis
+    vector G of Y1 = {G : eps^a G = G eps^b per arrow}, the mesh sum
+    sgn eps^s (A^N_in G_out + G_in A^M_out) eps^t at every vertex."""
+    field = M.field()
+    n = M.spec.datum.n
+    keys = sorted(M.arrows)
+    y1 = []
+    for key in keys:
+        (i, j, _) = key
+        a, b = M.spec.rel_powers(i, j)
+        for vec in hmod._relation_space_dim(field, N.eps[i], M.eps[j], a, b)[1]:
+            psi = {k: linalg.zeros(field, N.dims[k[0]], M.dims[k[1]]) for k in keys}
+            psi[key] = [vec[p * M.dims[j]:(p + 1) * M.dims[j]] for p in range(N.dims[i])]
+            y1.append(psi)
+    d2 = []
+    for psi in y1:
+        image = []
+        for v in range(n):
+            if not (N.dims[v] and M.dims[v]):
+                continue
+            res = linalg.zeros(field, N.dims[v], M.dims[v])
+            for sgn, key_in, key_out, s, t in pimod.mesh_terms(M.spec, v):
+                j = key_in[1]
+                left = linalg.mat_pow(field, N.eps[v], s)
+                right = linalg.mat_pow(field, M.eps[v], t)
+                middles = []
+                if N.dims[j]:
+                    middles.append(linalg.mat_mul(field, N.arrows[key_in], psi[key_out]))
+                if M.dims[j]:
+                    middles.append(linalg.mat_mul(field, psi[key_in], M.arrows[key_out]))
+                for middle in middles:
+                    term = linalg.mat_mul(field, left, linalg.mat_mul(field, middle, right))
+                    if sgn < 0:
+                        term = linalg.mat_neg(field, term)
+                    res = linalg.mat_add(field, res, term)
+            image.extend(x for row in res for x in row)
+        d2.append(image)
+    d1 = hmod._hom_system(M, N)[3]
+    rank_d2 = linalg.rank(field, d2) if d2 and d2[0] else 0
+    return len(y1) - rank_d2 - (linalg.rank(field, d1) if d1 else 0)
+
+
+def _sample_pairs(spec, count, seed):
+    rng = random.Random(seed)
+    seqs = SEQUENCES[spec]
+    return [(pimod.random_E_filtered(spec, rng.choice(seqs), rng.randrange(10 ** 6)),
+             pimod.random_E_filtered(spec, rng.choice(seqs), rng.randrange(10 ** 6)))
+            for _ in range(count)]
+
+
+class TestLinearizedRelations:
+    @pytest.mark.parametrize("spec", list(SEQUENCES), ids=["B2", "G2", "B3"])
+    def test_extension_system_has_oracle_row_space(self, spec):
+        field = spec.field()
+        for seed, seq in enumerate(SEQUENCES[spec]):
+            bottom = pimod.random_E_filtered(spec, seq, seed)
+            for i in range(spec.datum.n):
+                top = pimod.pi_simple(spec, i)
+                unknowns = [("eps", v) for v in range(spec.datum.n)]
+                unknowns += [("arrow", key) for key in top.arrows]
+                index, oracle_rows = _extension_system_oracle(top, bottom)
+                total, rows = pimod._coupling_rows(top, bottom, unknowns)
+                assert total == len(index)
+                assert linalg.row_space(field, rows) == linalg.row_space(field, oracle_rows)
+
+    @pytest.mark.parametrize("spec", list(SEQUENCES), ids=["B2", "G2", "B3"])
+    def test_generated_modules_are_byte_identical(self, spec):
+        for seed in range(3):
+            for seq in SEQUENCES[spec]:
+                expected = _random_E_filtered_oracle(spec, seq, seed)
+                assert pimod.random_E_filtered(spec, seq, seed).key() == expected.key()
+
+    @pytest.mark.parametrize("spec", [SPEC_B2_F7, SPEC_G2_F7], ids=["B2", "G2"])
+    def test_ext1_matches_dense_d2(self, spec):
+        for a, b in _sample_pairs(spec, 6, 17):
+            assert pimod.ext1_pi(a, b) == _ext1_oracle(a, b)
+            assert pimod.ext1_pi(b, a) == _ext1_oracle(b, a)
+
+
+class TestPiHomG2:
+    def test_symmetry_and_formula(self):
+        for a, b in _sample_pairs(SPEC_G2_F7, 8, 23):
+            rk_a, rk_b = hmod.is_locally_free(a), hmod.is_locally_free(b)
+            assert rk_a is not None and rk_b is not None  # the embedded check runs
+            ext = pimod.ext1_pi(a, b)
+            assert ext == pimod.ext1_pi(b, a)
+            assert ext == hmod.hom_dim(a, b) + hmod.hom_dim(b, a) - cartan.symmetric_form(
+                SPEC_G2_F7.datum, rk_a, rk_b)
