@@ -7,6 +7,7 @@ arithmetic is exact.  Floating point is never used anywhere in symquiv.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -111,6 +112,11 @@ class RationalField:
 QQ = RationalField()
 
 
+@functools.cache
+def _prime_field(p):
+    return PrimeField(p)
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Serializable descriptor of an exact field: kind 'Q' or 'Fp'."""
@@ -129,7 +135,8 @@ class FieldSpec:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
     def field(self):
-        return QQ if self.kind == "Q" else PrimeField(self.p)
+        """The field itself: QQ, or the one cached PrimeField of p."""
+        return QQ if self.kind == "Q" else _prime_field(self.p)
 
     def to_json(self):
         return {"kind": self.kind} if self.kind == "Q" else {"kind": "Fp", "p": self.p}

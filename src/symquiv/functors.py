@@ -41,6 +41,28 @@ def _out_neighbors(spec, k):
     return [(i, cp) for (i, j, cp) in spec.arrow_keys() if j == k]
 
 
+def _x_eps(spec, k, nbrs, offsets, total, M):
+    """([eps_k^0, ..., eps_k^{max a_kj}] on M_k, the matrix of eps_k on X):
+    on X eps_k shifts slot s to s + 1 and wraps the top slot to eps_j^b on m."""
+    field = spec.field()
+    eps_pows = [linalg.identity(field, M.dims[k])]
+    for _ in range(max((spec.rel_powers(k, j)[0] for (j, _) in nbrs), default=0)):
+        eps_pows.append(linalg.mat_mul(field, M.eps[k], eps_pows[-1]))
+    eps_x = linalg.zeros(field, total, total)
+    for (j, cp) in nbrs:
+        a, b = spec.rel_powers(k, j)
+        base = offsets[(j, cp)]
+        dj = M.dims[j]
+        for s in range(a - 1):
+            for c in range(dj):
+                eps_x[base + (s + 1) * dj + c][base + s * dj + c] = field.one
+        epsb = linalg.mat_pow(field, M.eps[j], b)
+        for r in range(dj):
+            for c in range(dj):
+                eps_x[base + r][base + (a - 1) * dj + c] = epsb[r][c]
+    return eps_pows, eps_x
+
+
 def reflect_plus(k, M):
     """F_k^+ : rep H(C, D, Omega) -> rep H(C, D, s_k Omega) at a sink k."""
     spec = M.spec
@@ -51,11 +73,8 @@ def reflect_plus(k, M):
     new_spec = spec.reflected(k)
     nbrs = _in_neighbors(spec, k)
     total, offsets = _x_layout(spec, k, nbrs, M.dims)
+    eps_pows, eps_x = _x_eps(spec, k, nbrs, offsets, total, M)
     # in-map X -> M_k: slot (j, cp, s, m) maps to eps_k^s A_{kj,cp} e_m
-    cols = []
-    eps_pows = [linalg.identity(field, M.dims[k])]
-    for _ in range(max((spec.rel_powers(k, j)[0] for (j, _) in nbrs), default=0)):
-        eps_pows.append(linalg.mat_mul(field, M.eps[k], eps_pows[-1]))
     in_map = linalg.zeros(field, M.dims[k], total)
     for (j, cp) in nbrs:
         a, _ = spec.rel_powers(k, j)
@@ -69,29 +88,10 @@ def reflect_plus(k, M):
     kernel = linalg.nullspace(field, in_map, total) if M.dims[k] else \
         [[field.one if i == j else field.zero for j in range(total)] for i in range(total)]
     new_dim_k = len(kernel)
-    # eps_k action on X: shift s -> s+1, wrapping the top slot to eps_j^b on m
-    def eps_x(vec):
-        out = [field.zero] * total
-        for (j, cp) in nbrs:
-            a, b = spec.rel_powers(k, j)
-            base = offsets[(j, cp)]
-            dj = M.dims[j]
-            epsb = linalg.mat_pow(field, M.eps[j], b)
-            for s in range(a - 1):
-                seg = vec[base + s * dj: base + (s + 1) * dj]
-                tgt = base + (s + 1) * dj
-                for c in range(dj):
-                    out[tgt + c] = field.add(out[tgt + c], seg[c])
-            seg = vec[base + (a - 1) * dj: base + a * dj]
-            moved = linalg.mat_vec(field, epsb, seg)
-            for c in range(dj):
-                out[base + c] = field.add(out[base + c], moved[c])
-        return out
-
     kernel_mat = [[kernel[t][c] for t in range(new_dim_k)] for c in range(total)]
     eps_k_new = []
     for t in range(new_dim_k):
-        img = eps_x(kernel[t])
+        img = linalg.mat_vec(field, eps_x, kernel[t])
         sol = linalg.solve(field, kernel_mat, img)
         if sol is None:
             raise InternalMismatchError("kernel not eps-stable")
@@ -130,12 +130,9 @@ def reflect_minus(k, M):
     nbrs = _out_neighbors(spec, k)
     # X built with the powers of the *target* orientation, where (k, j) are pairs
     total, offsets = _x_layout(new_spec, k, nbrs, M.dims)
+    eps_pows, eps_x = _x_eps(new_spec, k, nbrs, offsets, total, M)
     # out-map M_k -> X: component at slot (j, cp, s, m) of v(w) is A_jk(eps_k^{a-1-s} w)
     out_map = linalg.zeros(field, total, M.dims[k])
-    eps_pows = [linalg.identity(field, M.dims[k])]
-    max_a = max((new_spec.rel_powers(k, j)[0] for (j, _) in nbrs), default=0)
-    for _ in range(max_a):
-        eps_pows.append(linalg.mat_mul(field, M.eps[k], eps_pows[-1]))
     for (j, cp) in nbrs:
         a, _ = new_spec.rel_powers(k, j)
         base = offsets[(j, cp)]
@@ -160,34 +157,11 @@ def reflect_minus(k, M):
                 w = [field.sub(x, field.mul(f, y)) for x, y in zip(w, row)]
         return [w[c] for c in free]
 
-    def lift(idx):
-        v = [z] * total
-        v[free[idx]] = field.one
-        return v
-
     new_dim_k = len(free)
-
-    def eps_x(vec):
-        out = [field.zero] * total
-        for (j, cp) in nbrs:
-            a, b = new_spec.rel_powers(k, j)
-            base = offsets[(j, cp)]
-            dj = M.dims[j]
-            epsb = linalg.mat_pow(field, M.eps[j], b)
-            for s in range(a - 1):
-                seg = vec[base + s * dj: base + (s + 1) * dj]
-                tgt = base + (s + 1) * dj
-                for c in range(dj):
-                    out[tgt + c] = field.add(out[tgt + c], seg[c])
-            seg = vec[base + (a - 1) * dj: base + a * dj]
-            moved = linalg.mat_vec(field, epsb, seg)
-            for c in range(dj):
-                out[base + c] = field.add(out[base + c], moved[c])
-        return out
 
     eps_k_new = [[z] * new_dim_k for _ in range(new_dim_k)]
     for t in range(new_dim_k):
-        img = project(eps_x(lift(t)))
+        img = project([row[free[t]] for row in eps_x])
         for r in range(new_dim_k):
             eps_k_new[r][t] = img[r]
     dims = list(M.dims)

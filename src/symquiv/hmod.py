@@ -9,10 +9,20 @@ Stored eps matrices are kept in Jordan form (nilpotent chains, block sizes
 descending); constructors that could break this re-normalize.  For locally
 free modules the blocks are rectangular of size c_i, which makes Hom spaces
 and submodule enumeration pure linear algebra.
+
+The relations are one table of signed words in the generators ("eps", v)
+and ("arrow", key), chosen by the module's type: eps nilpotence and the
+commutations here, plus the reversed commutations and the meshes for a
+PiModule.  check_relations evaluates the table with sparse word products.
+On [[top, Y], [0, bottom]] with module diagonal blocks every relation's
+top-right block is linear in Y; _coupling_rows assembles that map, whose
+kernel gives the arrow space and random modules (top = bottom = the bare
+module), random extensions, and the cochains of Ext^1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -93,6 +103,9 @@ class HModule:
 
     def field(self):
         return self.spec.field()
+
+    def _relation_table(self):
+        return _h_relation_table(self.spec)
 
     def total_dim(self):
         return sum(self.dims)
@@ -175,24 +188,29 @@ def free_eps(field, c, r):
 def direct_sum(M, N):
     if M.spec != N.spec:
         raise SpecMismatchError("direct sum needs a common algebra spec")
-    field = M.field()
-    n = M.spec.datum.n
-    dims = [a + b for a, b in zip(M.dims, N.dims)]
-    eps = []
-    for v in range(n):
-        m = linalg.zeros(field, dims[v], dims[v])
-        _insert_block(m, M.eps[v], 0, 0)
-        _insert_block(m, N.eps[v], M.dims[v], M.dims[v])
-        eps.append(m)
-    arrows = {}
-    for key in M.arrows:
-        (i, j, _) = key
-        m = linalg.zeros(field, dims[i], dims[j])
-        _insert_block(m, M.arrows[key], 0, 0)
-        _insert_block(m, N.arrows[key], M.dims[i], M.dims[j])
-        arrows[key] = m
-    out = type(M)(M.spec, dims, eps, arrows)
-    return normalize_eps(out)
+    return normalize_eps(_block_module(M, N, {}))
+
+
+def _block_module(top, bottom, couplings):
+    """The module [[top, Y], [0, bottom]]: each generator g acts by its
+    matrices on top and bottom, plus the block couplings[g] (zero when
+    missing) from the bottom part at its source to the top part at its
+    target."""
+    field = top.field()
+    dims = [a + b for a, b in zip(top.dims, bottom.dims)]
+
+    def block(g, a, b):
+        tgt, src = _ends(g)
+        m = linalg.zeros(field, dims[tgt], dims[src])
+        _insert_block(m, a, 0, 0)
+        _insert_block(m, b, top.dims[tgt], top.dims[src])
+        _insert_block(m, couplings.get(g, []), 0, top.dims[src])
+        return m
+
+    eps = [block(("eps", v), top.eps[v], bottom.eps[v]) for v in range(top.spec.datum.n)]
+    arrows = {key: block(("arrow", key), top.arrows[key], bottom.arrows[key])
+              for key in top.arrows}
+    return type(top)(top.spec, dims, eps, arrows)
 
 
 def _insert_block(target, block, r0, c0):
@@ -201,7 +219,36 @@ def _insert_block(target, block, r0, c0):
             target[r0 + r][c0 + c] = x
 
 
-# --- relation checking ------------------------------------------------------
+# --- the relation table: checks and linearization ---------------------------
+
+
+def _ends(g):
+    """(target, source) of a generator ("eps", v) or ("arrow", (i, j, copy))."""
+    kind, x = g
+    return (x, x) if kind == "eps" else (x[0], x[1])
+
+
+def _relation_words(spec, arrow_keys):
+    """Eps nilpotence at every vertex and the commutation of every arrow in
+    arrow_keys, as (violation message, target, source, signed words); a word
+    is a tuple of generators, multiplied left to right."""
+    datum = spec.datum
+    table = [(f"eps_{v + 1}^{datum.D[v]} != 0", v, v, ((1, (("eps", v),) * datum.D[v]),))
+             for v in range(datum.n)]
+    for key in arrow_keys:
+        (i, j, _) = key
+        a, b = spec.rel_powers(i, j)
+        arrow = ("arrow", key)
+        table.append((f"eps_{i + 1}^{a} A{key} != A{key} eps_{j + 1}^{b}", i, j,
+                      ((1, (("eps", i),) * a + (arrow,)), (-1, (arrow,) + (("eps", j),) * b))))
+    return table
+
+
+@functools.lru_cache
+def _h_relation_table(spec):
+    """The relations of H: eps nilpotence and the commutation of each arrow
+    of the orientation."""
+    return tuple(_relation_words(spec, spec.arrow_keys()))
 
 
 def _check_shapes(M):
@@ -214,29 +261,115 @@ def _check_shapes(M):
             raise ShapeMismatchError(f"arrow {key} has wrong shape")
 
 
+def _word_entries(field, M, word, vertex, cache):
+    """Nonzero (row, column, value) entries of the matrix of a word on M; the
+    empty word is the identity at `vertex`, the target of the word.  Each
+    product is its prefix's entries times the last generator's rows, and
+    cache keeps every prefix for the words that share it."""
+    key = (word, vertex)
+    if key not in cache:
+        z = field.zero
+        if not word:
+            cache[key] = [(r, r, field.one) for r in range(M.dims[vertex])]
+        else:
+            g = word[-1]
+            mat = M.eps[g[1]] if g[0] == "eps" else M.arrows[g[1]]
+            rows = {}
+            for r, c, x in _word_entries(field, M, word[:-1], vertex, cache):
+                row = rows.setdefault(r, [z] * M.dims[_ends(g)[1]])
+                for q, y in enumerate(mat[c]):
+                    if y != z:
+                        row[q] = field.add(row[q], field.mul(x, y))
+            cache[key] = [(r, q, x) for r, row in rows.items() for q, x in enumerate(row)
+                          if x != z]
+    return cache[key]
+
+
 def check_relations(M) -> list:
-    """Named violations of the defining relations; empty iff M is a module."""
+    """Named violations of the relations in M's table (those of H for an
+    HModule, of Pi for a PiModule); empty iff M is a module."""
     _check_shapes(M)
     field = M.field()
-    datum = M.spec.datum
+    cache = {}
     violations = []
-    for v in range(datum.n):
-        if M.dims[v] == 0:
+    for message, tgt, src, words in M._relation_table():
+        if not (M.dims[tgt] and M.dims[src]):
             continue
-        power = linalg.mat_pow(field, M.eps[v], datum.D[v])
-        if any(x != field.zero for row in power for x in row):
-            violations.append(f"eps_{v + 1}^{datum.D[v]} != 0")
-    for key, A in M.arrows.items():
-        (i, j, _) = key
-        if M.dims[i] == 0 or M.dims[j] == 0:
-            continue
-        a, b = M.spec.rel_powers(i, j)
-        lhs = linalg.mat_mul(field, linalg.mat_pow(field, M.eps[i], a), A)
-        rhs = linalg.mat_mul(field, A, linalg.mat_pow(field, M.eps[j], b))
-        if lhs != rhs:
-            violations.append(
-                f"eps_{i + 1}^{a} A{key} != A{key} eps_{j + 1}^{b}")
+        total = [[field.zero] * M.dims[src] for _ in range(M.dims[tgt])]
+        for sign, word in words:
+            for r, c, x in _word_entries(field, M, word, tgt, cache):
+                total[r][c] = field.add(total[r][c], x if sign > 0 else field.neg(x))
+        if any(x != field.zero for row in total for x in row):
+            violations.append(message)
     return violations
+
+
+def _coupling_rows(top, bottom, unknowns):
+    """(number of unknowns, rows) of the linear map sending coupling blocks Y
+    to the top-right blocks of every relation of top's table on
+    [[top, Y], [0, bottom]].
+
+    Y_g (top at the target of g, bottom at its source) is unknown for the
+    generators in `unknowns`, laid out in that order and row-major, and zero
+    for the others.  The diagonal blocks are modules, so each relation is
+    linear in Y: a word g_1 ... g_m contributes, for every position p with g_p
+    unknown, (top product of g_1 ... g_{p-1}) Y_{g_p} (bottom product of
+    g_{p+1} ... g_m).  Zero rows are dropped; the row space is that of the
+    full top-right residual.
+    """
+    field = top.field()
+    z, add, mul, neg = field.zero, field.add, field.mul, field.neg
+    offsets = {}
+    total = 0
+    for g in unknowns:
+        tgt, src = _ends(g)
+        offsets[g] = total
+        total += top.dims[tgt] * bottom.dims[src]
+    rows = []
+    top_cache, bottom_cache = {}, {}
+    for _, tgt, src, words in top._relation_table():
+        width = bottom.dims[src]
+        if total == 0 or top.dims[tgt] * width == 0:
+            continue
+        block = [[z] * total for _ in range(top.dims[tgt] * width)]
+        for sign, word in words:
+            for p, g in enumerate(word):
+                if g not in offsets:
+                    continue
+                g_src = _ends(g)[1]
+                base, stride = offsets[g], bottom.dims[g_src]
+                right = _word_entries(field, bottom, word[p + 1:], g_src, bottom_cache)
+                for r, a, x in _word_entries(field, top, word[:p], tgt, top_cache):
+                    x = x if sign > 0 else neg(x)
+                    for b, c, y in right:
+                        cell = block[r * width + c]
+                        col = base + a * stride + b
+                        cell[col] = add(cell[col], mul(x, y))
+        rows.extend(row for row in block if any(x != z for x in row))
+    return total, rows
+
+
+def _random_couplings(top, bottom, unknowns, rng, bound):
+    """Coupling blocks {g: Y_g} of a random element of the kernel of
+    _coupling_rows(top, bottom, unknowns): each kernel basis vector in turn
+    gets a coefficient drawn from F_p, or from [-bound, bound] over Q."""
+    field = top.field()
+    total, rows = _coupling_rows(top, bottom, unknowns)
+    blocks = {}
+    index = []
+    for g in unknowns:
+        tgt, src = _ends(g)
+        blocks[g] = linalg.zeros(field, top.dims[tgt], bottom.dims[src])
+        index.extend((g, a, b) for a in range(top.dims[tgt]) for b in range(bottom.dims[src]))
+    for vec in linalg.nullspace(field, rows, total):
+        coeff = field.from_int(rng.randrange(field.size())
+                               if field.size() else rng.randint(-bound, bound))
+        if coeff == field.zero:
+            continue
+        for (g, a, b), x in zip(index, vec):
+            if x != field.zero:
+                blocks[g][a][b] = field.add(blocks[g][a][b], field.mul(coeff, x))
+    return blocks
 
 
 def is_locally_free(M):
@@ -596,26 +729,19 @@ def hom_dim(M, N) -> int:
     return hom_basis(M, N).dimension
 
 
-def _relation_space_dim(field, eps_i, eps_j, a, b):
-    """dim of {G : eps_i^a G = G eps_j^b}, the coefficient space of one arrow."""
-    di, dj = len(eps_i), len(eps_j)
-    if di == 0 or dj == 0:
-        return 0, []
-    left = linalg.mat_pow(field, eps_i, a)
-    right = linalg.mat_pow(field, eps_j, b)
-    rows = []
-    for p in range(di):
-        for q in range(dj):
-            row = [field.zero] * (di * dj)
-            for t in range(di):
-                if left[p][t] != field.zero:
-                    row[t * dj + q] = field.add(row[t * dj + q], left[p][t])
-            for t in range(dj):
-                if right[t][q] != field.zero:
-                    row[p * dj + t] = field.sub(row[p * dj + t], right[t][q])
-            rows.append(row)
-    basis = linalg.nullspace(field, rows, di * dj)
-    return len(basis), basis
+def _ext1_and_hom(M, N):
+    """(dim Ext^1(M, N), dim Hom(M, N)) over the algebra of N's relation table.
+
+    Ext^1 = ker(d2*)/im(d1*).  d1* is the Hom system (_hom_system), whose
+    kernel is Hom(M, N).  ker(d2*) is the space of arrow couplings G of
+    [[N, G], [0, M]] that satisfy the linearized relations: the commutation
+    rows cut out the cochains, and for Pi the mesh rows are d2*.
+    """
+    field = M.field()
+    _, _, y0_dim, d1 = _hom_system(M, N)
+    total, rows = _coupling_rows(N, M, [("arrow", key) for key in sorted(M.arrows)])
+    rank_d1 = linalg.rank(field, d1)
+    return total - linalg.rank(field, rows) - rank_d1, y0_dim - rank_d1
 
 
 def ext1_dim(M, N) -> int:
@@ -623,26 +749,16 @@ def ext1_dim(M, N) -> int:
 
     Applying Hom(-, N) to 0 -> H (x) B (x) M -> H (x) M -> M -> 0 identifies
     Ext^1 with the cokernel of delta*: Hom_S(M, N) -> Hom_S(B (x) M, N).
-    delta* is the Hom system (_hom_system), so its rank is read off the rows
-    whose kernel hom_basis takes.  When N is also locally free the result is
-    cross-checked against dim Hom - <rk M, rk N>.
+    delta* is the Hom system and its target the arrow couplings that satisfy
+    the commutations (_ext1_and_hom).  When N is also locally free the
+    result is cross-checked against dim Hom - <rk M, rk N>.
     """
     if M.spec != N.spec:
         raise SpecMismatchError("ext needs a common algebra spec")
     rk_m = require_locally_free(M)
-    field = M.field()
-    _, _, y0_dim, rows = _hom_system(M, N)
-    y1_dim = 0
-    for key in M.arrows:
-        (i, j, _) = key
-        a, b = M.spec.rel_powers(i, j)
-        dim, _ = _relation_space_dim(field, N.eps[i], M.eps[j], a, b)
-        y1_dim += dim
-    rank_delta = linalg.rank(field, rows) if rows else 0
-    ext = y1_dim - rank_delta
+    ext, homd = _ext1_and_hom(M, N)
     rk_n = is_locally_free(N)
     if rk_n is not None:
-        homd = y0_dim - rank_delta  # ker(delta*) = Hom_H(M, N)
         expected = homd - cartan.euler_form(M.spec.datum, M.spec.omega, rk_m, rk_n)
         if ext != expected:
             raise InternalMismatchError(
@@ -661,48 +777,31 @@ def euler_pairing_check(M, N):
 # --- randomized generation --------------------------------------------------
 
 
-def arrow_solution_dimension(spec, r) -> int:
-    """K-dimension of the arrow solution space at canonical eps of rank r."""
+def _bare_module(spec, r):
+    """The module of rank r with canonical eps and zero arrows."""
     field = spec.field()
     datum = spec.datum
-    total = 0
-    for (i, j, _) in spec.arrow_keys():
-        a, b = spec.rel_powers(i, j)
-        ei = free_eps(field, datum.D[i], r[i])
-        ej = free_eps(field, datum.D[j], r[j])
-        dim, _ = _relation_space_dim(field, ei, ej, a, b)
-        total += dim
-    return total
+    dims = [datum.D[v] * r[v] for v in range(datum.n)]
+    eps = [free_eps(field, datum.D[v], r[v]) for v in range(datum.n)]
+    arrows = {key: linalg.zeros(field, dims[key[0]], dims[key[1]]) for key in spec.arrow_keys()}
+    return HModule(spec, dims, eps, arrows)
+
+
+def arrow_solution_dimension(spec, r) -> int:
+    """K-dimension of the arrow solution space at canonical eps of rank r."""
+    bare = _bare_module(spec, r)
+    total, rows = _coupling_rows(bare, bare, [("arrow", key) for key in spec.arrow_keys()])
+    return total - linalg.rank(spec.field(), rows)
 
 
 def random_locally_free(spec, r, seed) -> HModule:
     """Random locally free module of rank r: canonical eps, arrows sampled from
     the solution space of the commutation relations.  Deterministic in seed.
     Over the rationals the matrices are integral (reducible mod any prime)."""
-    rng = random.Random(seed)
-    field = spec.field()
-    datum = spec.datum
-    n = datum.n
-    dims = [datum.D[v] * r[v] for v in range(n)]
-    eps = [free_eps(field, datum.D[v], r[v]) for v in range(n)]
-    arrows = {}
-    for key in spec.arrow_keys():
-        (i, j, _) = key
-        a, b = spec.rel_powers(i, j)
-        _, basis = _relation_space_dim(field, eps[i], eps[j], a, b)
-        mat = linalg.zeros(field, dims[i], dims[j])
-        for vec in basis:
-            coeff = field.from_int(rng.randrange(field.size())
-                                   if field.size() else rng.randint(-4, 4))
-            if coeff == field.zero:
-                continue
-            for p in range(dims[i]):
-                for q in range(dims[j]):
-                    x = vec[p * dims[j] + q]
-                    if x != field.zero:
-                        mat[p][q] = field.add(mat[p][q], field.mul(coeff, x))
-        arrows[key] = mat
-    M = HModule(spec, dims, eps, arrows)
+    M = _bare_module(spec, r)
+    couplings = _random_couplings(M, M, [("arrow", key) for key in spec.arrow_keys()],
+                                  random.Random(seed), 4)
+    M.arrows = {key: couplings[("arrow", key)] for key in spec.arrow_keys()}
     if check_relations(M):
         raise InternalMismatchError("random module violates relations")
     if is_locally_free(M) != tuple(r):

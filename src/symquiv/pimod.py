@@ -12,10 +12,10 @@ with sgn(k, j) = +1 when (k, j) lies in the orientation and -1 otherwise
 these signs; E-filtered and crystal predicates, fac/sub partitions and the
 homological routines below do not depend on it.
 
-All relations live in one table of signed words in the generators ("eps",
-v) and ("arrow", key).  check_pi_relations evaluates it; extensions and Ext^1
-linearize it: on [[top, Y], [0, bottom]] with module diagonal blocks each
-relation's top-right block is linear in Y (see _coupling_rows).
+A PiModule's relation table (_pi_relation_table) is that of H on the double
+quiver plus the meshes.  hmod evaluates and linearizes whichever table a
+module's type carries, so check_pi_relations, the random extensions of
+random_E_filtered and ext1_pi run the same code as their H counterparts.
 """
 
 from __future__ import annotations
@@ -36,6 +36,9 @@ from .fields import PrimeField
 
 class PiModule(hmod.HModule):
     """Same storage as HModule; the arrow dict carries both directions."""
+
+    def _relation_table(self):
+        return _pi_relation_table(self.spec)
 
 
 def double_arrow_keys(spec):
@@ -83,122 +86,22 @@ def mesh_terms(spec, k):
     return out
 
 
-# --- the relation table -----------------------------------------------------
-
-
-def _ends(g):
-    """(target, source) of a generator ("eps", v) or ("arrow", (i, j, copy))."""
-    kind, x = g
-    return (x, x) if kind == "eps" else (x[0], x[1])
-
-
 @functools.lru_cache
-def _relation_table(spec):
-    """Every defining relation of Pi as (violation message, target, source,
-    signed words); a word is a tuple of generators, multiplied left to right."""
-    datum = spec.datum
-    table = []
-    for v in range(datum.n):
-        table.append((f"eps_{v + 1}^{datum.D[v]} != 0", v, v, ((1, (("eps", v),) * datum.D[v]),)))
-    for key in double_arrow_keys(spec):
-        (i, j, _) = key
-        a, b = spec.rel_powers(i, j)
-        arrow = ("arrow", key)
-        table.append((f"eps_{i + 1}^{a} A{key} != A{key} eps_{j + 1}^{b}", i, j,
-                      ((1, (("eps", i),) * a + (arrow,)), (-1, (arrow,) + (("eps", j),) * b))))
-    for k in range(datum.n):
-        words = tuple((sgn, (("eps", k),) * s + (("arrow", key_in), ("arrow", key_out))
-                       + (("eps", k),) * t)
-                      for sgn, key_in, key_out, s, t in mesh_terms(spec, k))
-        table.append((f"mesh relation fails at vertex {k + 1}", k, k, words))
-    return tuple(table)
-
-
-def _word_entries(field, M, word, vertex, cache):
-    """Nonzero (row, column, value) entries of the matrix of a word on M; the
-    empty word is the identity at `vertex`, the target of the word.  Each
-    product is its prefix's entries times the last generator's rows, and
-    cache keeps every prefix for the words that share it."""
-    key = (word, vertex)
-    if key not in cache:
-        z = field.zero
-        if not word:
-            cache[key] = [(r, r, field.one) for r in range(M.dims[vertex])]
-        else:
-            g = word[-1]
-            mat = M.eps[g[1]] if g[0] == "eps" else M.arrows[g[1]]
-            rows = {}
-            for r, c, x in _word_entries(field, M, word[:-1], vertex, cache):
-                row = rows.setdefault(r, [z] * M.dims[_ends(g)[1]])
-                for q, y in enumerate(mat[c]):
-                    if y != z:
-                        row[q] = field.add(row[q], field.mul(x, y))
-            cache[key] = [(r, q, x) for r, row in rows.items() for q, x in enumerate(row)
-                          if x != z]
-    return cache[key]
-
-
-def _coupling_rows(top, bottom, unknowns):
-    """(number of unknowns, rows) of the linear map sending coupling blocks Y
-    to the top-right blocks of every relation on [[top, Y], [0, bottom]].
-
-    Y_g (top at the target of g, bottom at its source) is unknown for the
-    generators in `unknowns`, laid out in that order and row-major, and zero
-    for the others.  The diagonal blocks are modules, so each relation is
-    linear in Y: a word g_1 ... g_m contributes, for every position p with g_p
-    unknown, (top product of g_1 ... g_{p-1}) Y_{g_p} (bottom product of
-    g_{p+1} ... g_m).  Zero rows are dropped; the row space is that of the
-    full top-right residual.
-    """
-    field = top.field()
-    z, add, mul, neg = field.zero, field.add, field.mul, field.neg
-    offsets = {}
-    total = 0
-    for g in unknowns:
-        tgt, src = _ends(g)
-        offsets[g] = total
-        total += top.dims[tgt] * bottom.dims[src]
-    rows = []
-    top_cache, bottom_cache = {}, {}
-    for _, tgt, src, words in _relation_table(top.spec):
-        width = bottom.dims[src]
-        if total == 0 or top.dims[tgt] * width == 0:
-            continue
-        block = [[z] * total for _ in range(top.dims[tgt] * width)]
-        for sign, word in words:
-            for p, g in enumerate(word):
-                if g not in offsets:
-                    continue
-                g_src = _ends(g)[1]
-                base, stride = offsets[g], bottom.dims[g_src]
-                right = _word_entries(field, bottom, word[p + 1:], g_src, bottom_cache)
-                for r, a, x in _word_entries(field, top, word[:p], tgt, top_cache):
-                    x = x if sign > 0 else neg(x)
-                    for b, c, y in right:
-                        cell = block[r * width + c]
-                        col = base + a * stride + b
-                        cell[col] = add(cell[col], mul(x, y))
-        rows.extend(row for row in block if any(x != z for x in row))
-    return total, rows
+def _pi_relation_table(spec):
+    """The relations of Pi: those of H on the double quiver (both directed
+    commutations), plus the mesh at every vertex."""
+    meshes = [(f"mesh relation fails at vertex {k + 1}", k, k,
+               tuple((sgn, (("eps", k),) * s + (("arrow", key_in), ("arrow", key_out))
+                      + (("eps", k),) * t)
+                     for sgn, key_in, key_out, s, t in mesh_terms(spec, k)))
+              for k in range(spec.datum.n)]
+    return tuple(hmod._relation_words(spec, double_arrow_keys(spec)) + meshes)
 
 
 def check_pi_relations(M: PiModule) -> list:
-    """Violated relations of the table: eps nilpotence, both directed
-    commutations, and the mesh at every vertex."""
-    hmod._check_shapes(M)
-    field = M.field()
-    cache = {}
-    violations = []
-    for message, tgt, src, words in _relation_table(M.spec):
-        if not (M.dims[tgt] and M.dims[src]):
-            continue
-        total = [[field.zero] * M.dims[src] for _ in range(M.dims[tgt])]
-        for sign, word in words:
-            for r, c, x in _word_entries(field, M, word, tgt, cache):
-                total[r][c] = field.add(total[r][c], x if sign > 0 else field.neg(x))
-        if any(x != field.zero for row in total for x in row):
-            violations.append(message)
-    return violations
+    """Violated relations of Pi: eps nilpotence, both directed commutations,
+    and the mesh at every vertex (hmod.check_relations on a PiModule)."""
+    return hmod.check_relations(M)
 
 
 # --- fac / sub --------------------------------------------------------------
@@ -405,47 +308,12 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
 # --- random E-filtered generation -------------------------------------------
 
 
-def _coupled_module(A, B, couplings):
-    """Block module [[A, Y], [0, B]] from coupling blocks Y per generator."""
-    field = A.field()
-    n = A.spec.datum.n
-    dims = [A.dims[v] + B.dims[v] for v in range(n)]
-
-    def block(g, a, b):
-        tgt, src = _ends(g)
-        m = linalg.zeros(field, dims[tgt], dims[src])
-        hmod._insert_block(m, a, 0, 0)
-        hmod._insert_block(m, b, A.dims[tgt], A.dims[src])
-        hmod._insert_block(m, couplings[g], 0, A.dims[src])
-        return m
-
-    eps = [block(("eps", v), A.eps[v], B.eps[v]) for v in range(n)]
-    arrows = {key: block(("arrow", key), A.arrows[key], B.arrows[key]) for key in A.arrows}
-    return PiModule(A.spec, dims, eps, arrows)
-
-
 def _extension_below(A, B, rng):
     """Random extension 0 -> A -> N -> B -> 0 of Pi-modules (A at the bottom):
     a random element of the kernel of the linearized relations, over the eps
     and arrow couplings."""
-    field = A.field()
     unknowns = [("eps", v) for v in range(A.spec.datum.n)] + [("arrow", key) for key in A.arrows]
-    total, rows = _coupling_rows(A, B, unknowns)
-    coup = {}
-    unknown_index = []
-    for g in unknowns:
-        tgt, src = _ends(g)
-        coup[g] = linalg.zeros(field, A.dims[tgt], B.dims[src])
-        unknown_index.extend((g, a, b) for a in range(A.dims[tgt]) for b in range(B.dims[src]))
-    for vec in linalg.nullspace(field, rows, total):
-        coeff = field.from_int(rng.randrange(field.size())
-                               if field.size() else rng.randint(-3, 3))
-        if coeff == field.zero:
-            continue
-        for (g, a, b), x in zip(unknown_index, vec):
-            if x != field.zero:
-                coup[g][a][b] = field.add(coup[g][a][b], field.mul(coeff, x))
-    module = _coupled_module(A, B, coup)
+    module = hmod._block_module(A, B, hmod._random_couplings(A, B, unknowns, rng, 3))
     if check_pi_relations(module):
         raise InternalMismatchError("extension violates relations")
     return module
@@ -478,11 +346,10 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
     """dim Ext^1_Pi(M, N) from the bimodule-resolution presentation.
 
     Hom(-, N) applied to Pi(x)M -> Pi(x)B(x)M -> Pi(x)M -> M -> 0 computes
-    Ext^1 as ker(d2*)/im(d1*).  d1* is the Hom system (hmod._hom_system):
-    M.arrows holds both arrow directions, so its rows are the blocks
-    f_i A^M - A^N f_j of d1* and its kernel is Hom_Pi(M, N).  ker(d2*) is
-    the space of arrow couplings G of [[N, G], [0, M]] that satisfy the
-    linearized commutations (which cut out Y1) and meshes.  For
+    Ext^1 as ker(d2*)/im(d1*) (hmod._ext1_and_hom).  M.arrows holds both
+    arrow directions, so the Hom system is d1* and its kernel Hom_Pi(M, N);
+    ker(d2*) is the space of arrow couplings G of [[N, G], [0, M]] that
+    satisfy the linearized commutations (which cut out Y1) and meshes.  For
     finite-dimensional locally free modules the result is cross-checked
     against the symmetrized Hom formula.
     """
@@ -491,14 +358,10 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
     rk_m = hmod.is_locally_free(M)
     if rk_m is None:
         raise NotLocallyFreeError("ext1_pi requires locally free first argument")
-    field = M.field()
-    d1 = hmod._hom_system(M, N)[3]
-    total, rows = _coupling_rows(N, M, [("arrow", key) for key in sorted(M.arrows)])
-    ext = total - linalg.rank(field, rows) - linalg.rank(field, d1)
+    ext, hom_mn = hmod._ext1_and_hom(M, N)
     rk_n = hmod.is_locally_free(N)
     if rk_n is not None:
-        expected = hom_pi(M, N) + hom_pi(N, M) - cartan.symmetric_form(
-            M.spec.datum, rk_m, rk_n)
+        expected = hom_mn + hom_pi(N, M) - cartan.symmetric_form(M.spec.datum, rk_m, rk_n)
         if ext != expected:
             raise InternalMismatchError(
                 f"presentation Ext={ext} disagrees with symmetrized-Hom formula={expected}")

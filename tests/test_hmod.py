@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symquiv import cartan, hmod, linalg, pimod
+from symquiv import cartan, functors, hmod, linalg, pimod
 from symquiv.errors import InternalMismatchError, SpecMismatchError
 from symquiv.fields import RATIONALS, prime_field_spec
 
@@ -509,3 +509,164 @@ class TestSerialization:
         m = hmod.random_locally_free(spec_b2(), (1, 1), 1)
         with pytest.raises(SpecMismatchError):
             hmod.module_from_json(spec_b2(prime_field_spec(5)), hmod.module_to_json(m))
+
+
+# --- differential tests against the dense per-arrow relation systems --------
+
+B3 = cartan.validate_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1])
+B3_OMEGA = cartan.validate_orientation(B3, [(0, 1), (1, 2)])
+LINEARIZED_SPECS = [(B2, B2_OMEGA), (G2, G2_OMEGA), (B3, B3_OMEGA), (B2_DOUBLED, B2_OMEGA)]
+
+
+def _relation_space_dim(field, eps_i, eps_j, a, b):
+    """dim of {G : eps_i^a G = G eps_j^b}, the coefficient space of one arrow,
+    and a basis of it, from a dense system with one row per entry."""
+    di, dj = len(eps_i), len(eps_j)
+    if di == 0 or dj == 0:
+        return 0, []
+    left = linalg.mat_pow(field, eps_i, a)
+    right = linalg.mat_pow(field, eps_j, b)
+    rows = []
+    for p in range(di):
+        for q in range(dj):
+            row = [field.zero] * (di * dj)
+            for t in range(di):
+                if left[p][t] != field.zero:
+                    row[t * dj + q] = field.add(row[t * dj + q], left[p][t])
+            for t in range(dj):
+                if right[t][q] != field.zero:
+                    row[p * dj + t] = field.sub(row[p * dj + t], right[t][q])
+            rows.append(row)
+    basis = linalg.nullspace(field, rows, di * dj)
+    return len(basis), basis
+
+
+def _random_locally_free_oracle(spec, r, seed):
+    """Canonical eps and, arrow by arrow, a random combination of the dense
+    basis of that arrow's coefficient space."""
+    rng = random.Random(seed)
+    field = spec.field()
+    datum = spec.datum
+    dims = [datum.D[v] * r[v] for v in range(datum.n)]
+    eps = [hmod.free_eps(field, datum.D[v], r[v]) for v in range(datum.n)]
+    arrows = {}
+    for key in spec.arrow_keys():
+        (i, j, _) = key
+        _, basis = _relation_space_dim(field, eps[i], eps[j], *spec.rel_powers(i, j))
+        mat = linalg.zeros(field, dims[i], dims[j])
+        for vec in basis:
+            coeff = field.from_int(rng.randrange(field.size())
+                                   if field.size() else rng.randint(-4, 4))
+            if coeff == field.zero:
+                continue
+            for p in range(dims[i]):
+                for q in range(dims[j]):
+                    x = vec[p * dims[j] + q]
+                    if x != field.zero:
+                        mat[p][q] = field.add(mat[p][q], field.mul(coeff, x))
+        arrows[key] = mat
+    return hmod.HModule(spec, dims, eps, arrows)
+
+
+def _arrow_solution_dimension_oracle(spec, r):
+    field = spec.field()
+    total = 0
+    for (i, j, _) in spec.arrow_keys():
+        ei = hmod.free_eps(field, spec.datum.D[i], r[i])
+        ej = hmod.free_eps(field, spec.datum.D[j], r[j])
+        total += _relation_space_dim(field, ei, ej, *spec.rel_powers(i, j))[0]
+    return total
+
+
+def _ext1_dim_oracle(M, N):
+    """dim Y1 - rank delta*, with Y1 summed arrow by arrow from dense systems."""
+    field = M.field()
+    y1 = sum(_relation_space_dim(field, N.eps[i], M.eps[j], *M.spec.rel_powers(i, j))[0]
+             for (i, j, _) in M.arrows)
+    return y1 - linalg.rank(field, hmod._hom_system(M, N)[3])
+
+
+def _dense_violations(M):
+    """The relations of H evaluated with dense matrix powers."""
+    field = M.field()
+    datum = M.spec.datum
+    out = []
+    for v in range(datum.n):
+        if M.dims[v] and any(x != field.zero for row in
+                             linalg.mat_pow(field, M.eps[v], datum.D[v]) for x in row):
+            out.append(f"eps_{v + 1}^{datum.D[v]} != 0")
+    for key, A in M.arrows.items():
+        (i, j, _) = key
+        if M.dims[i] and M.dims[j]:
+            a, b = M.spec.rel_powers(i, j)
+            if (linalg.mat_mul(field, linalg.mat_pow(field, M.eps[i], a), A)
+                    != linalg.mat_mul(field, A, linalg.mat_pow(field, M.eps[j], b))):
+                out.append(f"eps_{i + 1}^{a} A{key} != A{key} eps_{j + 1}^{b}")
+    return out
+
+
+def _ranks(n, bound):
+    return [r for r in itertools.product(range(bound + 1), repeat=n) if sum(r) <= bound]
+
+
+class TestLinearizedRelations:
+    @pytest.mark.parametrize("fieldspec", [RATIONALS, prime_field_spec(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("datum, omega", LINEARIZED_SPECS, ids=["B2", "G2", "B3", "B2-42"])
+    def test_random_modules_and_arrow_spaces_match_dense(self, datum, omega, fieldspec):
+        spec = hmod.HAlgebraSpec(datum, omega, fieldspec)
+        for r in _ranks(datum.n, 3 if datum.n == 2 else 2):
+            assert hmod.arrow_solution_dimension(spec, r) == \
+                _arrow_solution_dimension_oracle(spec, r), r
+            for seed in range(3):
+                assert hmod.random_locally_free(spec, r, seed).key() == \
+                    _random_locally_free_oracle(spec, r, seed).key(), (r, seed)
+
+    @pytest.mark.parametrize("datum, omega", LINEARIZED_SPECS[:3], ids=["B2", "G2", "B3"])
+    def test_ext1_on_root_tables_matches_dense(self, datum, omega):
+        mods = functors.all_root_modules(hmod.HAlgebraSpec(datum, omega, RATIONALS)).modules
+        for m in mods:
+            for n in mods:
+                assert hmod.ext1_dim(m, n) == _ext1_dim_oracle(m, n)
+
+    def test_ext1_on_random_pairs_matches_dense(self):
+        rng = random.Random(8)
+        for datum, omega in LINEARIZED_SPECS:
+            spec = hmod.HAlgebraSpec(datum, omega, prime_field_spec(7))
+            for _ in range(6):
+                m, n = (hmod.random_locally_free(spec, rng.choice(_ranks(datum.n, 2)),
+                                                 rng.randrange(10 ** 6)) for _ in range(2))
+                assert hmod.ext1_dim(m, n) == _ext1_dim_oracle(m, n)
+
+    def test_corrupted_modules_report_dense_violations(self):
+        rng = random.Random(4)
+        kinds = set()
+        for datum, omega in LINEARIZED_SPECS:
+            spec = hmod.HAlgebraSpec(datum, omega, prime_field_spec(7))
+            for _ in range(8):
+                m = hmod.random_locally_free(spec, rng.choice([(1,) * datum.n, (2,) * datum.n]),
+                                             rng.randrange(10 ** 6))
+                mats = [e for e in m.eps if e] + [a for a in m.arrows.values() if a and a[0]]
+                for _ in range(rng.randint(1, 2)):
+                    mat = rng.choice(mats)
+                    r, c = rng.randrange(len(mat)), rng.randrange(len(mat[0]))
+                    mat[r][c] = (mat[r][c] + rng.randint(1, 6)) % 7
+                violations = hmod.check_relations(m)
+                assert set(violations) == set(_dense_violations(m))
+                kinds.update("commutation" if " A(" in v else "nilpotence" for v in violations)
+        assert kinds == {"commutation", "nilpotence"}
+
+
+class TestFieldSpec:
+    def test_field_is_cached_per_prime(self):
+        spec = prime_field_spec(7)
+        assert spec.field() is spec.field()
+        assert prime_field_spec(7).field() is spec.field()
+        assert spec_b2(spec).field() is spec.field()
+        assert RATIONALS.field() is RATIONALS.field()
+        assert prime_field_spec(11).field() is not spec.field()
+
+    def test_equality_and_hash_unchanged(self):
+        from symquiv.fields import FieldSpec
+        assert prime_field_spec(7) == FieldSpec("Fp", 7)
+        assert hash(prime_field_spec(7)) == hash(FieldSpec("Fp", 7))
+        assert prime_field_spec(7) != prime_field_spec(11) != RATIONALS

@@ -5,6 +5,7 @@ import pytest
 from symquiv import cartan, grassmann, hmod, linalg, pimod, verify
 from symquiv.errors import UndefinedValueError
 from symquiv.fields import RATIONALS, prime_field_spec
+from test_hmod import _relation_space_dim
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
 B2_OMEGA = cartan.validate_orientation(B2, [(0, 1)])
@@ -42,6 +43,15 @@ class TestMesh:
         bad = make_pi_b2((1, 0), (1, 0))  # w(v) != 0
         violations = pimod.check_pi_relations(bad)
         assert any("mesh" in v for v in violations)
+
+    def test_h_check_on_pi_module_reports_mesh(self):
+        # the module type picks the table, so the H entry point checks the
+        # meshes of a PiModule too
+        bad = make_pi_b2((1, 0), (1, 0))
+        assert hmod.check_relations(bad) == ["mesh relation fails at vertex 1",
+                                             "mesh relation fails at vertex 2"]
+        assert hmod.check_relations(bad) == pimod.check_pi_relations(bad)
+        assert hmod.check_relations(make_pi_b2((0, 1), (1, 0))) == []
 
     def test_simples_are_pi_modules(self):
         for i in range(2):
@@ -156,6 +166,28 @@ class TestCrystal:
             if found >= 5:
                 break
         assert found >= 5
+
+    def test_g2_crystal_modules_kill_serre_commutator(self):
+        # criterion 12 on G2: crystal modules of rank (2,1) = (1 - c_12)
+        # alpha_1 + alpha_2 kill the commutator, an E-filtered one does not
+        spec = hmod.HAlgebraSpec(verify.G2, verify.OM_G2, RATIONALS)
+        combo = grassmann.serre_commutator(0, 1, 2)
+        engine = grassmann.EulerEngine()
+        rng = random.Random(5)
+        found = 0
+        for _ in range(60):
+            m = pimod.random_E_filtered(spec, rng.choice(verify.CRYSTAL_SEQS),
+                                        rng.randrange(10 ** 9))
+            if hmod.is_locally_free(m) == (2, 1) and pimod.is_crystal_module(m):
+                assert engine.theta_eval(combo, m) == 0
+                found += 1
+                if found == 3:
+                    break
+        assert found == 3
+        witness = pimod.random_E_filtered(spec, (0, 1, 0), 7)
+        assert not pimod.is_crystal_module(witness)
+        assert pimod.is_E_filtered(hmod.reduce_mod_p(witness, 7))[0]
+        assert engine.theta_eval(combo, witness) == -2
 
     def test_crystal_implies_e_filtered(self):
         for seed in range(6):
@@ -284,7 +316,7 @@ def _extension_system_oracle(A, B):
     for (name, a, b) in index:
         coup = {g: linalg.zeros(field, r, c) for (g, r, c) in slots}
         coup[name][a][b] = field.one
-        columns.append(_residual_oracle(pimod._coupled_module(A, B, coup)))
+        columns.append(_residual_oracle(hmod._block_module(A, B, coup)))
     rows = [list(row) for row in zip(*columns)]
     return index, rows
 
@@ -305,7 +337,7 @@ def _random_E_filtered_oracle(spec, seq, seed):
             if coeff != field.zero:
                 for (name, a, b), x in zip(index, vec):
                     coup[name][a][b] = field.add(coup[name][a][b], field.mul(coeff, x))
-        current = pimod._coupled_module(A, current, coup)
+        current = hmod._block_module(A, current, coup)
     return hmod.normalize_eps(current)
 
 
@@ -320,7 +352,7 @@ def _ext1_oracle(M, N):
     for key in keys:
         (i, j, _) = key
         a, b = M.spec.rel_powers(i, j)
-        for vec in hmod._relation_space_dim(field, N.eps[i], M.eps[j], a, b)[1]:
+        for vec in _relation_space_dim(field, N.eps[i], M.eps[j], a, b)[1]:
             psi = {k: linalg.zeros(field, N.dims[k[0]], M.dims[k[1]]) for k in keys}
             psi[key] = [vec[p * M.dims[j]:(p + 1) * M.dims[j]] for p in range(N.dims[i])]
             y1.append(psi)
@@ -371,7 +403,7 @@ class TestLinearizedRelations:
                 unknowns = [("eps", v) for v in range(spec.datum.n)]
                 unknowns += [("arrow", key) for key in top.arrows]
                 index, oracle_rows = _extension_system_oracle(top, bottom)
-                total, rows = pimod._coupling_rows(top, bottom, unknowns)
+                total, rows = hmod._coupling_rows(top, bottom, unknowns)
                 assert total == len(index)
                 assert linalg.row_space(field, rows) == linalg.row_space(field, oracle_rows)
 
