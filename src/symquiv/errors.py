@@ -45,6 +45,10 @@ class NotLocallyFreeError(SymquivError):
     """Module is not locally free where the operation requires it."""
 
 
+class NotNilpotentError(SymquivError):
+    """A loop matrix eps is not nilpotent, so it has no Jordan chain form."""
+
+
 class InternalMismatchError(SymquivError):
     """Two independent computation routes disagree (a bug, never expected), or
     a randomized search was inconclusive: the answer is unknown, not false."""

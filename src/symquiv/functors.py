@@ -15,7 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cartan, hmod, linalg
-from .errors import InternalMismatchError, NotDynkinError, NotSinkOrSourceError
+from .errors import (
+    InternalMismatchError,
+    NotDynkinError,
+    NotNilpotentError,
+    NotSinkOrSourceError,
+)
 from .fields import RATIONALS
 
 
@@ -61,6 +66,18 @@ def _x_eps(spec, k, nbrs, offsets, total, M):
             for c in range(dj):
                 eps_x[base + r][base + (a - 1) * dj + c] = epsb[r][c]
     return eps_pows, eps_x
+
+
+def _checked_reflection(out):
+    """The reflected module in canonical eps form, or InternalMismatchError
+    if it violates the relations (a non-nilpotent eps among them)."""
+    try:
+        out = hmod.normalize_eps(out)
+    except NotNilpotentError as exc:
+        raise InternalMismatchError("reflected module violates relations") from exc
+    if hmod.check_relations(out):
+        raise InternalMismatchError("reflected module violates relations")
+    return out
 
 
 def reflect_plus(k, M):
@@ -113,10 +130,7 @@ def reflect_plus(k, M):
                            for r in range(di)]
         else:
             arrows[key] = linalg.copy_mat(M.arrows[key])
-    out = hmod.normalize_eps(type(M)(new_spec, dims, eps, arrows))
-    if hmod.check_relations(out):
-        raise InternalMismatchError("reflected module violates relations")
-    return out
+    return _checked_reflection(type(M)(new_spec, dims, eps, arrows))
 
 
 def reflect_minus(k, M):
@@ -185,10 +199,7 @@ def reflect_minus(k, M):
             arrows[key] = mat
         else:
             arrows[key] = linalg.copy_mat(M.arrows[key])
-    out = hmod.normalize_eps(type(M)(new_spec, dims, eps, arrows))
-    if hmod.check_relations(out):
-        raise InternalMismatchError("reflected module violates relations")
-    return out
+    return _checked_reflection(type(M)(new_spec, dims, eps, arrows))
 
 
 def twist(M):

@@ -5,12 +5,16 @@ F-polynomials, g-vectors, convolution evaluations and the dual PBW pairing.
 Counting strategy.  A free rank-e submodule of H^r (H = K[eps]/(eps^c)) is a
 direct summand; its canonical basis matrix has identity at the pivot rows,
 full H-entries below a pivot and eps*H-entries above, giving exactly
-q^{(c-1)e(r-e)} [r over e]_q candidates per vertex.  Grassmannian counts
-enumerate source vertices of the (acyclic) constraint graph and close the
-sink vertices by the exact formula for the number of free submodules with
-prescribed containments.  Flag counts recurse on the bottom factor; the
-quotients falling in one isomorphism class are merged (byte-equality first,
-then a certified isomorphism search), so the recursion depth stays flat.
+q^{(c-1)e(r-e)} [r over e]_q candidates per vertex.  A submodule's component
+at a vertex must contain the span forced by the components already chosen;
+containment is linear in the pivot-form entries, so only the candidates that
+contain the forced span are enumerated, as the solutions of that system.
+Grassmannian counts enumerate source vertices of the (acyclic) constraint
+graph and close the sink vertices by the exact formula for the number of
+free submodules with prescribed containments.  Flag counts recurse on the
+bottom factor; the quotients falling in one isomorphism class are merged
+(byte-equality first, then a certified isomorphism search), so the recursion
+depth stays flat.
 All Euler characteristics are values at q = 1 of integer polynomials fitted
 to counts over several primes and verified on a held-out prime.
 """
@@ -39,8 +43,10 @@ DEFAULT_BUDGET = 10 ** 7
 class _Budget:
     """Enumeration units left to one query.  Every top-level count (one
     count_locally_free_submodules, Counter.flag_count or
-    ClassFlagCounter.count call) gets a fresh instance; each enumerated
-    candidate or generator spends one unit."""
+    ClassFlagCounter.count call) gets a fresh instance.  Each rank-one
+    generator spends one unit; each vertex enumeration spends the size of its
+    whole canonical candidate set, although only the candidates containing
+    the forced span are enumerated."""
 
     __slots__ = ("units", "left")
 
@@ -48,10 +54,11 @@ class _Budget:
         self.units = units
         self.left = units
 
-    def spend(self):
-        self.left -= 1
+    def spend(self, units, where=""):
+        self.left -= units
         if self.left < 0:
-            raise TooLargeError(f"enumeration budget of {self.units} exhausted")
+            raise TooLargeError(f"enumeration budget of {self.units} exhausted"
+                                + (f" by {where}" if where else ""))
 
 
 # --- H-element helpers (truncated polynomials as int tuples) ----------------
@@ -122,13 +129,99 @@ class FreeSubCandidate:
         return all(_h_is_zero(h) for h in residual)
 
 
-def iter_free_submodules(p, c, r, e):
-    """All free rank-e submodules of H^r in canonical form."""
-    if e == 0:
-        yield FreeSubCandidate(p, c, r, 0, (), ())
-        return
+def _rref_mod_p(p, rows, ncols):
+    """Reduced echelon form over F_p of rows (int lists, entries in range(p))
+    with pivots sought in the first ncols columns: (rows, pivot columns), the
+    pivot rows first with pivot entries 1.  Columns past ncols (a right-hand
+    side) are carried along but never pivoted on."""
+    rows = [list(row) for row in rows]
+    pivot_cols = []
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        prow = rows[hit]
+        rows[hit] = rows[rank]
+        if prow[col] != 1:
+            inv = pow(prow[col], -1, p)
+            prow = [x * inv % p for x in prow]
+        rows[rank] = prow
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != rank:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+        pivot_cols.append(col)
+    return rows, pivot_cols
+
+
+def _containment_solutions(p, c, pivots, free_rows, slots, n_vars, w_basis):
+    """The unknowns of a pivot form that contain every w of w_basis, as
+    (free unknowns, [(dependent unknown, constant, [(free unknown, coeff)])]),
+    or None when no candidate with these pivots contains them.
+
+    Slot (s, b, off, first) holds the unknowns off, off + 1, ...: the
+    coefficients of eps^first, ..., eps^(c-1) in x[s][b] (first is 1 above
+    the pivot, where the constant term is 0).  A candidate contains w iff
+    w[b] = sum_s w[pv_s] * x[s][b] in H at every free row b: the pivot rows
+    read the coefficients off.  Columns run over the unknowns in reverse, so
+    each dependent unknown is solved for in terms of earlier free ones."""
+    rows = []
+    for w in w_basis:
+        for b in free_rows:
+            # equation k: the eps^k coefficients of sum_s w[pv_s] * x[s][b] = w[b]
+            eqs = [[0] * n_vars + [w[b * c + k]] for k in range(c)]
+            for (s, sb, off, first) in slots:
+                if sb == b:
+                    base = pivots[s] * c
+                    for t in range(first, c):
+                        col = n_vars - 1 - (off + t - first)
+                        for k in range(t, c):
+                            eqs[k][col] = w[base + k - t]
+            rows.extend(eqs)
+    reduced, pivot_cols = _rref_mod_p(p, rows, n_vars)
+    if any(row[n_vars] for row in reduced[len(pivot_cols):]):
+        return None
+    dependents = []
+    for row, col in zip(reduced, pivot_cols):
+        terms = [(n_vars - 1 - j, -row[j] % p) for j in range(col + 1, n_vars) if row[j]]
+        dependents.append((n_vars - 1 - col, row[n_vars], terms))
+    solved = {dep for (dep, _, _) in dependents}
+    return [u for u in range(n_vars) if u not in solved], dependents
+
+
+def _solved_entries(p, c, slots, n_vars, free_vars, dependents):
+    """The slot entries (H-tuples, in slot order) of every solution of
+    _containment_solutions, the free unknowns running lexicographically."""
+    x = [0] * n_vars
+    for values in itertools.product(range(p), repeat=len(free_vars)):
+        for u, val in zip(free_vars, values):
+            x[u] = val
+        for u, const, terms in dependents:
+            x[u] = (const + sum(coeff * x[f] for f, coeff in terms)) % p
+        yield [(0,) * first + tuple(x[off:off + c - first]) for (_, _, off, first) in slots]
+
+
+def iter_free_submodules(p, c, r, e, containing=()):
+    """The free rank-e submodules of H^r in canonical form that contain every
+    K-vector of `containing`, pivot sets in lexicographic order and the
+    entries of each pivot form lexicographically, slot by slot.
+
+    The containment conditions are linear in the entries, so their solutions
+    are enumerated directly; each dependent entry is a function of earlier
+    free ones, which keeps the order of the unconstrained enumeration."""
     if e > r:
         return
+    if e == 0:
+        if not any(any(w) for w in containing):
+            yield FreeSubCandidate(p, c, r, 0, (), ())
+        return
+    w_basis = []
+    if e < r and containing:  # H^r itself (e == r) contains every vector
+        reduced, w_pivots = _rref_mod_p(p, containing, c * r)
+        w_basis = reduced[:len(w_pivots)]
+        if len(w_basis) > c * e:
+            return  # a free rank-e submodule has dimension c * e
     h_full = list(itertools.product(range(p), repeat=c))
     h_eps = [h for h in h_full if h[0] == 0]
     unit = tuple([1] + [0] * (c - 1))
@@ -136,16 +229,28 @@ def iter_free_submodules(p, c, r, e):
     for pivots in itertools.combinations(range(r), e):
         pivot_set = set(pivots)
         free_rows = [b for b in range(r) if b not in pivot_set]
-        # each column s: rows above its pivot take eps*H, rows below take H
-        slot_choices = []
+        # each column s: rows above its pivot take eps*H, rows below take H;
+        # slot (s, b, offset of its first unknown, first unknown's eps power)
+        slots = []
+        n_vars = 0
         for s, pv in enumerate(pivots):
             for b in free_rows:
-                slot_choices.append((s, b, h_full if b > pv else h_eps))
-        for assignment in itertools.product(*(ch for (_, _, ch) in slot_choices)):
+                first = 0 if b > pv else 1
+                slots.append((s, b, n_vars, first))
+                n_vars += c - first
+        if not w_basis:
+            assignments = itertools.product(*(h_eps if first else h_full
+                                              for (_, _, _, first) in slots))
+        else:
+            solved = _containment_solutions(p, c, pivots, free_rows, slots, n_vars, w_basis)
+            if solved is None:
+                continue
+            assignments = _solved_entries(p, c, slots, n_vars, *solved)
+        for assignment in assignments:
             cols = [[zero] * r for _ in range(e)]
             for s, pv in enumerate(pivots):
                 cols[s][pv] = unit
-            for (s, b, _), h in zip(slot_choices, assignment):
+            for (s, b, _, _), h in zip(slots, assignment):
                 cols[s][b] = h
             yield FreeSubCandidate(p, c, r, e, pivots, tuple(tuple(col) for col in cols))
 
@@ -360,28 +465,34 @@ def _constraint_order(M):
     return seen if len(seen) == len(verts) else None
 
 
-def _forced_rows(field, M, v, chosen, powers):
-    """Vectors the v-component of a submodule must contain: the images under
-    powers (_eps_powers at v) of the chosen components along arrows into v."""
-    rows = []
+def _arrow_images(field, M, v, chosen):
+    """Images of the chosen components along the arrows into v: the
+    v-component of a submodule must contain their H-span."""
+    images = []
     for key, A in M.arrows.items():
         (i, j, _) = key
         if i != v or j not in chosen or M.dims[j] == 0:
             continue
-        for vec in chosen[j].k_basis():
-            img = linalg.mat_vec(field, A, vec)
-            rows.extend(linalg.mat_vec(field, P, img) for P in powers)
-    return rows
+        images.extend(linalg.mat_vec(field, A, vec) for vec in chosen[j].k_basis())
+    return images
 
 
-def _vertex_candidates(field, M, v, e_v, chosen, budget, powers):
-    """Free rank-e_v candidates at v that contain the forced rows; every
-    enumerated candidate spends one unit of budget."""
-    w_rows = _forced_rows(field, M, v, chosen, powers)
-    for cand in iter_free_submodules(field.p, M.spec.datum.D[v], _vertex_rank(M, v), e_v):
-        budget.spend()
-        if not w_rows or all(cand.contains_kvec(r) for r in w_rows):
-            yield cand
+def _forced_rows(field, M, v, chosen, powers):
+    """A K-spanning set of the H-span of _arrow_images: the images under
+    powers (_eps_powers at v)."""
+    return [linalg.mat_vec(field, P, img)
+            for img in _arrow_images(field, M, v, chosen) for P in powers]
+
+
+def _vertex_candidates(field, M, v, e_v, chosen, budget):
+    """Free rank-e_v candidates at v that contain the arrow images (an
+    H-submodule contains their H-span).  The call spends the size of the
+    whole canonical candidate set at v, so a query spends what enumerating
+    and filtering every candidate would."""
+    p, c, r = field.p, M.spec.datum.D[v], _vertex_rank(M, v)
+    size = count_free_submodules_of_type((c,) * r, e_v, p, c)
+    budget.spend(size, f"the {size} free rank-{e_v} candidates at vertex {v} (rank {r}) over F_{p}")
+    yield from iter_free_submodules(p, c, r, e_v, _arrow_images(field, M, v, chosen))
 
 
 def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
@@ -389,8 +500,9 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
 
     Works for modules of H (arrows of the orientation) and of the
     preprojective algebra (both arrow directions); closed sink vertices are
-    counted by formula rather than enumeration.  Each call may enumerate at
-    most `budget` candidates.
+    counted by formula rather than enumeration.  Each call may spend at most
+    `budget` units: a vertex enumeration spends the size of its whole
+    canonical candidate set (_Budget).
     """
     field = M.field()
     if not isinstance(field, PrimeField):
@@ -434,9 +546,9 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
             return total
         v = enum_verts[idx]
         total = 0
-        for cand in _vertex_candidates(field, M, v, e[v], chosen, query, powers[v]):
-            # arrows from already-chosen vertices into v were handled by the
-            # forced rows; arrows from v into already-chosen vertices (non-DAG case):
+        for cand in _vertex_candidates(field, M, v, e[v], chosen, query):
+            # arrows from already-chosen vertices into v were handled by
+            # _vertex_candidates; arrows from v into already-chosen vertices (non-DAG case):
             ok = True
             for key, A in M.arrows.items():
                 (i, j, _) = key
@@ -562,7 +674,7 @@ class Counter:
         def quotients():
             powers = _eps_powers(field, M.eps[j], c)
             for u in iter_free_rank1_generators(field, M.eps[j], core, c):
-                self._query.spend()
+                self._query.spend(1)
                 span = [linalg.mat_vec(field, P, u) for P in powers]
                 yield hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
 
@@ -700,7 +812,6 @@ def _iter_lf_submodules(M, e, budget):
     if order is None:
         raise ValueError("prescribed-class enumeration needs an acyclic quiver")
     verts = [v for v in order if M.dims[v] > 0 or e[v] > 0]
-    powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
 
     def recurse(idx, chosen):
         if idx == len(verts):
@@ -709,7 +820,7 @@ def _iter_lf_submodules(M, e, budget):
         v = verts[idx]
         if datum.D[v] * e[v] > M.dims[v]:
             return
-        for cand in _vertex_candidates(field, M, v, e[v], chosen, budget, powers[v]):
+        for cand in _vertex_candidates(field, M, v, e[v], chosen, budget):
             chosen[v] = cand
             yield from recurse(idx + 1, chosen)
             del chosen[v]
@@ -721,7 +832,8 @@ class ClassFlagCounter:
     """Counts flags whose subquotients run through prescribed rigid classes.
 
     The memo tables outlive queries; the budget does not: each count call may
-    enumerate at most `budget` candidates.
+    spend at most `budget` units, the sizes of the candidate sets of its
+    vertex enumerations (_Budget).
     """
 
     def __init__(self, spec_p, class_modules, budget=DEFAULT_BUDGET):

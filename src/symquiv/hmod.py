@@ -34,6 +34,7 @@ from .cartan import CartanDatum, Orientation
 from .errors import (
     InternalMismatchError,
     NotLocallyFreeError,
+    NotNilpotentError,
     PrimeReductionError,
     ShapeMismatchError,
     SpecMismatchError,
@@ -403,12 +404,15 @@ def require_locally_free(M):
 
 
 def jordan_basis(field, eps):
-    """Columns of a basis putting a nilpotent eps into chain form, blocks descending."""
+    """Columns of a basis putting a nilpotent eps into chain form, blocks
+    descending; NotNilpotentError if eps^d is not 0 in dimension d."""
     d = len(eps)
     if d == 0:
         return []
     powers = [linalg.identity(field, d)]
     while any(x != field.zero for row in powers[-1] for x in row):
+        if len(powers) > d:
+            raise NotNilpotentError(f"eps is not nilpotent: eps^{d} is not 0 in dimension {d}")
         powers.append(linalg.mat_mul(field, powers[-1], eps))
     depth = len(powers) - 1  # eps^depth = 0
     kernels = []
@@ -472,7 +476,8 @@ def normalize_eps(M):
 
 
 def eps_partition(M, v):
-    """Jordan type of eps_v (block sizes descending), from rank drops."""
+    """Jordan type of eps_v (block sizes descending), from rank drops;
+    NotNilpotentError if eps_v^d is not 0 in dimension d."""
     field = M.field()
     d = M.dims[v]
     if d == 0:
@@ -480,6 +485,9 @@ def eps_partition(M, v):
     ranks = [d]
     power = linalg.identity(field, d)
     while ranks[-1] > 0:
+        if len(ranks) > d:
+            raise NotNilpotentError(
+                f"eps is not nilpotent at vertex {v}: eps^{d} has rank {ranks[-1]}")
         power = linalg.mat_mul(field, power, M.eps[v])
         ranks.append(linalg.rank(field, power))
     return _partition_from_ranks(ranks)

@@ -121,3 +121,28 @@ def test_tracer_sees_pi_generation_and_ext(monkeypatch):
     for name in ("pimod.random_E_filtered", "pimod.ext1_pi"):
         assert counts.calls.get(name, 0) == 2, name
         assert counts.self_s.get(name, 0) > 0, name
+
+
+def test_lf_candidates_are_the_accepted_candidates(monkeypatch):
+    # grassmann.lf_candidates counts what iter_free_submodules yields; the
+    # vertex step enumerates only the candidates containing the forced span,
+    # so the metric equals what the enumerate-then-filter oracle accepts
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from test_grassmann import B3, count_with_spend, root_table, vertex_candidates_oracle
+
+    module = hmod.reduce_mod_p(root_table(B3, [(0, 1), (1, 2)]).module_of((1, 2, 2)), 5)
+    e = (1, 1, 1)
+    count, spend, accepted = count_with_spend(vertex_candidates_oracle, module, e)
+    assert spend > len(accepted) > 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.set_phase("setup")
+        tracer.set_phase("queries")
+        assert grassmann.count_locally_free_submodules(module, e) == count
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["grassmann.lf_candidates"]["value"] == len(accepted)
+    assert metrics["grassmann.lf_submodules"]["value"] == count

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -89,6 +90,22 @@ class TestExitCodes:
             cli.main(["pbw-check", "--datum", str(DATA / "b2.json")])
         assert info.value.code == 3
         assert capsys.readouterr().err.startswith("resources exhausted: ")
+
+    def test_vertex_budget_names_the_enumeration(self, monkeypatch, capsys):
+        # a real vertex charge running out: the message names the vertex, its
+        # rank, e_v, the prime and the size of the candidate set
+        class TinyBudget(grassmann._Budget):
+            def __init__(self, units):
+                super().__init__(3)
+
+        monkeypatch.setattr(grassmann, "_Budget", TinyBudget)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["fpoly", "--datum", str(DATA / "b2.json")])
+        assert info.value.code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("resources exhausted: enumeration budget of 3 exhausted by the ")
+        assert re.search(r"the \d+ free rank-\d candidates at vertex \d \(rank \d\) over F_\d+$",
+                         err.strip()), err
 
     def test_prime_pool_exhausted_exit_3(self):
         # a fit needs at least five points; 67 and 71 end the pool, so the

@@ -1,7 +1,7 @@
 import pytest
 
 from symquiv import cartan, functors, hmod, linalg
-from symquiv.errors import NotSinkOrSourceError
+from symquiv.errors import InternalMismatchError, NotSinkOrSourceError
 from symquiv.fields import RATIONALS
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -14,6 +14,14 @@ B3_OMEGA = cartan.validate_orientation(B3, [(0, 1), (1, 2)])
 SPEC_B2 = hmod.HAlgebraSpec(B2, B2_OMEGA, RATIONALS)
 SPEC_G2 = hmod.HAlgebraSpec(G2, G2_OMEGA, RATIONALS)
 SPEC_B3 = hmod.HAlgebraSpec(B3, B3_OMEGA, RATIONALS)
+
+
+def _identity_eps_at_vertex_1(spec):
+    """dims (0, 1) with eps_1 = 1: not nilpotent, so no H-module."""
+    field = spec.field()
+    return hmod.HModule(spec, (0, 1), [[], [[field.one]]],
+                        {k: linalg.zeros(field, 1 if k[0] == 1 else 0, 1 if k[1] == 1 else 0)
+                         for k in spec.arrow_keys()})
 
 
 class TestReflectPlus:
@@ -44,6 +52,12 @@ class TestReflectPlus:
         with pytest.raises(NotSinkOrSourceError):
             functors.reflect_plus(1, e1)
 
+    def test_non_nilpotent_eps_raises(self):
+        # the untouched vertex keeps eps_1 = 1; reflecting used to hang in
+        # normalize_eps on it
+        with pytest.raises(InternalMismatchError, match="violates relations"):
+            functors.reflect_plus(0, _identity_eps_at_vertex_1(SPEC_B2))
+
     def test_rank_reflection_random(self):
         # rank (1,2): s_1(1,2) = (1,2), and generic samples have no E_1 summand
         hits = 0
@@ -73,6 +87,10 @@ class TestReflectMinus:
         assert out.spec.omega.pairs == B2_OMEGA.pairs
         assert hmod.is_locally_free(out) == (1, 1)
         assert hmod.is_isomorphic(out, hmod.projective_module(SPEC_B2, 1))
+
+    def test_non_nilpotent_eps_raises(self):
+        with pytest.raises(InternalMismatchError, match="violates relations"):
+            functors.reflect_minus(0, _identity_eps_at_vertex_1(SPEC_B2.reflected(0)))
 
     def test_round_trip(self):
         spec_refl = SPEC_B2.reflected(0)

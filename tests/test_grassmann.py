@@ -1,10 +1,13 @@
+import itertools
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from symquiv import cartan, functors, grassmann, hmod, linalg, verify
-from symquiv.errors import InterpolationError
+from symquiv.errors import InterpolationError, TooLargeError
 from symquiv.fields import RATIONALS, PrimeField, prime_field_spec
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -67,6 +70,69 @@ def direct_sum_pairing(engine, m, n):
     return Fraction(poly.value_at_one(), math.prod(math.factorial(x) for x in n))
 
 
+B3 = cartan.validate_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1])
+C3 = cartan.validate_datum([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [1, 1, 2])
+
+
+def filtered_free_submodules(p, c, r, e, rows):
+    """Oracle: every canonical candidate, filtered by containment."""
+    return [cand for cand in grassmann.iter_free_submodules(p, c, r, e)
+            if all(cand.contains_kvec(w) for w in rows)]
+
+
+def vertex_candidates_oracle(field, M, v, e_v, chosen, budget):
+    """The enumerate-then-filter vertex step: every canonical candidate at v
+    spends one unit and is kept if it contains the forced rows."""
+    c = M.spec.datum.D[v]
+    rows = grassmann._forced_rows(field, M, v, chosen, grassmann._eps_powers(field, M.eps[v], c))
+    for cand in grassmann.iter_free_submodules(field.p, c, M.dims[v] // c, e_v):
+        budget.spend(1)
+        if all(cand.contains_kvec(w) for w in rows):
+            yield cand
+
+
+class RecordingBudget(grassmann._Budget):
+    """A _Budget that keeps every instance, to read the units spent."""
+
+    made = []
+
+    def __init__(self, units):
+        super().__init__(units)
+        RecordingBudget.made.append(self)
+
+
+def count_with_spend(vertex_step, M, e):
+    """(count, units spent, candidates in order) of one Grassmannian count
+    whose vertex step is vertex_step."""
+    seen = []
+
+    def recorded(*args):
+        for cand in vertex_step(*args):
+            seen.append((cand.pivots, cand.cols))
+            yield cand
+
+    saved = grassmann._vertex_candidates, grassmann._Budget
+    grassmann._vertex_candidates, grassmann._Budget = recorded, RecordingBudget
+    RecordingBudget.made = []
+    try:
+        count = grassmann.count_locally_free_submodules(M, e)
+    finally:
+        grassmann._vertex_candidates, grassmann._Budget = saved
+    (query,) = RecordingBudget.made
+    return count, query.units - query.left, seen
+
+
+def h_span(p, c, r, vecs):
+    """The eps-multiples of the K-vectors vecs of H^r (canonical free eps)."""
+    return [[vec[b * c + a - t] if a >= t else 0 for b in range(r) for a in range(c)]
+            for vec in vecs for t in range(c)]
+
+
+def root_table(datum, pairs):
+    return functors.all_root_modules(hmod.HAlgebraSpec(
+        datum, cartan.validate_orientation(datum, pairs), RATIONALS))
+
+
 class AscendingPBW(grassmann.PBWEngine):
     """Lowest root index at the bottom.  In this order some root modules have
     flags through other roots (M(1,2) of B2 through M(1,0), M(0,1), M(0,1)), so
@@ -98,6 +164,37 @@ class TestFreeSubEnumeration:
             assert len(basis) == 2
             for vec in basis:
                 assert cand.contains_kvec(vec)
+
+    @pytest.mark.parametrize("p,c,r,e", [
+        (p, c, r, e) for p in (3, 5, 7) for c in (1, 2, 3) for r in (1, 2, 3)
+        for e in range(r + 1)
+        if grassmann.count_free_submodules_of_type((c,) * r, e, p, c) <= 2500])
+    def test_containing_equals_filtered_enumeration(self, p, c, r, e):
+        # the solved enumeration yields the filtered candidates, in their order
+        rng = random.Random(1000 * p + 100 * c + 10 * r + e)
+        everything = list(grassmann.iter_free_submodules(p, c, r, e))
+        cases = [([], "all")]
+        for _ in range(3):
+            inside = rng.choice(everything).k_basis()
+            gens = []
+            for _ in range(rng.randint(1, 2)):
+                coeffs = [rng.randrange(p) for _ in inside]
+                gens.append([sum(x * vec[i] for x, vec in zip(coeffs, inside)) % p
+                             for i in range(c * r)])
+            cases.append((h_span(p, c, r, gens), "some"))
+            gens = [[rng.randrange(p) for _ in range(c * r)] for _ in range(rng.randint(1, r))]
+            cases.append((h_span(p, c, r, gens), None))
+        if e < r:
+            # the socle eps^(c-1) H^r meets a free rank-e submodule in e dimensions
+            socle = [[int(i == b * c + c - 1) for i in range(c * r)] for b in range(r)]
+            cases.append((socle, "none"))
+        for rows, kind in cases:
+            expected = filtered_free_submodules(p, c, r, e, rows)
+            got = list(grassmann.iter_free_submodules(p, c, r, e, rows))
+            assert [(x.pivots, x.cols) for x in got] == [(x.pivots, x.cols) for x in expected]
+            assert kind != "all" or len(got) == len(everything)
+            assert kind != "some" or got
+            assert kind != "none" or not got
 
     def test_rank1_generator_enumeration_counts(self):
         field = PrimeField(5)
@@ -382,6 +479,40 @@ class TestFiltrationOrder:
         idx = table.betas.index((1, 2))
         res = engine.filtration_exists(m, [(idx, 1)], primes=(5, 7))
         assert all(res.values())
+
+
+class TestVertexBudget:
+    @pytest.mark.parametrize("datum", [B3, C3], ids=["B3", "C3"])
+    def test_spend_and_stream_equal_filtering_oracle(self, datum):
+        # every root module, every e, p = 5 and 7: the same count, the same
+        # units spent and the same candidates in the same order
+        table = root_table(datum, [(0, 1), (1, 2)])
+        checked = 0
+        for module in table.modules:
+            rk = hmod.require_locally_free(module)
+            for p in (5, 7):
+                mp = hmod.reduce_mod_p(module, p)
+                for e in itertools.product(*(range(x + 1) for x in rk)):
+                    solved = count_with_spend(grassmann._vertex_candidates, mp, e)
+                    oracle = count_with_spend(vertex_candidates_oracle, mp, e)
+                    assert solved == oracle, (rk, p, e)
+                    checked += solved[1] > 0
+        assert checked > 100
+
+    def test_budget_boundary(self):
+        # a budget equal to the spend succeeds and one unit less raises,
+        # naming the vertex, its rank, e_v, the prime and the candidate count
+        module = root_table(B3, [(0, 1), (1, 2)]).module_of((1, 2, 2))
+        mp = hmod.reduce_mod_p(module, 5)
+        e = (1, 1, 1)
+        count, spend, _ = count_with_spend(grassmann._vertex_candidates, mp, e)
+        assert count > 0 and spend > 1
+        assert grassmann.count_locally_free_submodules(mp, e, budget=spend) == count
+        with pytest.raises(TooLargeError) as info:
+            grassmann.count_locally_free_submodules(mp, e, budget=spend - 1)
+        assert re.fullmatch(
+            rf"enumeration budget of {spend - 1} exhausted by the \d+ free rank-\d "
+            r"candidates at vertex \d \(rank \d\) over F_5", str(info.value)), str(info.value)
 
 
 class TestBudgets:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symquiv import cartan, functors, hmod, linalg, pimod
-from symquiv.errors import InternalMismatchError, SpecMismatchError
+from symquiv.errors import InternalMismatchError, NotNilpotentError, SpecMismatchError
 from symquiv.fields import RATIONALS, prime_field_spec
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -216,6 +216,24 @@ class TestLocallyFree:
         assert hmod.check_relations(m) == []
         assert hmod.is_locally_free(m) is None
         assert hmod.eps_partition(m, 0) == (2, 1, 1)
+
+    def test_non_nilpotent_eps_raises(self):
+        # eps_0 = 1 + (a nilpotent): no power of it vanishes, and both
+        # Jordan routines used to loop for ever on it
+        spec = spec_b2(prime_field_spec(5))
+        field = spec.field()
+        eps0 = [[1, 1], [0, 1]]
+        m = hmod.HModule(spec, (2, 0), [eps0, []],
+                         {k: linalg.zeros(field, 2 if k[0] == 0 else 0, 2 if k[1] == 0 else 0)
+                          for k in spec.arrow_keys()})
+        with pytest.raises(NotNilpotentError, match="not nilpotent"):
+            hmod.jordan_basis(field, eps0)
+        with pytest.raises(NotNilpotentError, match="not nilpotent"):
+            hmod.eps_partition(m, 0)
+        with pytest.raises(NotNilpotentError, match="not nilpotent"):
+            hmod.normalize_eps(m)
+        # nilpotent of full index d: stops exactly at eps^d = 0
+        assert hmod.eps_partition(hmod.generalized_simple(spec, 0), 0) == (2,)
 
 
 class TestRandomLocallyFree:
