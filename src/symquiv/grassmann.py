@@ -34,7 +34,7 @@ from .errors import (
     PrimeReductionError,
     TooLargeError,
 )
-from .fields import PrimeField
+from .fields import PrimeField, prime_field_spec
 
 PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 DEFAULT_BUDGET = 10 ** 7
@@ -129,33 +129,7 @@ class FreeSubCandidate:
         return all(_h_is_zero(h) for h in residual)
 
 
-def _rref_mod_p(p, rows, ncols):
-    """Reduced echelon form over F_p of rows (int lists, entries in range(p))
-    with pivots sought in the first ncols columns: (rows, pivot columns), the
-    pivot rows first with pivot entries 1.  Columns past ncols (a right-hand
-    side) are carried along but never pivoted on."""
-    rows = [list(row) for row in rows]
-    pivot_cols = []
-    for col in range(ncols):
-        rank = len(pivot_cols)
-        hit = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if hit is None:
-            continue
-        prow = rows[hit]
-        rows[hit] = rows[rank]
-        if prow[col] != 1:
-            inv = pow(prow[col], -1, p)
-            prow = [x * inv % p for x in prow]
-        rows[rank] = prow
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != rank:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
-        pivot_cols.append(col)
-    return rows, pivot_cols
-
-
-def _containment_solutions(p, c, pivots, free_rows, slots, n_vars, w_basis):
+def _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis):
     """The unknowns of a pivot form that contain every w of w_basis, as
     (free unknowns, [(dependent unknown, constant, [(free unknown, coeff)])]),
     or None when no candidate with these pivots contains them.
@@ -179,12 +153,12 @@ def _containment_solutions(p, c, pivots, free_rows, slots, n_vars, w_basis):
                         for k in range(t, c):
                             eqs[k][col] = w[base + k - t]
             rows.extend(eqs)
-    reduced, pivot_cols = _rref_mod_p(p, rows, n_vars)
-    if any(row[n_vars] for row in reduced[len(pivot_cols):]):
+    reduced, pivot_cols = linalg.rref(field, rows)
+    if n_vars in pivot_cols:  # the right-hand side is a pivot: inconsistent
         return None
     dependents = []
     for row, col in zip(reduced, pivot_cols):
-        terms = [(n_vars - 1 - j, -row[j] % p) for j in range(col + 1, n_vars) if row[j]]
+        terms = [(n_vars - 1 - j, field.neg(row[j])) for j in range(col + 1, n_vars) if row[j]]
         dependents.append((n_vars - 1 - col, row[n_vars], terms))
     solved = {dep for (dep, _, _) in dependents}
     return [u for u in range(n_vars) if u not in solved], dependents
@@ -216,10 +190,10 @@ def iter_free_submodules(p, c, r, e, containing=()):
         if not any(any(w) for w in containing):
             yield FreeSubCandidate(p, c, r, 0, (), ())
         return
+    field = prime_field_spec(p).field()
     w_basis = []
     if e < r and containing:  # H^r itself (e == r) contains every vector
-        reduced, w_pivots = _rref_mod_p(p, containing, c * r)
-        w_basis = reduced[:len(w_pivots)]
+        w_basis = linalg.row_space(field, containing)
         if len(w_basis) > c * e:
             return  # a free rank-e submodule has dimension c * e
     h_full = list(itertools.product(range(p), repeat=c))
@@ -242,7 +216,7 @@ def iter_free_submodules(p, c, r, e, containing=()):
             assignments = itertools.product(*(h_eps if first else h_full
                                               for (_, _, _, first) in slots))
         else:
-            solved = _containment_solutions(p, c, pivots, free_rows, slots, n_vars, w_basis)
+            solved = _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis)
             if solved is None:
                 continue
             assignments = _solved_entries(p, c, slots, n_vars, *solved)
