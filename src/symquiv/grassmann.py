@@ -11,16 +11,20 @@ containment is linear in the pivot-form entries, so only the candidates that
 contain the forced span are enumerated, as the solutions of that system.
 Grassmannian counts enumerate source vertices of the (acyclic) constraint
 graph and close the sink vertices by the exact formula for the number of
-free submodules with prescribed containments.  Flag counts recurse on the
-bottom factor; the quotients falling in one isomorphism class are merged
-(byte-equality first, then a certified isomorphism search), so the recursion
-depth stays flat.
+free submodules with prescribed containments; the Jordan type that formula
+needs comes from one elimination of the forced span, its columns ordered by
+eps-degree (quotient_type).  Flag counts recurse on the bottom factor; the
+quotients falling in one isomorphism class are merged (byte-equality first,
+then a certified isomorphism search), so the recursion depth stays flat.
 All Euler characteristics are values at q = 1 of integer polynomials fitted
-to counts over several primes and verified on a held-out prime.
+(in integer arithmetic) to counts over several primes and verified on a
+held-out prime; an F-polynomial reduces its module mod each prime once for
+all of its e.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -249,19 +253,19 @@ def count_free_submodules_of_type(partition, e, q, c):
 
 
 def quotient_type(field, dim, c, w_rows):
-    """Jordan type of (K^dim)/W under the canonical free eps, W given by rows."""
-    # rank of eps-bar^t = dim(eps^t V + W) - dim W
-    w_rank = linalg.rank(field, w_rows) if w_rows else 0
+    """Jordan type of (K^dim)/W under the canonical free eps, W given by rows.
+
+    eps^t V is spanned by the unit vectors of eps-degree >= t, so
+    rank(eps-bar^t) = dim(eps^t V + W) - dim W = r(c-t) + rank(W on the
+    degree-<t columns) - rank W.  One elimination of W with its columns sorted
+    by degree gives every such rank: the pivots in each column prefix."""
     r = dim // c
-    ranks = [dim - w_rank]
-    for t in range(1, c + 1):
-        rows = list(w_rows)
-        for b in range(r):
-            for tau in range(t, c):
-                vec = [field.zero] * dim
-                vec[b * c + tau] = field.one
-                rows.append(vec)
-        ranks.append(linalg.rank(field, rows) - w_rank if rows else 0)
+    pivots = []
+    if w_rows:
+        order = [b * c + tau for tau in range(c) for b in range(r)]
+        pivots = linalg.rref(field, [[row[i] for i in order] for row in w_rows])[1]
+    w_rank = len(pivots)
+    ranks = [r * (c - t) + bisect.bisect_left(pivots, r * t) - w_rank for t in range(c + 1)]
     return hmod._partition_from_ranks(ranks)
 
 
@@ -453,9 +457,12 @@ def _arrow_images(field, M, v, chosen):
 
 def _forced_rows(field, M, v, chosen, powers):
     """A K-spanning set of the H-span of _arrow_images: the images under
-    powers (_eps_powers at v)."""
-    return [linalg.mat_vec(field, P, img)
-            for img in _arrow_images(field, M, v, chosen) for P in powers]
+    powers (_eps_powers at v; powers[0] is the identity)."""
+    rows = []
+    for img in _arrow_images(field, M, v, chosen):
+        rows.append(img)
+        rows.extend(linalg.mat_vec(field, P, img) for P in powers[1:])
+    return rows
 
 
 def _vertex_candidates(field, M, v, e_v, chosen, budget):
@@ -702,28 +709,34 @@ class EulerEngine:
 
     def euler_char_grlf(self, M, e):
         """chi of the locally free Grassmannian of rank e, via interpolation."""
-        rk = hmod.require_locally_free(M)
-        e = tuple(e)
-        datum = M.spec.datum
+        return self._grlf(M, hmod.require_locally_free(M), tuple(e), {})
+
+    def _grlf(self, M, rk, e, reduced):
+        """euler_char_grlf of M (locally free of rank rk), with M mod p read
+        from and added to reduced (prime -> module)."""
         if any(x < 0 or x > r for x, r in zip(e, rk)):
             return 0
-        bound = _grlf_degree_bound(datum, rk, e)
+        bound = _grlf_degree_bound(M.spec.datum, rk, e)
 
         def count(p):
-            return count_locally_free_submodules(hmod.reduce_mod_p(M, p), e, self.budget)
+            if p not in reduced:
+                reduced[p] = hmod.reduce_mod_p(M, p)
+            return count_locally_free_submodules(reduced[p], e, self.budget)
 
         poly = interpolate_counts(count, bound, pool=self.pool)
         self._record("grlf", rk, e, poly)
         return poly.value_at_one()
 
     def f_polynomial(self, M):
-        """F_M = sum over e of chi(Grlf_e(M)) Y^e as an exponent->coeff table."""
+        """F_M = sum over e of chi(Grlf_e(M)) Y^e as an exponent->coeff table.
+        M is checked and reduced mod each prime once for all e."""
         rk = hmod.require_locally_free(M)
+        reduced = {}
         terms = {}
         for e in itertools.product(*(range(r + 1) for r in rk)):
-            chi = self.euler_char_grlf(M, e)
+            chi = self._grlf(M, rk, e, reduced)
             if chi:
-                terms[tuple(e)] = chi
+                terms[e] = chi
         zero = tuple([0] * len(rk))
         if terms.get(zero) != 1 or terms.get(tuple(rk)) != 1:
             raise InterpolationError("F-polynomial lacks unit constant or top term")

@@ -9,6 +9,7 @@ combinatorics.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .fields import QQ as QQ_SINGLETON
@@ -247,39 +248,34 @@ def int_inverse(a):
 
 
 def lagrange_interpolate(points):
-    """Integer-polynomial coefficients (ascending) through exact points (x, y).
+    """Integer-polynomial coefficients (ascending) through exact integer
+    points (x, y), trailing zeros stripped.
 
-    Returns None when the interpolant is not an integer polynomial.
+    Returns None when the interpolant is not an integer polynomial.  Works in
+    integers: with N_i = prod_{j != i} (x - x_j) and d_i = N_i(x_i), the
+    interpolant times L = lcm(d_i) is sum_i y_i (L / d_i) N_i, and it is
+    integral iff L divides every coefficient of that sum.
     """
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        li = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            li = _poly_mul_linear(li, -xj)
-            denom *= xi - xj
-        scale = Fraction(yi) / denom
-        for k, c in enumerate(li):
-            coeffs[k] += scale * c
+    xs = [x for x, _ in points]
+    full = [1]  # prod_j (x - x_j), ascending
+    for xj in xs:
+        full = [0] + full
+        for k in range(len(full) - 1):
+            full[k] -= xj * full[k + 1]
+    dens = [math.prod(xi - xj for j, xj in enumerate(xs) if j != i) for i, xi in enumerate(xs)]
+    scale = math.lcm(*dens)
+    coeffs = [0] * len(points)
+    for (xi, yi), d in zip(points, dens):
+        f = yi * (scale // d)
+        carry = 0
+        for k in range(len(points), 0, -1):  # N_i = full / (x - x_i), synthetic division
+            carry = full[k] + xi * carry
+            coeffs[k - 1] += f * carry
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            return None
-        out.append(int(c))
-    return out
-
-
-def _poly_mul_linear(poly, const):
-    # poly * (x + const)
-    out = [Fraction(0)] * (len(poly) + 1)
-    for k, c in enumerate(poly):
-        out[k] += c * const
-        out[k + 1] += c
-    return out
+    if any(c % scale for c in coeffs):
+        return None
+    return [c // scale for c in coeffs]
 
 
 def poly_eval(coeffs, x):

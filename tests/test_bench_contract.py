@@ -146,3 +146,31 @@ def test_lf_candidates_are_the_accepted_candidates(monkeypatch):
     metrics = tracing.layer_metrics(tracer)
     assert metrics["grassmann.lf_candidates"]["value"] == len(accepted)
     assert metrics["grassmann.lf_submodules"]["value"] == count
+
+
+def test_f_polynomial_reduces_once_and_fits_per_e(monkeypatch):
+    # a traced F-polynomial reduces its module once per sampled prime, fits
+    # once per e in the box, and the integer fit is still a linalg span, so
+    # grassmann.interp.self_s keeps its time
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    module = functors.all_root_modules(SPEC_B2).module_of((1, 1))
+    engine = grassmann.EulerEngine()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.set_phase("setup")
+        tracer.set_phase("queries")
+        assert engine.f_polynomial(module) == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    sampled = {p for poly in engine.transcripts.values() for p, _ in poly.samples + (poly.held_out,)}
+    assert counts.calls.get("hmod.reduce_mod_p", 0) == len(sampled) > 0
+    assert counts.calls.get("grassmann.interpolate_counts", 0) == 4
+    assert counts.calls.get(tracing.COUNT_FN, 0) > len(sampled)
+    fits = "linalg.lagrange_interpolate.none"
+    assert counts.calls.get(fits, 0) >= 4 and counts.self_s.get(fits, 0) > 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["grassmann.interp.self_s"]["value"] >= counts.self_s[fits]

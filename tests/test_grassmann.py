@@ -133,6 +133,49 @@ def root_table(datum, pairs):
         datum, cartan.validate_orientation(datum, pairs), RATIONALS))
 
 
+def quotient_type_oracle(field, dim, c, w_rows):
+    """The c + 2 dense ranks: rank(eps-bar^t) = dim(eps^t V + W) - dim W, with
+    eps^t V spanned by the unit vectors of eps-degree >= t."""
+    w_rank = linalg.rank(field, w_rows) if w_rows else 0
+    r = dim // c
+    ranks = [dim - w_rank]
+    for t in range(1, c + 1):
+        rows = list(w_rows)
+        for b in range(r):
+            for tau in range(t, c):
+                vec = [field.zero] * dim
+                vec[b * c + tau] = field.one
+                rows.append(vec)
+        ranks.append(linalg.rank(field, rows) - w_rank if rows else 0)
+    return hmod._partition_from_ranks(ranks)
+
+
+def lagrange_oracle(points):
+    """Lagrange interpolation in Fraction arithmetic: the integer coefficients
+    (ascending, trailing zeros stripped), or None if one is not integral."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        li = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            nxt = [Fraction(0)] * (len(li) + 1)
+            for k, c in enumerate(li):
+                nxt[k] -= c * xj
+                nxt[k + 1] += c
+            li = nxt
+            denom *= xi - xj
+        scale = Fraction(yi) / denom
+        for k, c in enumerate(li):
+            coeffs[k] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    if any(c.denominator != 1 for c in coeffs):
+        return None
+    return [int(c) for c in coeffs]
+
+
 class AscendingPBW(grassmann.PBWEngine):
     """Lowest root index at the bottom.  In this order some root modules have
     flags through other roots (M(1,2) of B2 through M(1,0), M(0,1), M(0,1)), so
@@ -257,6 +300,57 @@ class TestGrassmannianCounts:
             assert count == brute
 
 
+class TestQuotientType:
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_random_spans_equal_oracle(self, p):
+        field = PrimeField(p)
+        rng = random.Random(p)
+        for c in (1, 2, 3):
+            for r in (1, 2, 3):
+                dim = c * r
+                whole = [[int(i == j) for j in range(dim)] for i in range(dim)]
+                assert grassmann.quotient_type(field, dim, c, []) == (c,) * r
+                assert grassmann.quotient_type(field, dim, c, whole) == ()
+                cases = [[], whole]
+                for _ in range(12):
+                    gens = [[rng.randrange(p) for _ in range(dim)]
+                            for _ in range(rng.randint(1, r + 1))]
+                    cases.append(h_span(p, c, r, gens))
+                for rows in cases:
+                    assert grassmann.quotient_type(field, dim, c, rows) == \
+                        quotient_type_oracle(field, dim, c, rows), (p, c, r, rows)
+
+    @pytest.mark.parametrize("datum", [B3, C3], ids=["B3", "C3"])
+    def test_sink_spans_of_root_counts_equal_oracle(self, datum, monkeypatch):
+        # every forced-row set a root count closes at a sink, at p = 5; the
+        # forced rows are the images under every eps power, the identity first
+        closed = []
+        arrow_images, forced_rows = grassmann._arrow_images, grassmann._forced_rows
+        quotient_type = grassmann.quotient_type
+
+        def checked_rows(field, M, v, chosen, powers):
+            rows = forced_rows(field, M, v, chosen, powers)
+            assert rows == [linalg.mat_vec(field, P, img)
+                            for img in arrow_images(field, M, v, chosen) for P in powers]
+            return rows
+
+        def checked_type(field, dim, c, w_rows):
+            qt = quotient_type(field, dim, c, w_rows)
+            assert qt == quotient_type_oracle(field, dim, c, w_rows), (dim, c, w_rows)
+            closed.append(bool(w_rows))
+            return qt
+
+        monkeypatch.setattr(grassmann, "_forced_rows", checked_rows)
+        monkeypatch.setattr(grassmann, "quotient_type", checked_type)
+        for module in root_table(datum, [(0, 1), (1, 2)]).modules:
+            rk = hmod.require_locally_free(module)
+            mp = hmod.reduce_mod_p(module, 5)
+            for e in itertools.product(*(range(x + 1) for x in rk)):
+                grassmann.count_locally_free_submodules(mp, e)
+        # B3 closes 110 non-empty spans of 120, C3 46 of 57
+        assert sum(closed) > 40 and not all(closed)
+
+
 class TestEulerCharacteristics:
     def test_chi_of_two_copies(self):
         engine = grassmann.EulerEngine()
@@ -277,6 +371,29 @@ class TestEulerCharacteristics:
                 f = engine.f_polynomial(hmod.generalized_simple(spec, i))
                 expected_e = tuple(1 if t == i else 0 for t in range(2))
                 assert f == {(0, 0): 1, expected_e: 1}
+
+    def test_f_polynomial_reduces_once_per_prime(self, monkeypatch):
+        # every e reads one reduction per prime; a prime whose reduction fails
+        # (the arrow over 5) is skipped for every e and never stored
+        m = functors.all_root_modules(SPEC_B2).module_of((1, 2))
+        expected = grassmann.EulerEngine().f_polynomial(m)
+        scaled = hmod.HModule(m.spec, m.dims, m.eps, {
+            k: [[Fraction(x, 5) for x in row] for row in A] for k, A in m.arrows.items()})
+        reduce_mod_p, primes = hmod.reduce_mod_p, []
+
+        def spy(M, p):
+            primes.append(p)
+            return reduce_mod_p(M, p)
+
+        monkeypatch.setattr(hmod, "reduce_mod_p", spy)
+        engine = grassmann.EulerEngine()
+        assert engine.f_polynomial(scaled) == expected
+        box = 2 * 3
+        sampled = {p for poly in engine.transcripts.values()
+                   for p, _ in poly.samples + (poly.held_out,)}
+        assert len(engine.transcripts) == box and 5 not in sampled
+        assert primes.count(5) == box
+        assert sorted(p for p in primes if p != 5) == sorted(sampled)
 
     def test_g_vectors(self):
         e1 = hmod.generalized_simple(SPEC_B2, 0)
@@ -574,3 +691,22 @@ class TestInterpolation:
         assert poly.value_at_one() == 2
         assert poly.held_out[0] not in [s[0] for s in poly.samples]
         assert poly.coefficients == (0, 1, 1)
+
+    def test_integer_fit_equals_fraction_oracle(self):
+        rng = random.Random(7)
+        cases = [[(5, 12)], [(5, 0)], [(5, 3), (7, 3), (11, 3)]]
+        # q^2 + q over five primes: the zero leading coefficients are stripped
+        cases.append([(p, p * p + p) for p in (5, 7, 11, 13, 17)])
+        # (q^2 + q) / 2 takes integer values but is not an integer polynomial
+        cases.append([(p, (p * p + p) // 2) for p in (5, 7, 11)])
+        for _ in range(300):
+            xs = rng.sample(grassmann.PRIME_POOL, rng.randint(1, 8))
+            if rng.random() < 0.5:
+                poly = [rng.randint(-40, 40) for _ in range(rng.randint(1, len(xs)))]
+                cases.append([(x, linalg.poly_eval(poly, x)) for x in xs])
+            else:
+                cases.append([(x, rng.randint(-10 ** 6, 10 ** 6)) for x in xs])
+        results = [linalg.lagrange_interpolate(points) for points in cases]
+        assert results == [lagrange_oracle(points) for points in cases]
+        assert results[:5] == [[12], [0], [3], [0, 1, 1], None]
+        assert any(r is None for r in results[5:]) and sum(r is not None for r in results) > 150
