@@ -81,6 +81,9 @@ def _write_transcripts(args, engine):
     os.makedirs(args.results_dir, exist_ok=True)
     out = {}
     for label, poly in engine.transcripts.items():
+        if isinstance(poly, int):  # answered by grassmann.coordinate_counts
+            out[label] = {"coordinate_count": poly}
+            continue
         out[label] = {
             "coefficients": list(poly.coefficients),
             "samples": [list(s) for s in poly.samples],

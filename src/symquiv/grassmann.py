@@ -16,10 +16,19 @@ needs comes from one elimination of the forced span, its columns ordered by
 eps-degree (quotient_type).  Flag counts recurse on the bottom factor; the
 quotients falling in one isomorphism class are merged (byte-equality first,
 then a certified isomorphism search), so the recursion depth stays flat.
-All Euler characteristics are values at q = 1 of integer polynomials fitted
+Flag Euler characteristics are values at q = 1 of integer polynomials fitted
 (in integer arithmetic) to counts over several primes and verified on a
-held-out prime; an F-polynomial reduces its module mod each prime once for
-all of its e.
+held-out prime.
+
+Grassmannian Euler characteristics use torus localization first.  A module
+whose basis a weighting separates at every vertex (torus_weighting, the
+gate: every structure map homogeneous, no two basis vectors at one vertex
+forced to the same weight) has chi(Gr^lf_e) = the number of its coordinate
+lf submodules: unions of whole eps-chains closed under the support of every
+arrow (coordinate_counts, one table per module, no prime and no budget).
+A module that fails the gate is point-counted and fitted as above; an
+F-polynomial reduces it mod each prime and prepares it (canonical eps,
+constraint order, eps powers) once for all of its e.
 """
 
 from __future__ import annotations
@@ -38,7 +47,7 @@ from .errors import (
     PrimeReductionError,
     TooLargeError,
 )
-from .fields import PrimeField, prime_field_spec
+from .fields import QQ, PrimeField, prime_field_spec
 
 PRIME_POOL = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71)
 DEFAULT_BUDGET = 10 ** 7
@@ -476,6 +485,88 @@ def _vertex_candidates(field, M, v, e_v, chosen, budget):
     yield from iter_free_submodules(p, c, r, e_v, _arrow_images(field, M, v, chosen))
 
 
+def _canonical_eps(M):
+    """Whether every eps_v of M is exactly the canonical free chain form:
+    rank(v) chains of length c_v, e_t -> e_(t+1) within each chain."""
+    field, D = M.field(), M.spec.datum.D
+    return all(not M.dims[v] or hmod.read_jordan_blocks(field, M.eps[v]) == [c] * (M.dims[v] // c)
+               for v, c in enumerate(D))
+
+
+class _LocallyFreeCounts:
+    """count_locally_free_submodules of one module over a prime field, for any
+    rank vector, with the work that depends only on the module done once: the
+    canonical eps (normalized if need be), the constraint order and the eps
+    powers.  An F-polynomial makes one per prime for all of its e."""
+
+    def __init__(self, M):
+        field = M.field()
+        if not isinstance(field, PrimeField):
+            raise ValueError("point counts run over prime fields")
+        # candidates and the sink closed form assume the canonical free eps layout
+        if not _canonical_eps(M):
+            M = hmod.normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
+            hmod.require_locally_free(M)
+        datum = M.spec.datum
+        order = _constraint_order(M)
+        if order is None:
+            order = list(range(datum.n))
+            closed = set()
+        else:
+            has_out = {src for (_, src, _) in M.arrows if M.dims[src] > 0}
+            closed = {v for v in order if v not in has_out}
+        self.M = M
+        self.field = field
+        self.enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
+        self.closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
+        self.powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
+
+    def count(self, e, budget):
+        M, field, powers = self.M, self.field, self.powers
+        datum = M.spec.datum
+        if any(c * x > d for c, x, d in zip(datum.D, e, M.dims)):
+            return 0
+        enum_verts, closed_verts = self.enum_verts, self.closed_verts
+        p = field.p
+        query = _Budget(budget)
+
+        def recurse(idx, chosen):
+            if idx == len(enum_verts):
+                total = 1
+                for v in closed_verts:
+                    c = datum.D[v]
+                    rows = _forced_rows(field, M, v, chosen, powers[v])
+                    qt = quotient_type(field, M.dims[v], c, rows)
+                    total *= count_free_submodules_of_type(qt, _vertex_rank(M, v) - e[v], p, c)
+                    if total == 0:
+                        return 0
+                return total
+            v = enum_verts[idx]
+            total = 0
+            for cand in _vertex_candidates(field, M, v, e[v], chosen, query):
+                # arrows from already-chosen vertices into v were handled by
+                # _vertex_candidates; arrows from v into already-chosen vertices (non-DAG case):
+                ok = True
+                for key, A in M.arrows.items():
+                    (i, j, _) = key
+                    if j == v and i in chosen and M.dims[i]:
+                        for vec in cand.k_basis():
+                            img = linalg.mat_vec(field, A, vec)
+                            if not chosen[i].contains_kvec(img):
+                                ok = False
+                                break
+                    if not ok:
+                        break
+                if not ok:
+                    continue
+                chosen[v] = cand
+                total += recurse(idx + 1, chosen)
+                del chosen[v]
+            return total
+
+        return recurse(0, {})
+
+
 def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
     """Exact number of locally free rank-e submodules of M over its prime field.
 
@@ -485,70 +576,149 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
     `budget` units: a vertex enumeration spends the size of its whole
     canonical candidate set (_Budget).
     """
-    field = M.field()
-    if not isinstance(field, PrimeField):
+    if not isinstance(M.field(), PrimeField):
         raise ValueError("point counts run over prime fields")
-    datum = M.spec.datum
-    n = datum.n
     e = tuple(e)
-    for v in range(n):
-        if datum.D[v] * e[v] > M.dims[v]:
-            return 0
-    # candidates and the sink closed form assume the canonical free eps layout
-    for v in range(n):
-        if M.dims[v] and hmod.read_jordan_blocks(field, M.eps[v]) != \
-                [datum.D[v]] * (M.dims[v] // datum.D[v]):
-            M = hmod.normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
-            hmod.require_locally_free(M)
-            break
-    order = _constraint_order(M)
-    if order is None:
-        order = list(range(n))
-        closed = set()
-    else:
-        has_out = {src for (_, src, _) in M.arrows if M.dims[src] > 0}
-        closed = {v for v in order if v not in has_out}
-    enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
-    closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
-    p = field.p
-    query = _Budget(budget)
-    powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
+    if any(c * x > d for c, x, d in zip(M.spec.datum.D, e, M.dims)):
+        return 0
+    return _LocallyFreeCounts(M).count(e, budget)
 
-    def recurse(idx, chosen):
-        if idx == len(enum_verts):
-            total = 1
-            for v in closed_verts:
-                c = datum.D[v]
-                rows = _forced_rows(field, M, v, chosen, powers[v])
-                qt = quotient_type(field, M.dims[v], c, rows)
-                total *= count_free_submodules_of_type(qt, _vertex_rank(M, v) - e[v], p, c)
-                if total == 0:
-                    return 0
-            return total
-        v = enum_verts[idx]
-        total = 0
-        for cand in _vertex_candidates(field, M, v, e[v], chosen, query):
-            # arrows from already-chosen vertices into v were handled by
-            # _vertex_candidates; arrows from v into already-chosen vertices (non-DAG case):
-            ok = True
-            for key, A in M.arrows.items():
-                (i, j, _) = key
-                if j == v and i in chosen and M.dims[i]:
-                    for vec in cand.k_basis():
-                        img = linalg.mat_vec(field, A, vec)
-                        if not chosen[i].contains_kvec(img):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
-                continue
-            chosen[v] = cand
-            total += recurse(idx + 1, chosen)
-            del chosen[v]
-        return total
 
-    return recurse(0, {})
+# --- torus localization: coordinate submodules ------------------------------
+
+
+def _structure_maps(M):
+    """(matrix, source vertex, target vertex) of every eps_v and every arrow."""
+    maps = [(M.eps[v], v, v) for v in range(M.spec.datum.n)]
+    maps.extend((A, j, i) for (i, j, _), A in M.arrows.items())
+    return maps
+
+
+def torus_weighting(M):
+    """Integer weights of the basis of M, one list per vertex, that make every
+    structure map homogeneous and tell apart the basis vectors at each
+    vertex; None when M fails the gate: its eps is not in canonical chain
+    form, or two basis vectors at one vertex have the same weight under every
+    weighting (they collide).
+
+    A weighting w needs one shift d_A per map A (each eps_v, each arrow) with
+    w(a) - w(b) = d_A at every nonzero entry A[a][b]: a sparse linear system
+    over Q in (w, d).  A spanning forest of its support graph solves it: a
+    basis vector x joined to its tree's root by a path gets w(x) = w(root) +
+    pi(x).d, where pi(x) counts the maps along the path with signs, and each
+    entry off the forest adds the relation (pi(a) - pi(b) - [A]).d = 0.  So
+    the weightings are the free root weights together with the d in the
+    nullspace N of the relations, and x, y at one vertex collide iff they lie
+    in one tree and pi(x).n = pi(y).n for every n in N.  The weighting
+    returned takes, in base B, the digits pi(x).n (B larger than twice every
+    digit), and offsets each tree by more than twice every such value."""
+    if not _canonical_eps(M):
+        return None
+    n = M.spec.datum.n
+    offset = [0]
+    for d in M.dims:
+        offset.append(offset[-1] + d)
+    maps = _structure_maps(M)
+    adjacent = [[] for _ in range(offset[-1])]
+    for m, (A, src, tgt) in enumerate(maps):
+        for a, row in enumerate(A):
+            for b, x in enumerate(row):
+                if x:
+                    adjacent[offset[src] + b].append((offset[tgt] + a, m, 1))
+                    adjacent[offset[tgt] + a].append((offset[src] + b, m, -1))
+    pi = [None] * offset[-1]
+    tree = [None] * offset[-1]
+    relations = set()
+    for root in range(offset[-1]):
+        if pi[root] is not None:
+            continue
+        pi[root] = (0,) * len(maps)
+        tree[root] = root
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, m, sign in adjacent[x]:
+                step = list(pi[x])
+                step[m] += sign
+                step = tuple(step)
+                if pi[y] is None:
+                    pi[y] = step
+                    tree[y] = root
+                    stack.append(y)
+                elif pi[y] != step:
+                    relations.add(tuple(s - t for s, t in zip(step, pi[y])))
+    nullspace = linalg.nullspace(QQ, [list(r) for r in sorted(relations)], len(maps))
+    digits = []
+    for vec in nullspace:
+        scale = math.lcm(*(Fraction(x).denominator for x in vec))
+        digits.append([int(x * scale) for x in vec])
+    sig = [tuple(sum(s * t for s, t in zip(pi[x], vec)) for vec in digits)
+           for x in range(offset[-1])]
+    for v in range(n):
+        seen = {(tree[x], sig[x]) for x in range(offset[v], offset[v + 1])}
+        if len(seen) < M.dims[v]:
+            return None
+    base = 2 * max((abs(s) for x in sig for s in x), default=0) + 1
+    h = [sum(s * base ** k for k, s in enumerate(x)) for x in sig]
+    spread = 2 * max(map(abs, h), default=0) + 1
+    w = [tree[x] * spread + h[x] for x in range(offset[-1])]
+    return [w[offset[v]:offset[v + 1]] for v in range(n)]
+
+
+def coordinate_counts(M):
+    """{e: chi(Gr^lf_e(M))} over the rank vectors e of nonzero Euler
+    characteristic, or None when M fails the torus_weighting gate.
+
+    For M that passes, diag(t^w) rescales every structure map, so it acts on
+    Gr^lf_e(M) (eps_v is only rescaled, so free stays free) and chi(Gr^lf_e)
+    = chi of the fixed points (Bialynicki-Birula).  The weights at a vertex
+    are distinct, so a fixed point is a coordinate subspace at each vertex;
+    an eps-stable free one is a union of whole eps-chains, and an
+    arrow-stable one holds, with each chain, every chain that an arrow's
+    nonzero entries reach from it.  Those closed sets of chains are
+    enumerated output-sensitively: taking an undecided chain forces every
+    chain it reaches, leaving it out forces out every chain reaching it, and
+    both branches always extend to a closed set."""
+    if torus_weighting(M) is None:
+        return None
+    D = M.spec.datum.D
+    chains = [(v, b) for v, c in enumerate(D) for b in range(M.dims[v] // c)]
+    index = {chain: k for k, chain in enumerate(chains)}
+    reach = [1 << k for k in range(len(chains))]  # k and every chain it forces
+    for (i, j, _), A in M.arrows.items():
+        for a, row in enumerate(A):
+            for x, val in enumerate(row):
+                if val:
+                    reach[index[(j, x // D[j])]] |= 1 << index[(i, a // D[i])]
+    changed = True
+    while changed:  # transitive closure
+        changed = False
+        for k, mask in enumerate(reach):
+            closure = mask
+            for s in range(len(chains)):
+                if mask >> s & 1:
+                    closure |= reach[s]
+            if closure != mask:
+                reach[k] = closure
+                changed = True
+    reached_from = [sum(1 << k for k, mask in enumerate(reach) if mask >> s & 1)
+                    for s in range(len(chains))]
+    vertex_masks = [sum(1 << k for k, (u, _) in enumerate(chains) if u == v)
+                    for v in range(len(D))]
+    full = (1 << len(chains)) - 1
+    counts = {}
+    stack = [(0, 0)]  # (chains taken, chains left out)
+    while stack:
+        taken, left_out = stack.pop()
+        undecided = full & ~(taken | left_out)
+        if undecided:
+            k = (undecided & -undecided).bit_length() - 1
+            stack.append((taken, left_out | reached_from[k]))
+            stack.append((taken | reach[k], left_out))
+        else:
+            e = tuple((taken & mask).bit_count() for mask in vertex_masks)
+            counts[e] = counts.get(e, 0) + 1
+    return counts
 
 
 # --- flag counting -----------------------------------------------------------
@@ -695,7 +865,8 @@ class EulerEngine:
         self.pool = pool
         self.budget = budget
         self.counters = {}
-        # "kind [rank] [e or word]" -> CountingPolynomial of the latest such count
+        # "kind [rank] [e or word]" -> CountingPolynomial of the latest such
+        # count, or the int of a grlf answered by coordinate_counts
         self.transcripts = {}
         self._dedup = Counter(budget)  # iso classes of integral models
 
@@ -704,24 +875,31 @@ class EulerEngine:
             self.counters[p] = Counter(self.budget)
         return self.counters[p]
 
-    def _record(self, kind, rk, letters, poly: CountingPolynomial):
+    def _record(self, kind, rk, letters, poly):
         self.transcripts[f"{kind} {list(rk)} {list(letters)}"] = poly
 
     def euler_char_grlf(self, M, e):
-        """chi of the locally free Grassmannian of rank e, via interpolation."""
-        return self._grlf(M, hmod.require_locally_free(M), tuple(e), {})
+        """chi of the locally free Grassmannian of rank e: a coordinate count
+        when M passes the torus gate, else fitted to point counts."""
+        return self._grlf(M, hmod.require_locally_free(M), tuple(e), coordinate_counts(M), {})
 
-    def _grlf(self, M, rk, e, reduced):
-        """euler_char_grlf of M (locally free of rank rk), with M mod p read
-        from and added to reduced (prime -> module)."""
+    def _grlf(self, M, rk, e, coordinate, prepared):
+        """euler_char_grlf of M (locally free of rank rk).  coordinate is
+        coordinate_counts(M); when it is None, the counts mod p run on
+        prepared[p], read from and added to prepared (prime ->
+        _LocallyFreeCounts of M mod p)."""
         if any(x < 0 or x > r for x, r in zip(e, rk)):
             return 0
+        if coordinate is not None:
+            chi = coordinate.get(e, 0)
+            self._record("grlf", rk, e, chi)
+            return chi
         bound = _grlf_degree_bound(M.spec.datum, rk, e)
 
         def count(p):
-            if p not in reduced:
-                reduced[p] = hmod.reduce_mod_p(M, p)
-            return count_locally_free_submodules(reduced[p], e, self.budget)
+            if p not in prepared:
+                prepared[p] = _LocallyFreeCounts(hmod.reduce_mod_p(M, p))
+            return prepared[p].count(e, self.budget)
 
         poly = interpolate_counts(count, bound, pool=self.pool)
         self._record("grlf", rk, e, poly)
@@ -729,12 +907,14 @@ class EulerEngine:
 
     def f_polynomial(self, M):
         """F_M = sum over e of chi(Grlf_e(M)) Y^e as an exponent->coeff table.
-        M is checked and reduced mod each prime once for all e."""
+        M is checked and put through the torus gate once; a module that fails
+        it is reduced and prepared mod each prime once for all e."""
         rk = hmod.require_locally_free(M)
-        reduced = {}
+        coordinate = coordinate_counts(M)
+        prepared = {}
         terms = {}
         for e in itertools.product(*(range(r + 1) for r in rk)):
-            chi = self._grlf(M, rk, e, reduced)
+            chi = self._grlf(M, rk, e, coordinate, prepared)
             if chi:
                 terms[e] = chi
         zero = tuple([0] * len(rk))

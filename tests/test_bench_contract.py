@@ -9,6 +9,8 @@ from symquiv.fields import RATIONALS, prime_field_spec
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
 SPEC_B2 = hmod.HAlgebraSpec(B2, cartan.validate_orientation(B2, [(0, 1)]), RATIONALS)
+G2 = cartan.validate_datum([[2, -1], [-3, 2]], [3, 1])
+SPEC_G2 = hmod.HAlgebraSpec(G2, cartan.validate_orientation(G2, [(0, 1)]), RATIONALS)
 
 
 def test_tracer_records_engine_layers(monkeypatch):
@@ -155,6 +157,35 @@ def test_f_polynomial_reduces_once_and_fits_per_e(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
+    # the G2 root (2, 3) fails the torus gate, so its counts are fitted
+    module = functors.all_root_modules(SPEC_G2).module_of((2, 3))
+    engine = grassmann.EulerEngine()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.set_phase("setup")
+        tracer.set_phase("queries")
+        assert engine.f_polynomial(module) == {(0, 0): 1, (1, 0): 2, (1, 1): 3, (2, 0): 1,
+                                               (2, 1): 3, (2, 2): 3, (2, 3): 1}
+    finally:
+        tracer.uninstall()
+    counts = tracer.counts
+    sampled = {p for poly in engine.transcripts.values() for p, _ in poly.samples + (poly.held_out,)}
+    assert counts.calls.get("hmod.reduce_mod_p", 0) == len(sampled) > 0
+    assert counts.calls.get("grassmann.interpolate_counts", 0) == 3 * 4
+    assert counts.calls.get(tracing.COUNT_FN, 0) > len(sampled)
+    fits = "linalg.lagrange_interpolate.none"
+    assert counts.calls.get(fits, 0) >= 3 * 4 and counts.self_s.get(fits, 0) > 0
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["grassmann.interp.self_s"]["value"] >= counts.self_s[fits]
+
+
+def test_gated_f_polynomial_counts_no_points(monkeypatch):
+    # a module that passes the torus gate is answered by coordinate_counts:
+    # no reduction mod p, no point count and no fit
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
     module = functors.all_root_modules(SPEC_B2).module_of((1, 1))
     engine = grassmann.EulerEngine()
     tracer = tracing.Tracer()
@@ -165,12 +196,10 @@ def test_f_polynomial_reduces_once_and_fits_per_e(monkeypatch):
         assert engine.f_polynomial(module) == {(0, 0): 1, (1, 0): 1, (1, 1): 1}
     finally:
         tracer.uninstall()
-    counts = tracer.counts
-    sampled = {p for poly in engine.transcripts.values() for p, _ in poly.samples + (poly.held_out,)}
-    assert counts.calls.get("hmod.reduce_mod_p", 0) == len(sampled) > 0
-    assert counts.calls.get("grassmann.interpolate_counts", 0) == 4
-    assert counts.calls.get(tracing.COUNT_FN, 0) > len(sampled)
-    fits = "linalg.lagrange_interpolate.none"
-    assert counts.calls.get(fits, 0) >= 4 and counts.self_s.get(fits, 0) > 0
-    metrics = tracing.layer_metrics(tracer)
-    assert metrics["grassmann.interp.self_s"]["value"] >= counts.self_s[fits]
+    calls = tracer.counts.calls
+    assert calls.get("grassmann.coordinate_counts", 0) == 1
+    for name in ("hmod.reduce_mod_p", "grassmann.interpolate_counts",
+                 "grassmann.count_locally_free_submodules", "grassmann.iter_free_submodules"):
+        assert calls.get(name, 0) == 0, name
+    assert engine.transcripts == {"grlf [1, 1] [0, 0]": 1, "grlf [1, 1] [0, 1]": 0,
+                                  "grlf [1, 1] [1, 0]": 1, "grlf [1, 1] [1, 1]": 1}

@@ -99,8 +99,10 @@ class TestExitCodes:
                 super().__init__(3)
 
         monkeypatch.setattr(grassmann, "_Budget", TinyBudget)
+        # every B2 root passes the torus gate and spends no budget; the G2
+        # root (2, 3) fails it and is point-counted
         with pytest.raises(SystemExit) as info:
-            cli.main(["fpoly", "--datum", str(DATA / "b2.json")])
+            cli.main(["fpoly", "--datum", str(DATA / "g2.json")])
         assert info.value.code == 3
         err = capsys.readouterr().err
         assert err.startswith("resources exhausted: enumeration budget of 3 exhausted by the ")
@@ -109,8 +111,9 @@ class TestExitCodes:
 
     def test_prime_pool_exhausted_exit_3(self):
         # a fit needs at least five points; 67 and 71 end the pool, so the
-        # user set is not extended and the fit stops after two counts
-        proc = run_cli("fpoly", "--datum", str(DATA / "b2.json"), "--prime-set", "67,71")
+        # user set is not extended and the fit stops after two counts (on
+        # the G2 root (2, 3), the first root that fails the torus gate)
+        proc = run_cli("fpoly", "--datum", str(DATA / "g2.json"), "--prime-set", "67,71")
         assert proc.returncode == 3
         assert proc.stderr.startswith("resources exhausted: prime pool exhausted")
 
@@ -176,6 +179,26 @@ class TestNofilt:
 
 
 class TestTranscripts:
+    @staticmethod
+    def check_entries(stdout, transcripts):
+        """A fitted entry reproduces its held-out count; a coordinate entry
+        is the coefficient that fpoly printed (0 when the term is absent)."""
+        printed = {(tuple(entry["rank"]), tuple(term["e"])): term["coeff"]
+                   for entry in json.loads(stdout) for term in entry["terms"]}
+        kinds = set()
+        for label, entry in transcripts.items():
+            if "coordinate_count" in entry:
+                kinds.add("coordinate")
+                rank, e = re.fullmatch(r"grlf (\[.*?\]) (\[.*\])", label).groups()
+                key = (tuple(json.loads(rank)), tuple(json.loads(e)))
+                assert entry["coordinate_count"] == printed.get(key, 0), label
+            else:
+                kinds.add("fitted")
+                prime, count = entry["held_out"]
+                value = sum(c * prime ** k for k, c in enumerate(entry["coefficients"]))
+                assert value == count, label
+        return kinds
+
     def test_results_dir(self, tmp_path):
         proc = run_cli("fpoly", "--datum", str(DATA / "b2.json"),
                        "--results-dir", str(tmp_path))
@@ -186,10 +209,22 @@ class TestTranscripts:
                     for r0, r1 in ((1, 0), (1, 1), (1, 2), (0, 1))
                     for e0 in range(r0 + 1) for e1 in range(r1 + 1)}
         assert set(transcripts) == expected
-        for label, entry in transcripts.items():
-            prime, count = entry["held_out"]
-            value = sum(c * prime ** k for k, c in enumerate(entry["coefficients"]))
-            assert value == count, label
+        assert self.check_entries(proc.stdout, transcripts) == {"coordinate"}
+
+    def test_results_dir_both_kinds(self, tmp_path):
+        # G2: the root (2, 3) fails the torus gate and is fitted, the other
+        # five are counted by coordinates
+        proc = run_cli("fpoly", "--datum", str(DATA / "g2.json"),
+                       "--results-dir", str(tmp_path))
+        assert proc.returncode == 0
+        transcripts = json.loads((tmp_path / "transcripts.json").read_text())
+        expected = {f"grlf {entry['rank']} {[e0, e1]}"
+                    for entry in json.loads(proc.stdout)
+                    for e0 in range(entry["rank"][0] + 1) for e1 in range(entry["rank"][1] + 1)}
+        assert set(transcripts) == expected
+        assert all(("coordinate_count" in entry) == (not label.startswith("grlf [2, 3] "))
+                   for label, entry in transcripts.items())
+        assert self.check_entries(proc.stdout, transcripts) == {"coordinate", "fitted"}
 
 
 class TestVerifyCommand:

@@ -374,8 +374,10 @@ class TestEulerCharacteristics:
 
     def test_f_polynomial_reduces_once_per_prime(self, monkeypatch):
         # every e reads one reduction per prime; a prime whose reduction fails
-        # (the arrow over 5) is skipped for every e and never stored
-        m = functors.all_root_modules(SPEC_B2).module_of((1, 2))
+        # (the arrow over 5) is skipped for every e and never stored.  The G2
+        # root (2, 3) fails the torus gate, so its counts are fitted
+        m = functors.all_root_modules(SPEC_G2).module_of((2, 3))
+        assert grassmann.coordinate_counts(m) is None
         expected = grassmann.EulerEngine().f_polynomial(m)
         scaled = hmod.HModule(m.spec, m.dims, m.eps, {
             k: [[Fraction(x, 5) for x in row] for row in A] for k, A in m.arrows.items()})
@@ -388,7 +390,7 @@ class TestEulerCharacteristics:
         monkeypatch.setattr(hmod, "reduce_mod_p", spy)
         engine = grassmann.EulerEngine()
         assert engine.f_polynomial(scaled) == expected
-        box = 2 * 3
+        box = 3 * 4
         sampled = {p for poly in engine.transcripts.values()
                    for p, _ in poly.samples + (poly.held_out,)}
         assert len(engine.transcripts) == box and 5 not in sampled
