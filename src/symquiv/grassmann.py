@@ -13,9 +13,12 @@ Grassmannian counts enumerate source vertices of the (acyclic) constraint
 graph and close the sink vertices by the exact formula for the number of
 free submodules with prescribed containments; the Jordan type that formula
 needs comes from one elimination of the forced span, its columns ordered by
-eps-degree (quotient_type).  Flag counts recurse on the bottom factor; the
-quotients falling in one isomorphism class are merged (byte-equality first,
-then a certified isomorphism search), so the recursion depth stays flat.
+eps-degree (quotient_type).  Flag counts recurse on the bottom factor.  An
+E-letter's submodules are split into orbits of a few verified automorphisms
+of the module, and one quotient is built per orbit (an automorphism g gives
+M/U = M/gU); quotients falling in one isomorphism class are merged
+(byte-equality first, then a certified isomorphism search), so the recursion
+depth stays flat.
 Flag Euler characteristics are values at q = 1 of integer polynomials fitted
 (in integer arithmetic) to counts over several primes and verified on a
 held-out prime.
@@ -36,6 +39,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -756,19 +761,20 @@ def _soft_iso(A, B):
         return False
 
 
-def _merge_isomorphic(quotients):
+def _merge_isomorphic(groups):
     """[(representative, multiplicity)] of the isomorphism classes among
-    quotients: byte-equal modules are grouped by key first, then groups with
-    isomorphic representatives are merged, in first-seen order."""
-    groups = {}
-    for quotient in quotients:
+    (quotient, count) pairs: byte-equal quotients are grouped by key first,
+    then groups with isomorphic representatives are merged, in first-seen
+    order."""
+    by_key = {}
+    for quotient, count in groups:
         qk = quotient.key()
-        if qk in groups:
-            groups[qk][1] += 1
+        if qk in by_key:
+            by_key[qk][1] += count
         else:
-            groups[qk] = [quotient, 1]
+            by_key[qk] = [quotient, count]
     merged = []
-    for quotient, count in groups.values():
+    for quotient, count in by_key.values():
         for entry in merged:
             if entry[0].dims == quotient.dims and _soft_iso(entry[0], quotient):
                 entry[1] += count
@@ -776,6 +782,64 @@ def _merge_isomorphic(quotients):
         else:
             merged.append([quotient, count])
     return [(rep, count) for rep, count in merged]
+
+
+def _h_inverse(p, c, h):
+    """The inverse in H = F_p[eps]/(eps^c) of h, whose constant term is nonzero."""
+    inv0 = pow(h[0], p - 2, p)
+    out = [inv0]
+    for k in range(1, c):
+        acc = 0
+        for i in range(1, k + 1):
+            acc += h[i] * out[k - i]
+        out.append(-inv0 * acc % p)
+    return out
+
+
+def _chain_frame(field, eps):
+    """(block sizes, change to chain coordinates) of a nilpotent eps: its
+    Jordan blocks in basis order and the matrix taking a vector to the
+    coordinates of a chain basis (hmod.jordan_basis), or None when eps is in
+    chain form already (read_jordan_blocks)."""
+    blocks = hmod.read_jordan_blocks(field, eps)
+    if blocks is not None:
+        return blocks, None
+    cols = hmod.jordan_basis(field, eps)
+    to_chain = linalg.inverse(field, cols)
+    return (hmod.read_jordan_blocks(field, linalg.mat_mul(field, to_chain,
+                                                          linalg.mat_mul(field, eps, cols))),
+            to_chain)
+
+
+def _rank1_key(p, c, blocks, u):
+    """The canonical generator of the free rank-one submodule H u, from u in
+    chain coordinates (the chains of eps, of the lengths in blocks, one after
+    another: coordinate pos + t is the coefficient of eps^t on the top of the
+    chain starting at pos).  The generators of one submodule differ by units
+    of H, so u is multiplied by the inverse in H of the coefficient of its
+    first full-length (c) chain with a nonzero constant term, which becomes
+    1.  None when u generates no free rank-one submodule."""
+    pos = 0
+    for lam in blocks:
+        if lam == c and u[pos]:
+            break
+        pos += lam
+    else:
+        return None
+    inv = _h_inverse(p, c, u[pos:pos + c])
+    key = []
+    pos = 0
+    for lam in blocks:
+        for t in range(lam):
+            acc = 0
+            for s in range(t + 1):
+                acc += inv[s] * u[pos + t - s]
+            key.append(acc % p)
+        pos += lam
+    return tuple(key)
+
+
+AUT_DRAWS = 2  # random elements of End(M) tried as automorphisms, per module
 
 
 class Counter:
@@ -793,6 +857,7 @@ class Counter:
         self.group_memo = {}
         self.class_reps = []
         self.rep_memo = {}  # (spec, key) -> representative; key() omits the spec
+        self.aut_memo = {}  # key -> verified automorphisms (_automorphisms)
 
     def class_rep(self, M):
         """The first-seen module isomorphic to M (M itself if none is)."""
@@ -812,24 +877,98 @@ class Counter:
         self.rep_memo[memo_key] = rep
         return rep
 
+    def _automorphisms(self, M):
+        """Verified automorphisms of M over its prime field, as tuples of
+        vertex matrices: AUT_DRAWS seeded random elements of End(M)
+        (hom_basis, once per module), each kept only if
+        hmod._combination_invertible proves it invertible.  None are drawn
+        when End(M) is the scalars, which fix every submodule."""
+        memo_key = M.key()
+        if memo_key not in self.aut_memo:
+            field = M.field()
+            p = field.p
+            basis = hmod.hom_basis(M, M).basis
+            rng = random.Random(0)
+            auts = []
+            for _ in range(AUT_DRAWS if len(basis) > 1 else 0):
+                coeffs = [rng.randrange(p) for _ in basis]
+                if hmod._combination_invertible(field, M, basis, coeffs):
+                    auts.append(tuple(
+                        [[sum(x * f[v][a][b] for x, f in zip(coeffs, basis)) % p
+                          for b in range(M.dims[v])] for a in range(M.dims[v])]
+                        for v in range(M.spec.datum.n)))
+            self.aut_memo[memo_key] = auts
+        return self.aut_memo[memo_key]
+
+    def _orbits(self, M, j, gens):
+        """[(index of the first-seen generator, orbit size)] of the rank-one
+        generators gens at vertex j, in first-seen order, under the group
+        that the automorphisms of M generate: each u is joined with g_j u,
+        found by its _rank1_key.  An image that is not among gens raises."""
+        if len(gens) == 1:
+            return [(0, 1)]
+        field = M.field()
+        p, c = field.p, M.spec.datum.D[j]
+        blocks, to_chain = _chain_frame(field, M.eps[j])
+
+        def key(u):
+            return _rank1_key(p, c, blocks, u if to_chain is None else
+                             linalg.mat_vec(field, to_chain, u))
+
+        index = {key(u): k for k, u in enumerate(gens)}
+        if None in index or len(index) != len(gens):
+            raise InternalMismatchError(
+                "the rank-one generators do not span distinct free submodules")
+        root = list(range(len(gens)))
+
+        def find(k):
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        for g in self._automorphisms(M):
+            for k, u in enumerate(gens):
+                image = index.get(key([sum(map(operator.mul, row, u)) % p for row in g[j]]))
+                if image is None:
+                    raise InternalMismatchError(
+                        f"an automorphism maps a rank-one generator at vertex {j} "
+                        f"outside the generators (dims {M.dims}, {field!r})")
+                a, b = find(k), find(image)
+                if a != b:
+                    root[max(a, b)] = min(a, b)  # the first-seen member stays the root
+        sizes = {}
+        for k in range(len(gens)):
+            r = find(k)
+            sizes[r] = sizes.get(r, 0) + 1
+        return sorted(sizes.items())
+
     def bottom_e_groups(self, M, j):
-        """[(quotient representative, multiplicity)] over E_j-submodules of M."""
+        """[(quotient representative, multiplicity)] over E_j-submodules of M.
+
+        The E_j-submodules are the H u for the free rank-one generators u of
+        allowed_bottom_space.  An automorphism g of M gives M/Hu = M/H(g u),
+        so one quotient is built per orbit (_orbits), from its first-seen
+        generator, and weighted by the orbit size; orbits merge further only
+        by a proved isomorphism (_merge_isomorphic)."""
         key = (M.key(), j)
         if key in self.group_memo:
             return self.group_memo[key]
         field = M.field()
         c = M.spec.datum.D[j]
         n = M.spec.datum.n
-        core = allowed_bottom_space(M, j)
+        gens = []
+        for u in iter_free_rank1_generators(field, M.eps[j], allowed_bottom_space(M, j), c):
+            self._query.spend(1)
+            gens.append(u)
+        powers = _eps_powers(field, M.eps[j], c)
 
-        def quotients():
-            powers = _eps_powers(field, M.eps[j], c)
-            for u in iter_free_rank1_generators(field, M.eps[j], core, c):
-                self._query.spend(1)
-                span = [linalg.mat_vec(field, P, u) for P in powers]
-                yield hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
+        def quotient(u):
+            span = [linalg.mat_vec(field, P, u) for P in powers]
+            return hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
 
-        out = _merge_isomorphic(quotients()) if core else []
+        out = _merge_isomorphic((quotient(gens[k]), size)
+                                for k, size in self._orbits(M, j, gens)) if gens else []
         self.group_memo[key] = out
         return out
 
@@ -869,6 +1008,7 @@ class EulerEngine:
         # count, or the int of a grlf answered by coordinate_counts
         self.transcripts = {}
         self._dedup = Counter(budget)  # iso classes of integral models
+        self.reductions = {}  # (spec, key) of a class representative -> {prime: reduction}
 
     def counter(self, p) -> Counter:
         if p not in self.counters:
@@ -923,7 +1063,11 @@ class EulerEngine:
         return terms
 
     def flag_euler(self, M, word):
-        rk = hmod.require_locally_free(M)
+        return self._flag_euler(M, hmod.require_locally_free(M), word)
+
+    def _flag_euler(self, M, rk, word):
+        """flag_euler of M, locally free of rank rk; 0 unless the letters of
+        word add up to rk."""
         datum = M.spec.datum
         need = [0] * datum.n
         for letter in word:
@@ -932,27 +1076,23 @@ class EulerEngine:
             return 0
         M = self._dedup.class_rep(M)  # isomorphic inputs share counts
         bound = _flag_degree_bound(rk, datum, word)
+        reductions = self.reductions.setdefault((M.spec, M.key()), {})
 
         def count(p):
-            return self.counter(p).flag_count(hmod.reduce_mod_p(M, p), word)
+            if p not in reductions:
+                reductions[p] = hmod.reduce_mod_p(M, p)
+            return self.counter(p).flag_count(reductions[p], word)
 
         poly = interpolate_counts(count, bound, pool=self.pool)
         self._record("flag", rk, word, poly)
         return poly.value_at_one()
 
     def theta_eval(self, combination, M):
-        """Evaluate a formal integer combination of E-words on M, exactly."""
+        """Evaluate a formal integer combination of E-words on M, exactly;
+        graded pieces of the wrong weight evaluate to zero."""
         rk = hmod.require_locally_free(M)
-        datum = M.spec.datum
-        total = Fraction(0)
-        for coeff, word in combination:
-            need = [0] * datum.n
-            for letter in word:
-                need[letter] += 1
-            if list(rk) != need:
-                continue  # graded pieces of the wrong weight evaluate to zero
-            total += Fraction(coeff) * self.flag_euler(M, word)
-        return total
+        return sum((Fraction(coeff) * self._flag_euler(M, rk, word)
+                    for coeff, word in combination), Fraction(0))
 
 
 def serre_commutator(i, j, power):
@@ -1025,7 +1165,7 @@ class ClassFlagCounter:
                 # rigid locally free modules of a fixed rank form one class:
                 # membership is detected by the minimal endomorphism dimension
                 if hmod.hom_dim(sub, sub) == self.end_dims[cls_idx]:
-                    yield hmod.quotient_by_subspaces(M, subspaces)
+                    yield hmod.quotient_by_subspaces(M, subspaces), 1
 
         out = _merge_isomorphic(quotients()) if hmod.hom_dim(self.classes[cls_idx], M) else []
         self.group_memo[key] = out

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from symquiv import cartan, functors, grassmann, hmod, linalg, verify
-from symquiv.errors import InterpolationError, TooLargeError
+from symquiv.errors import InternalMismatchError, InterpolationError, TooLargeError
 from symquiv.fields import RATIONALS, PrimeField, prime_field_spec
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -131,6 +131,60 @@ def h_span(p, c, r, vecs):
 def root_table(datum, pairs):
     return functors.all_root_modules(hmod.HAlgebraSpec(
         datum, cartan.validate_orientation(datum, pairs), RATIONALS))
+
+
+def per_quotient_groups(M, j):
+    """Oracle: the E_j groups of M by one quotient per rank-one generator,
+    grouped by key and then merged by isomorphism in first-seen order, as
+    [(representative key, multiplicity)]."""
+    field, c, n = M.field(), M.spec.datum.D[j], M.spec.datum.n
+    core = grassmann.allowed_bottom_space(M, j)
+    powers = grassmann._eps_powers(field, M.eps[j], c)
+    by_key = {}
+    for u in grassmann.iter_free_rank1_generators(field, M.eps[j], core, c):
+        span = [linalg.mat_vec(field, P, u) for P in powers]
+        quotient = hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
+        by_key.setdefault(quotient.key(), [quotient, 0])[1] += 1
+    merged = []
+    for quotient, count in by_key.values():
+        for entry in merged:
+            if entry[0].dims == quotient.dims and grassmann._soft_iso(entry[0], quotient):
+                entry[1] += count
+                break
+        else:
+            merged.append([quotient, count])
+    return [(rep.key(), count) for rep, count in merged]
+
+
+def criterion_9_modules(spec, count):
+    """The first `count` modules that criterion 9 draws for spec's datum."""
+    rng = random.Random(77)
+    seeds = [rng.randrange(10 ** 9) for _ in range(100)]
+    offset = 0 if spec.datum == B2 else 50
+    power = 1 - spec.datum.C[0][1]
+    return [hmod.random_locally_free(spec, (power, 1), seed)
+            for seed in seeds[offset:offset + count]]
+
+
+def rank1_keys(M, j):
+    """(generators, their canonical keys) of the E_j-submodules of M."""
+    field, c = M.field(), M.spec.datum.D[j]
+    gens = list(grassmann.iter_free_rank1_generators(
+        field, M.eps[j], grassmann.allowed_bottom_space(M, j), c))
+    blocks, to_chain = grassmann._chain_frame(field, M.eps[j])
+    keys = [grassmann._rank1_key(field.p, c, blocks, u if to_chain is None
+                                 else linalg.mat_vec(field, to_chain, u)) for u in gens]
+    return gens, keys
+
+
+def h_act(field, eps, a, u):
+    """a(eps) u for an H-element a given by its coefficients."""
+    out = [field.zero] * len(u)
+    vec = u
+    for coeff in a:
+        out = [field.add(x, field.mul(coeff, y)) for x, y in zip(out, vec)]
+        vec = linalg.mat_vec(field, eps, vec)
+    return out
 
 
 def quotient_type_oracle(field, dim, c, w_rows):
@@ -444,6 +498,14 @@ class TestFlags:
         with pytest.raises(ValueError):
             grassmann.Counter().bottom_e_groups(m, 0)
 
+    def test_merge_reaches_isomorphism_test_across_orbits(self):
+        # the module of test_merge_propagates_unexpected_errors keeps more
+        # than one orbit, so its merge still calls is_isomorphic
+        m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (2, 1), 1), 5)
+        counter = grassmann.Counter()
+        gens, _ = rank1_keys(m, 0)
+        assert len(counter._orbits(m, 0, gens)) > 1
+
     def test_flag_through_root_module(self):
         # He_2 has a unique E-flag structure E_1 then E_2 and none reversed
         engine = grassmann.EulerEngine()
@@ -468,6 +530,118 @@ class TestFlags:
                 assert chi1 == chi2
 
 
+class TestOrbitMerge:
+    @pytest.mark.parametrize("spec, p, count", [(SPEC_B2, 5, 4), (SPEC_B2, 7, 3),
+                                                (SPEC_G2, 5, 2), (SPEC_G2, 7, 1)])
+    def test_groups_equal_per_quotient_oracle(self, spec, p, count):
+        # every E-group that the commutator's flag counts reach
+        seen = []
+
+        class Recording(grassmann.Counter):
+            def bottom_e_groups(self, M, j):
+                if (M.key(), j) not in self.group_memo:
+                    seen.append((M, j))
+                return super().bottom_e_groups(M, j)
+
+        combo = grassmann.serre_commutator(0, 1, 1 - spec.datum.C[0][1])
+        for module in criterion_9_modules(spec, count):
+            counter = Recording()
+            m = hmod.reduce_mod_p(module, p)
+            for _, word in combo:
+                counter.flag_count(m, word)
+        assert len(seen) > 10
+        merged = 0
+        for M, j in seen:
+            got = grassmann.Counter().bottom_e_groups(M, j)
+            assert [(rep.key(), mult) for rep, mult in got] == per_quotient_groups(M, j)
+            merged += sum(mult for _, mult in got) > len(got)
+        assert merged  # some orbit or class holds more than one submodule
+
+    def test_groups_without_chain_form_eps(self):
+        # a vertex basis change that is not H-linear: keys go through a chain basis
+        m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_G2, (2, 1), 3), 5)
+        field = m.field()
+        g = linalg.identity(field, 6)
+        g[0][1] = g[2][5] = g[4][3] = field.one
+        hmod.change_vertex_basis(m, 0, g)
+        assert hmod.read_jordan_blocks(field, m.eps[0]) is None
+        got = grassmann.Counter().bottom_e_groups(m, 0)
+        assert [(rep.key(), mult) for rep, mult in got] == per_quotient_groups(m, 0)
+
+    @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5)])
+    def test_key_is_a_unit_invariant(self, spec, p):
+        rng = random.Random(p)
+        for module in criterion_9_modules(spec, 2):
+            m = hmod.reduce_mod_p(module, p)
+            field, c = m.field(), spec.datum.D[0]
+            blocks, _ = grassmann._chain_frame(field, m.eps[0])
+            gens, keys = rank1_keys(m, 0)
+            for u, key in zip(gens, keys):
+                unit = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(c - 1)]
+                assert grassmann._rank1_key(p, c, blocks, h_act(field, m.eps[0], unit, u)) == key
+                assert grassmann._rank1_key(p, c, blocks, list(key)) == key
+
+    @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5)])
+    def test_one_key_per_free_rank1_submodule(self, spec, p):
+        for module in criterion_9_modules(spec, 2):
+            m = hmod.reduce_mod_p(module, p)
+            field, c = m.field(), spec.datum.D[0]
+            core = grassmann.allowed_bottom_space(m, 0)
+            ranks = [len(core)]
+            vecs = core
+            while ranks[-1]:
+                vecs = [linalg.mat_vec(field, m.eps[0], v) for v in vecs]
+                ranks.append(linalg.rank(field, vecs))
+            jordan_type = hmod._partition_from_ranks(ranks)
+            _, keys = rank1_keys(m, 0)
+            assert None not in keys
+            assert len(set(keys)) == grassmann.count_free_submodules_of_type(jordan_type, 1, p, c)
+
+    @pytest.mark.parametrize("p, c, blocks", [(5, 2, [2, 1]), (3, 2, [1, 2, 2]),
+                                              (3, 3, [3, 1, 3]), (5, 3, [2, 3])])
+    def test_one_key_per_free_rank1_submodule_of_mixed_type(self, p, c, blocks):
+        field = PrimeField(p)
+        eps = hmod.jordan_nilpotent(field, blocks)
+        space = linalg.identity(field, sum(blocks))
+        keys = [grassmann._rank1_key(p, c, blocks, u)
+                for u in grassmann.iter_free_rank1_generators(field, eps, space, c)]
+        jordan_type = tuple(sorted(blocks, reverse=True))
+        assert None not in keys
+        assert len(set(keys)) == grassmann.count_free_submodules_of_type(jordan_type, 1, p, c)
+
+    @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5)])
+    def test_automorphism_images_are_candidates(self, spec, p):
+        for module in criterion_9_modules(spec, 2):
+            m = hmod.reduce_mod_p(module, p)
+            field, n = m.field(), spec.datum.n
+            gens, keys = rank1_keys(m, 0)
+            blocks, _ = grassmann._chain_frame(field, m.eps[0])
+            auts = grassmann.Counter()._automorphisms(m)
+            assert auts
+            for g in auts:
+                for v in range(n):  # an invertible module map
+                    assert linalg.rank(field, g[v]) == m.dims[v]
+                    eps = m.eps[v]
+                    assert linalg.mat_mul(field, g[v], eps) == linalg.mat_mul(field, eps, g[v])
+                for (i, j, _), A in m.arrows.items():
+                    assert linalg.mat_mul(field, g[i], A) == linalg.mat_mul(field, A, g[j])
+                images = {grassmann._rank1_key(p, spec.datum.D[0], blocks,
+                                               linalg.mat_vec(field, g[0], u)) for u in gens}
+                assert images == set(keys)
+
+    def test_missing_image_raises(self, monkeypatch):
+        # an invertible map at vertex 0 that does not commute with eps takes
+        # the generator e_0 to eps e_0, which generates no free submodule
+        m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (2, 1), 1), 5)
+        field = m.field()
+        g = [row[:] for row in linalg.identity(field, 4)]
+        g[0], g[1] = g[1], g[0]
+        fake = (g, linalg.identity(field, 1))
+        monkeypatch.setattr(grassmann.Counter, "_automorphisms", lambda self, M: [fake])
+        with pytest.raises(InternalMismatchError, match="outside the generators"):
+            grassmann.Counter().bottom_e_groups(m, 0)
+
+
 class TestSerre:
     def test_commutator_expansion(self):
         combo = grassmann.serre_commutator(0, 1, 2)
@@ -486,6 +660,34 @@ class TestSerre:
         for seed in range(5):
             m = hmod.random_locally_free(SPEC_B2, (power, 1), seed)
             assert engine.theta_eval(combo, m) == 0
+
+    def test_query_checks_once_and_reduces_once_per_prime(self, monkeypatch):
+        # theta_eval checks local freeness once for all of its words, and the
+        # class representative is reduced once per prime for every word and query
+        lf_checks, reductions = [], []
+        is_locally_free, reduce_mod_p = hmod.is_locally_free, hmod.reduce_mod_p
+
+        def checking(M):
+            lf_checks.append(M)
+            return is_locally_free(M)
+
+        def reducing(M, p):
+            reductions.append((M.key(), p))
+            return reduce_mod_p(M, p)
+
+        m = hmod.random_locally_free(SPEC_B2, (2, 1), 7)
+        monkeypatch.setattr(hmod, "is_locally_free", checking)
+        monkeypatch.setattr(hmod, "reduce_mod_p", reducing)
+        engine = grassmann.EulerEngine()
+        combo = grassmann.serre_commutator(0, 1, 2)
+        assert engine.theta_eval(combo, m) == 0
+        assert len(lf_checks) == 1
+        fit = engine.transcripts["flag [2, 1] [0, 0, 1]"]
+        primes = {p for p, _ in fit.samples} | {fit.held_out[0]}
+        assert sorted(reductions) == sorted((m.key(), p) for p in primes)
+        made = len(reductions)
+        assert engine.theta_eval(combo, m) == 0
+        assert len(lf_checks) == 2 and len(reductions) == made
 
     def test_class_lookup_once_per_module(self, monkeypatch):
         # a conjugate of a cached module is matched to it by one isomorphism
