@@ -89,6 +89,8 @@ def _write_transcripts(args, engine):
             "samples": [list(s) for s in poly.samples],
             "held_out": list(poly.held_out),
         }
+        if poly.variety:  # a Grassmannian fit: "fixed_locus" or "grassmannian"
+            out[label]["variety"] = poly.variety
     path = os.path.join(args.results_dir, "transcripts.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(out, sort_keys=True, separators=(",", ":")))

@@ -29,9 +29,17 @@ gate: every structure map homogeneous, no two basis vectors at one vertex
 forced to the same weight) has chi(Gr^lf_e) = the number of its coordinate
 lf submodules: unions of whole eps-chains closed under the support of every
 arrow (coordinate_counts, one table per module, no prime and no budget).
-A module that fails the gate is point-counted and fitted as above; an
-F-polynomial reduces it mod each prime and prepares it (canonical eps,
-constraint order, eps powers) once for all of its e.
+A module that fails the gate but has eps in canonical chain form is still
+acted on by the torus diag(t^w) of its weighting (_torus_weights), and
+chi(Gr^lf_e) is chi of the fixed locus: the graded lf submodules.  They are
+point-counted and fitted as above, with every pivot-form entry that does not
+sit at its pivot's weight forced to 0 (iter_free_submodules(weights=)),
+every vertex enumerated (the sink formula counts ungraded submodules too)
+and the candidate lists kept per (vertex, e_v, forced span) across the e of
+one F-polynomial, within a bounded memo (_CandidateMemo).  A module whose
+eps is not in chain form counts the whole Gr^lf_e.  Either way an
+F-polynomial reduces the module mod each prime and prepares it (canonical
+eps, constraint order, eps powers) once for all of its e.
 """
 
 from __future__ import annotations
@@ -132,6 +140,9 @@ class FreeSubCandidate:
             self._kbasis = basis
         return self._kbasis
 
+    def forget_k_basis(self):
+        self._kbasis = None
+
     def contains_kvec(self, vec):
         p, c, r = self.p, self.c, self.r
         hv = _kvec_to_hvec(vec, c, r)
@@ -147,14 +158,48 @@ class FreeSubCandidate:
         return all(_h_is_zero(h) for h in residual)
 
 
+def _pivot_slots(c, r, pivots, weights=None):
+    """(free rows, slots, number of unknowns) of the pivot forms with these
+    pivots.  Slot (s, b, off, first, stop) holds the unknowns off, off + 1,
+    ...: the coefficients of eps^first, ..., eps^(stop-1) in x[s][b]; the
+    other coefficients of x[s][b] are 0.  Rows above the pivot take eps*H
+    (first >= 1), rows below take H.  With weights (one per K-basis vector
+    of H^r, eps homogeneous), only the coefficients whose weight
+    weights[b*c+t] is the pivot head's weights[pv_s*c] are unknowns: the
+    weights along a chain are affine in t, so these t form a range."""
+    pivot_set = set(pivots)
+    free_rows = [b for b in range(r) if b not in pivot_set]
+    slots = []
+    n_vars = 0
+    for s, pv in enumerate(pivots):
+        for b in free_rows:
+            first, stop = (0 if b > pv else 1), c
+            if weights is not None:
+                head = weights[pv * c]
+                ts = [t for t in range(first, c) if weights[b * c + t] == head]
+                if not ts:
+                    continue
+                first, stop = ts[0], ts[-1] + 1
+                if len(ts) != stop - first:
+                    raise ValueError("the weights do not make eps homogeneous")
+            slots.append((s, b, n_vars, first, stop))
+            n_vars += stop - first
+    return free_rows, slots, n_vars
+
+
+def _candidate_set_size(p, c, r, e, weights=None):
+    """The number of free rank-e submodules of H^r in canonical form (with
+    weights, of those whose entries all sit at their pivot's weight)."""
+    return sum(p ** _pivot_slots(c, r, pivots, weights)[2]
+               for pivots in itertools.combinations(range(r), e))
+
+
 def _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis):
     """The unknowns of a pivot form that contain every w of w_basis, as
     (free unknowns, [(dependent unknown, constant, [(free unknown, coeff)])]),
     or None when no candidate with these pivots contains them.
 
-    Slot (s, b, off, first) holds the unknowns off, off + 1, ...: the
-    coefficients of eps^first, ..., eps^(c-1) in x[s][b] (first is 1 above
-    the pivot, where the constant term is 0).  A candidate contains w iff
+    The slots are those of _pivot_slots.  A candidate contains w iff
     w[b] = sum_s w[pv_s] * x[s][b] in H at every free row b: the pivot rows
     read the coefficients off.  Columns run over the unknowns in reverse, so
     each dependent unknown is solved for in terms of earlier free ones."""
@@ -163,10 +208,10 @@ def _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis):
         for b in free_rows:
             # equation k: the eps^k coefficients of sum_s w[pv_s] * x[s][b] = w[b]
             eqs = [[0] * n_vars + [w[b * c + k]] for k in range(c)]
-            for (s, sb, off, first) in slots:
+            for (s, sb, off, first, stop) in slots:
                 if sb == b:
                     base = pivots[s] * c
-                    for t in range(first, c):
+                    for t in range(first, stop):
                         col = n_vars - 1 - (off + t - first)
                         for k in range(t, c):
                             eqs[k][col] = w[base + k - t]
@@ -185,23 +230,37 @@ def _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis):
 def _solved_entries(p, c, slots, n_vars, free_vars, dependents):
     """The slot entries (H-tuples, in slot order) of every solution of
     _containment_solutions, the free unknowns running lexicographically."""
+    spans = [(off, off + stop - first, (0,) * first, (0,) * (c - stop))
+             for (_, _, off, first, stop) in slots]
+    shared = {}  # one object per distinct entry, so kept candidates share them
     x = [0] * n_vars
     for values in itertools.product(range(p), repeat=len(free_vars)):
         for u, val in zip(free_vars, values):
             x[u] = val
         for u, const, terms in dependents:
             x[u] = (const + sum(coeff * x[f] for f, coeff in terms)) % p
-        yield [(0,) * first + tuple(x[off:off + c - first]) for (_, _, off, first) in slots]
+        entries = []
+        for off, end, head, tail in spans:
+            h = head + tuple(x[off:end]) + tail
+            entries.append(shared.setdefault(h, h))
+        yield entries
 
 
-def iter_free_submodules(p, c, r, e, containing=()):
+def iter_free_submodules(p, c, r, e, containing=(), weights=None):
     """The free rank-e submodules of H^r in canonical form that contain every
     K-vector of `containing`, pivot sets in lexicographic order and the
     entries of each pivot form lexicographically, slot by slot.
 
     The containment conditions are linear in the entries, so their solutions
     are enumerated directly; each dependent entry is a function of earlier
-    free ones, which keeps the order of the unconstrained enumeration."""
+    free ones, which keeps the order of the unconstrained enumeration.
+
+    With weights (one integer per K-basis vector b*c+t of H^r, making eps
+    homogeneous), only the submodules fixed by the torus diag(t^weights)
+    are enumerated, in the same order: the canonical form is unique and the
+    torus rescales the entry x[s][b] at eps^t by t^(weights[b*c+t] -
+    weights[pv_s*c]), so a submodule is fixed iff each of its entries sits
+    at its pivot's weight (_pivot_slots)."""
     if e > r:
         return
     if e == 0:
@@ -214,25 +273,19 @@ def iter_free_submodules(p, c, r, e, containing=()):
         w_basis = linalg.row_space(field, containing)
         if len(w_basis) > c * e:
             return  # a free rank-e submodule has dimension c * e
-    h_full = list(itertools.product(range(p), repeat=c))
-    h_eps = [h for h in h_full if h[0] == 0]
+    options = {}  # (first, stop) -> the H-tuples with support in [first, stop)
     unit = tuple([1] + [0] * (c - 1))
     zero = tuple([0] * c)
     for pivots in itertools.combinations(range(r), e):
-        pivot_set = set(pivots)
-        free_rows = [b for b in range(r) if b not in pivot_set]
-        # each column s: rows above its pivot take eps*H, rows below take H;
-        # slot (s, b, offset of its first unknown, first unknown's eps power)
-        slots = []
-        n_vars = 0
-        for s, pv in enumerate(pivots):
-            for b in free_rows:
-                first = 0 if b > pv else 1
-                slots.append((s, b, n_vars, first))
-                n_vars += c - first
+        free_rows, slots, n_vars = _pivot_slots(c, r, pivots, weights)
         if not w_basis:
-            assignments = itertools.product(*(h_eps if first else h_full
-                                              for (_, _, _, first) in slots))
+            for (_, _, _, first, stop) in slots:
+                if (first, stop) not in options:
+                    options[(first, stop)] = [
+                        (0,) * first + h + (0,) * (c - stop)
+                        for h in itertools.product(range(p), repeat=stop - first)]
+            assignments = itertools.product(*(options[(first, stop)]
+                                              for (_, _, _, first, stop) in slots))
         else:
             solved = _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis)
             if solved is None:
@@ -242,9 +295,9 @@ def iter_free_submodules(p, c, r, e, containing=()):
             cols = [[zero] * r for _ in range(e)]
             for s, pv in enumerate(pivots):
                 cols[s][pv] = unit
-            for (s, b, _, _), h in zip(slots, assignment):
+            for (s, b, _, _, _), h in zip(slots, assignment):
                 cols[s][b] = h
-            yield FreeSubCandidate(p, c, r, e, pivots, tuple(tuple(col) for col in cols))
+            yield FreeSubCandidate(p, c, r, e, pivots, tuple([tuple(col) for col in cols]))
 
 
 def count_free_submodules_of_type(partition, e, q, c):
@@ -291,6 +344,7 @@ class CountingPolynomial:
     coefficients: tuple  # ascending powers of q
     samples: tuple       # ((prime, count), ...) used for the fit
     held_out: tuple      # (prime, count) validation point
+    variety: str | None = None  # what a Grassmannian fit counted: "grassmannian" or "fixed_locus"
 
     def value_at_one(self):
         return sum(self.coefficients)
@@ -479,14 +533,17 @@ def _forced_rows(field, M, v, chosen, powers):
     return rows
 
 
+def _spend_on_vertex(budget, size, v, r, e_v, p):
+    budget.spend(size, f"the {size} free rank-{e_v} candidates at vertex {v} (rank {r}) over F_{p}")
+
+
 def _vertex_candidates(field, M, v, e_v, chosen, budget):
     """Free rank-e_v candidates at v that contain the arrow images (an
     H-submodule contains their H-span).  The call spends the size of the
     whole canonical candidate set at v, so a query spends what enumerating
     and filtering every candidate would."""
     p, c, r = field.p, M.spec.datum.D[v], _vertex_rank(M, v)
-    size = count_free_submodules_of_type((c,) * r, e_v, p, c)
-    budget.spend(size, f"the {size} free rank-{e_v} candidates at vertex {v} (rank {r}) over F_{p}")
+    _spend_on_vertex(budget, count_free_submodules_of_type((c,) * r, e_v, p, c), v, r, e_v, p)
     yield from iter_free_submodules(p, c, r, e_v, _arrow_images(field, M, v, chosen))
 
 
@@ -498,24 +555,59 @@ def _canonical_eps(M):
                for v, c in enumerate(D))
 
 
+FIXED_MEMO_ROOM = 2048  # candidate lists plus candidates kept per F-polynomial
+
+
+class _CandidateMemo:
+    """Torus-fixed candidate lists by (prime, vertex, e_v, forced span in
+    RREF), shared by the primes of one F-polynomial.  Lists are kept until
+    `room` units (one per list, one per candidate) are used, which bounds
+    the memory; a list that does not fit is enumerated again at each visit."""
+
+    def __init__(self):
+        self.lists = {}
+        self.room = FIXED_MEMO_ROOM
+
+    def get(self, key, enumerate_candidates):
+        if key in self.lists:
+            return self.lists[key]
+        candidates = list(enumerate_candidates())
+        if len(candidates) < self.room:
+            self.room -= 1 + len(candidates)
+            self.lists[key] = candidates
+        return candidates
+
+
 class _LocallyFreeCounts:
     """count_locally_free_submodules of one module over a prime field, for any
     rank vector, with the work that depends only on the module done once: the
     canonical eps (normalized if need be), the constraint order and the eps
-    powers.  An F-polynomial makes one per prime for all of its e."""
+    powers.  An F-polynomial makes one per prime for all of its e.
 
-    def __init__(self, M):
+    With weights (_torus_weights of the integral model, whose eps must be
+    canonical), it counts the fixed locus of the torus diag(t^weights) in
+    Gr^lf_e instead: the graded lf submodules.  Every vertex is enumerated
+    (the sink closed form counts all free submodules, not the graded ones),
+    and the candidate lists are kept per (vertex, e_v, RREF of the forced
+    span), for all e; each vertex visit still spends the size of its whole
+    torus-fixed candidate set."""
+
+    def __init__(self, M, weights=None, memo=None):
         field = M.field()
         if not isinstance(field, PrimeField):
             raise ValueError("point counts run over prime fields")
         # candidates and the sink closed form assume the canonical free eps layout
         if not _canonical_eps(M):
+            if weights is not None:
+                raise ValueError("fixed-locus counts need eps in canonical chain form")
             M = hmod.normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
             hmod.require_locally_free(M)
         datum = M.spec.datum
         order = _constraint_order(M)
         if order is None:
             order = list(range(datum.n))
+            closed = set()
+        elif weights is not None:
             closed = set()
         else:
             has_out = {src for (_, src, _) in M.arrows if M.dims[src] > 0}
@@ -525,51 +617,72 @@ class _LocallyFreeCounts:
         self.enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
         self.closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
         self.powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
+        self.weights = weights
+        if weights is not None:
+            self.memo = memo if memo is not None else _CandidateMemo()
+        self.sizes = {}  # (v, e_v) -> size of the torus-fixed candidate set
+
+    def _fixed_candidates(self, v, e_v, chosen, budget):
+        """The torus-fixed counterpart of _vertex_candidates, memoized."""
+        M, field = self.M, self.field
+        p, c, r = field.p, M.spec.datum.D[v], _vertex_rank(M, v)
+        if (v, e_v) not in self.sizes:
+            self.sizes[(v, e_v)] = _candidate_set_size(p, c, r, e_v, self.weights[v])
+        _spend_on_vertex(budget, self.sizes[(v, e_v)], v, r, e_v, p)
+        span = linalg.row_space(field, _arrow_images(field, M, v, chosen))
+        key = (p, v, e_v, tuple([x for row in span for x in row]))
+        return self.memo.get(key, lambda: iter_free_submodules(p, c, r, e_v, span, self.weights[v]))
 
     def count(self, e, budget):
-        M, field, powers = self.M, self.field, self.powers
-        datum = M.spec.datum
-        if any(c * x > d for c, x, d in zip(datum.D, e, M.dims)):
+        datum = self.M.spec.datum
+        if any(c * x > d for c, x, d in zip(datum.D, e, self.M.dims)):
             return 0
-        enum_verts, closed_verts = self.enum_verts, self.closed_verts
-        p = field.p
-        query = _Budget(budget)
+        return self._count(0, {}, e, _Budget(budget))
 
-        def recurse(idx, chosen):
-            if idx == len(enum_verts):
-                total = 1
-                for v in closed_verts:
-                    c = datum.D[v]
-                    rows = _forced_rows(field, M, v, chosen, powers[v])
-                    qt = quotient_type(field, M.dims[v], c, rows)
-                    total *= count_free_submodules_of_type(qt, _vertex_rank(M, v) - e[v], p, c)
-                    if total == 0:
-                        return 0
-                return total
-            v = enum_verts[idx]
-            total = 0
-            for cand in _vertex_candidates(field, M, v, e[v], chosen, query):
-                # arrows from already-chosen vertices into v were handled by
-                # _vertex_candidates; arrows from v into already-chosen vertices (non-DAG case):
-                ok = True
-                for key, A in M.arrows.items():
-                    (i, j, _) = key
-                    if j == v and i in chosen and M.dims[i]:
-                        for vec in cand.k_basis():
-                            img = linalg.mat_vec(field, A, vec)
-                            if not chosen[i].contains_kvec(img):
-                                ok = False
-                                break
-                    if not ok:
-                        break
-                if not ok:
-                    continue
-                chosen[v] = cand
-                total += recurse(idx + 1, chosen)
-                del chosen[v]
+    def _count(self, idx, chosen, e, query):
+        """The submodules extending the components chosen at enum_verts[:idx].
+        A method, not a closure: a self-referencing closure would keep the
+        memo alive until the cyclic garbage collector ran."""
+        M, field = self.M, self.field
+        datum = M.spec.datum
+        if idx == len(self.enum_verts):
+            total = 1
+            for v in self.closed_verts:
+                c = datum.D[v]
+                rows = _forced_rows(field, M, v, chosen, self.powers[v])
+                qt = quotient_type(field, M.dims[v], c, rows)
+                total *= count_free_submodules_of_type(qt, _vertex_rank(M, v) - e[v], field.p, c)
+                if total == 0:
+                    return 0
             return total
-
-        return recurse(0, {})
+        v = self.enum_verts[idx]
+        if self.weights is None:
+            candidates = _vertex_candidates(field, M, v, e[v], chosen, query)
+        else:
+            candidates = self._fixed_candidates(v, e[v], chosen, query)
+        total = 0
+        for cand in candidates:
+            # arrows from already-chosen vertices into v were handled by
+            # _vertex_candidates; arrows from v into already-chosen vertices (non-DAG case):
+            ok = True
+            for key, A in M.arrows.items():
+                (i, j, _) = key
+                if j == v and i in chosen and M.dims[i]:
+                    for vec in cand.k_basis():
+                        img = linalg.mat_vec(field, A, vec)
+                        if not chosen[i].contains_kvec(img):
+                            ok = False
+                            break
+                if not ok:
+                    break
+            if not ok:
+                continue
+            chosen[v] = cand
+            total += self._count(idx + 1, chosen, e, query)
+            del chosen[v]
+            if self.weights is not None:
+                cand.forget_k_basis()  # a kept candidate holds its K-basis only while chosen
+        return total
 
 
 def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
@@ -599,12 +712,12 @@ def _structure_maps(M):
     return maps
 
 
-def torus_weighting(M):
-    """Integer weights of the basis of M, one list per vertex, that make every
-    structure map homogeneous and tell apart the basis vectors at each
-    vertex; None when M fails the gate: its eps is not in canonical chain
-    form, or two basis vectors at one vertex have the same weight under every
-    weighting (they collide).
+def _torus_weights(M):
+    """(weights, separated): integer weights of the basis of M, one list per
+    vertex, that make every structure map homogeneous, and whether they
+    tell apart the basis vectors at every vertex.  They do unless two basis
+    vectors at one vertex collide, that is have the same weight under every
+    weighting; M's eps must be in canonical chain form.
 
     A weighting w needs one shift d_A per map A (each eps_v, each arrow) with
     w(a) - w(b) = d_A at every nonzero entry A[a][b]: a sparse linear system
@@ -616,9 +729,9 @@ def torus_weighting(M):
     nullspace N of the relations, and x, y at one vertex collide iff they lie
     in one tree and pi(x).n = pi(y).n for every n in N.  The weighting
     returned takes, in base B, the digits pi(x).n (B larger than twice every
-    digit), and offsets each tree by more than twice every such value."""
-    if not _canonical_eps(M):
-        return None
+    digit), and offsets each tree by more than twice every such value, so
+    distinct (tree, digits) classes get distinct weights: the fixed points
+    of diag(t^w) are those of the whole torus of weightings."""
     n = M.spec.datum.n
     offset = [0]
     for d in M.dims:
@@ -659,15 +772,23 @@ def torus_weighting(M):
         digits.append([int(x * scale) for x in vec])
     sig = [tuple(sum(s * t for s, t in zip(pi[x], vec)) for vec in digits)
            for x in range(offset[-1])]
-    for v in range(n):
-        seen = {(tree[x], sig[x]) for x in range(offset[v], offset[v + 1])}
-        if len(seen) < M.dims[v]:
-            return None
+    separated = all(len({(tree[x], sig[x]) for x in range(offset[v], offset[v + 1])}) == M.dims[v]
+                    for v in range(n))
     base = 2 * max((abs(s) for x in sig for s in x), default=0) + 1
     h = [sum(s * base ** k for k, s in enumerate(x)) for x in sig]
     spread = 2 * max(map(abs, h), default=0) + 1
     w = [tree[x] * spread + h[x] for x in range(offset[-1])]
-    return [w[offset[v]:offset[v + 1]] for v in range(n)]
+    return [w[offset[v]:offset[v + 1]] for v in range(n)], separated
+
+
+def torus_weighting(M):
+    """_torus_weights of M when they separate its basis at every vertex, else
+    None: M fails the gate when its eps is not in canonical chain form or
+    two basis vectors at one vertex collide."""
+    if not _canonical_eps(M):
+        return None
+    weights, separated = _torus_weights(M)
+    return weights if separated else None
 
 
 def coordinate_counts(M):
@@ -839,6 +960,15 @@ def _rank1_key(p, c, blocks, u):
     return tuple(key)
 
 
+def _eps_type(M, v):
+    """hmod.eps_partition(M, v), read off without arithmetic when eps_v is in
+    chain form."""
+    blocks = hmod.read_jordan_blocks(M.field(), M.eps[v])
+    if blocks is None:
+        return hmod.eps_partition(M, v)
+    return tuple(sorted(blocks, reverse=True))
+
+
 AUT_DRAWS = 2  # random elements of End(M) tried as automorphisms, per module
 
 
@@ -865,7 +995,7 @@ class Counter:
         if memo_key in self.rep_memo:
             return self.rep_memo[memo_key]
         inv = (M.spec, M.dims,
-               tuple(hmod.eps_partition(M, v) for v in range(M.spec.datum.n)),
+               tuple(_eps_type(M, v) for v in range(M.spec.datum.n)),
                tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
                             for k, m in M.arrows.items())))
         for inv2, rep in self.class_reps:
@@ -997,6 +1127,29 @@ def _grlf_degree_bound(datum, r, e):
     return sum(datum.D[i] * e[i] * (r[i] - e[i]) for i in range(datum.n))
 
 
+class _PointCounts:
+    """The counts mod p that chi(Gr^lf_e(M)) is fitted to, for a module M
+    that fails the torus gate.  When M's eps is in canonical chain form the
+    torus diag(t^w) of its _torus_weights still acts, and chi(Gr^lf_e) is
+    chi of the fixed locus (Bialynicki-Birula), so the graded lf submodules
+    are counted (variety "fixed_locus"); otherwise the whole Gr^lf_e is
+    ("grassmannian").  M is reduced and prepared (_LocallyFreeCounts) once
+    per prime, for every e."""
+
+    def __init__(self, M):
+        self.M = M
+        self.weights = _torus_weights(M)[0] if _canonical_eps(M) else None
+        self.variety = "grassmannian" if self.weights is None else "fixed_locus"
+        self.by_prime = {}
+        self.memo = _CandidateMemo()
+
+    def count(self, p, e, budget):
+        if p not in self.by_prime:
+            self.by_prime[p] = _LocallyFreeCounts(hmod.reduce_mod_p(self.M, p), self.weights,
+                                                  self.memo)
+        return self.by_prime[p].count(e, budget)
+
+
 class EulerEngine:
     """Reduces an integral model mod each sample prime and interpolates counts."""
 
@@ -1021,27 +1174,23 @@ class EulerEngine:
     def euler_char_grlf(self, M, e):
         """chi of the locally free Grassmannian of rank e: a coordinate count
         when M passes the torus gate, else fitted to point counts."""
-        return self._grlf(M, hmod.require_locally_free(M), tuple(e), coordinate_counts(M), {})
+        rk = hmod.require_locally_free(M)
+        coordinate = coordinate_counts(M)
+        return self._grlf(rk, tuple(e), coordinate, None if coordinate is not None else _PointCounts(M))
 
-    def _grlf(self, M, rk, e, coordinate, prepared):
-        """euler_char_grlf of M (locally free of rank rk).  coordinate is
-        coordinate_counts(M); when it is None, the counts mod p run on
-        prepared[p], read from and added to prepared (prime ->
-        _LocallyFreeCounts of M mod p)."""
+    def _grlf(self, rk, e, coordinate, points):
+        """euler_char_grlf of a module M, locally free of rank rk.  coordinate
+        is coordinate_counts(M); when it is None, the counts mod p are
+        points.count (_PointCounts of M)."""
         if any(x < 0 or x > r for x, r in zip(e, rk)):
             return 0
         if coordinate is not None:
             chi = coordinate.get(e, 0)
             self._record("grlf", rk, e, chi)
             return chi
-        bound = _grlf_degree_bound(M.spec.datum, rk, e)
-
-        def count(p):
-            if p not in prepared:
-                prepared[p] = _LocallyFreeCounts(hmod.reduce_mod_p(M, p))
-            return prepared[p].count(e, self.budget)
-
-        poly = interpolate_counts(count, bound, pool=self.pool)
+        bound = _grlf_degree_bound(points.M.spec.datum, rk, e)
+        poly = interpolate_counts(lambda p: points.count(p, e, self.budget), bound, pool=self.pool)
+        poly.variety = points.variety
         self._record("grlf", rk, e, poly)
         return poly.value_at_one()
 
@@ -1051,10 +1200,10 @@ class EulerEngine:
         it is reduced and prepared mod each prime once for all e."""
         rk = hmod.require_locally_free(M)
         coordinate = coordinate_counts(M)
-        prepared = {}
+        points = None if coordinate is not None else _PointCounts(M)
         terms = {}
         for e in itertools.product(*(range(r + 1) for r in rk)):
-            chi = self._grlf(M, rk, e, coordinate, prepared)
+            chi = self._grlf(rk, e, coordinate, points)
             if chi:
                 terms[e] = chi
         zero = tuple([0] * len(rk))

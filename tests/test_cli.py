@@ -225,6 +225,18 @@ class TestTranscripts:
         assert all(("coordinate_count" in entry) == (not label.startswith("grlf [2, 3] "))
                    for label, entry in transcripts.items())
         assert self.check_entries(proc.stdout, transcripts) == {"coordinate", "fitted"}
+        # the fits count the fixed locus of the torus of (2, 3), a different
+        # variety from Gr^lf_e with the same Euler characteristic: the value
+        # at q = 1 is the coefficient that fpoly printed
+        printed = {tuple(term["e"]): term["coeff"] for entry in json.loads(proc.stdout)
+                   if entry["rank"] == [2, 3] for term in entry["terms"]}
+        fitted = {label: entry for label, entry in transcripts.items()
+                  if "coordinate_count" not in entry}
+        assert len(fitted) == 3 * 4
+        for label, entry in fitted.items():
+            assert entry["variety"] == "fixed_locus", label
+            e = tuple(json.loads(label.split("] ", 1)[1]))
+            assert sum(entry["coefficients"]) == printed.get(e, 0), label
 
 
 class TestVerifyCommand:

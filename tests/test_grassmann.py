@@ -689,6 +689,36 @@ class TestSerre:
         assert engine.theta_eval(combo, m) == 0
         assert len(lf_checks) == 2 and len(reductions) == made
 
+    def test_class_invariant_reads_chain_form_eps(self, monkeypatch):
+        # class_rep's cheap invariant reads the Jordan type of a chain-form
+        # eps off the matrix and equals eps_partition's, over Q and F_p; a
+        # module whose eps is not in chain form still goes to eps_partition
+        modules = criterion_9_modules(SPEC_B2, 4) + criterion_9_modules(SPEC_G2, 4) + \
+            [hmod.generalized_simple(SPEC_G2, 0), hmod.zero_module(SPEC_B2)]
+        # chain form with blocks (1, 2) in basis order: not locally free
+        modules.append(hmod.HModule(SPEC_B2, (3, 0), [[[0, 0, 0], [0, 0, 0], [0, 1, 0]], []],
+                                    {k: [] for k in SPEC_B2.arrow_keys()}))
+        modules += [hmod.reduce_mod_p(m, 7) for m in modules[:3]]
+        flip = hmod.change_vertex_basis(hmod.HModule(modules[0].spec, modules[0].dims,
+                                                     modules[0].eps, modules[0].arrows),
+                                        0, [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert hmod.read_jordan_blocks(SPEC_B2.field(), flip.eps[0]) is None
+        for m in modules + [flip]:
+            for v in range(m.spec.datum.n):
+                assert grassmann._eps_type(m, v) == hmod.eps_partition(m, v)
+        counter = grassmann.Counter()
+        for m in modules + [flip]:
+            counter.class_rep(m)
+        for inv, rep in counter.class_reps:
+            assert inv[2] == tuple(hmod.eps_partition(rep, v) for v in range(rep.spec.datum.n))
+        calls = []
+        eps_partition = hmod.eps_partition
+        monkeypatch.setattr(hmod, "eps_partition", lambda M, v: calls.append(v) or eps_partition(M, v))
+        for m in modules + [flip]:
+            for v in range(m.spec.datum.n):
+                grassmann._eps_type(m, v)
+        assert calls == [0]  # flip's eps_0
+
     def test_class_lookup_once_per_module(self, monkeypatch):
         # a conjugate of a cached module is matched to it by one isomorphism
         # test over Q, not one per word of the combination

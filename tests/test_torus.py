@@ -4,11 +4,15 @@ point counts and against the cluster-mutation oracle."""
 
 import functools
 import itertools
+import math
+import re
 
 import pytest
 
 from symquiv import cartan, cluster, functors, grassmann, hmod, linalg, verify
+from symquiv.errors import TooLargeError
 from symquiv.fields import QQ, RATIONALS
+from test_grassmann import RecordingBudget
 
 CATALOG = verify.catalog_rank_le_4()
 # label -> (datum, orientation pairs)
@@ -177,3 +181,159 @@ def test_gated_roots_match_cluster_variables(label):
     assert len(report["matched"]) == len(t.modules) - len(COLLIDED[label])
     assert not any(isinstance(poly, grassmann.CountingPolynomial)
                    for poly in engine.transcripts.values())
+
+
+# --- the fixed locus of collided modules ------------------------------------
+
+FIXED_LOCUS_ROOTS = [("G2", (2, 3)), ("B3", (1, 2, 2)), ("B3b", (1, 2, 2)), ("D4", (1, 2, 1, 1))] + \
+    [("B4", beta) for beta in COLLIDED["B4"]]
+
+
+def fixed_counts(M, p):
+    """grassmann._LocallyFreeCounts of M mod p on the fixed locus of its torus."""
+    weights, separated = grassmann._torus_weights(M)
+    assert not separated
+    return grassmann._LocallyFreeCounts(hmod.reduce_mod_p(M, p), weights)
+
+
+def at_pivot_weight(cand, w):
+    """Whether every nonzero entry of the pivot form sits at its pivot's weight."""
+    c = cand.c
+    return all(w[b * c + t] == w[pv * c]
+               for col, pv in zip(cand.cols, cand.pivots)
+               for b, h in enumerate(col) for t, x in enumerate(h) if x)
+
+
+def reached_enumerations(M, p, monkeypatch):
+    """The (p, c, r, e_v, forced span, weights) of every torus-fixed vertex
+    enumeration that an F-polynomial's counts mod p reach."""
+    calls = []
+    enumerate_ = grassmann.iter_free_submodules
+
+    def recorded(p, c, r, e, containing=(), weights=None):
+        calls.append((p, c, r, e, [list(w) for w in containing], weights))
+        return enumerate_(p, c, r, e, containing, weights)
+
+    counts = fixed_counts(M, p)
+    monkeypatch.setattr(grassmann, "iter_free_submodules", recorded)
+    for e in itertools.product(*(range(x + 1) for x in hmod.require_locally_free(M))):
+        counts.count(e, grassmann.DEFAULT_BUDGET)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("label,beta", [("G2", (2, 3)), ("B3", (1, 2, 2)), ("D4", (1, 2, 1, 1))])
+@pytest.mark.parametrize("p", [5, 7])
+def test_weighted_enumeration_is_the_graded_filter(label, beta, p, monkeypatch):
+    # at every vertex, e_v and forced span that the counts reach: the
+    # weighted enumeration yields the unweighted one's candidates whose
+    # entries all sit at their pivot's weight, in the same order
+    calls = reached_enumerations(table(label).module_of(beta), p, monkeypatch)
+    assert len(calls) > 10
+    constrained = 0
+    for (p, c, r, e, span, w) in calls:
+        weighted = [(cand.pivots, cand.cols)
+                    for cand in grassmann.iter_free_submodules(p, c, r, e, span, w)]
+        graded = [(cand.pivots, cand.cols)
+                  for cand in grassmann.iter_free_submodules(p, c, r, e, span)
+                  if at_pivot_weight(cand, w)]
+        assert weighted == graded, (c, r, e, span)
+        constrained += bool(span) and 0 < e < r
+    assert constrained > 0
+
+
+@pytest.mark.parametrize("r,e", [(2, 1), (3, 1), (3, 2), (4, 2)])
+def test_unweighted_candidate_set_size_is_the_closed_form(r, e):
+    for p, c in ((5, 1), (5, 2), (7, 3)):
+        assert grassmann._candidate_set_size(p, c, r, e) == \
+            grassmann.count_free_submodules_of_type((c,) * r, e, p, c)
+
+
+@pytest.mark.parametrize("label,beta", FIXED_LOCUS_ROOTS)
+def test_fixed_locus_chi_equals_grassmannian_chi(label, beta):
+    # chi of the fixed locus (the engine's fits) equals chi of the whole
+    # Gr^lf_e fitted to count_locally_free_submodules, for every e
+    m = table(label).module_of(beta)
+    engine = grassmann.EulerEngine()
+    assert engine.f_polynomial(m) == point_count_f_polynomial(m)
+    rk = hmod.require_locally_free(m)
+    assert len(engine.transcripts) == math.prod(x + 1 for x in rk)
+    assert {poly.variety for poly in engine.transcripts.values()} == {"fixed_locus"}
+
+
+def test_non_chain_eps_counts_the_grassmannian():
+    # G2 (2, 3) with two basis vectors at vertex 0 swapped: eps_0 leaves
+    # chain form, so the whole Grassmannian is point-counted, to the same chi
+    m = table("G2").module_of((2, 3))
+    swap = [[1 if j == (1, 0, 2, 3, 4, 5)[i] else 0 for j in range(6)] for i in range(6)]
+    flip = hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0, swap)
+    assert hmod.read_jordan_blocks(RATIONALS.field(), flip.eps[0]) is None
+    fixed, whole = grassmann.EulerEngine(), grassmann.EulerEngine()
+    assert whole.f_polynomial(flip) == fixed.f_polynomial(m)
+    assert {poly.variety for poly in whole.transcripts.values()} == {"grassmannian"}
+    assert {poly.variety for poly in fixed.transcripts.values()} == {"fixed_locus"}
+
+
+def test_collided_f4_roots_match_cluster_variables():
+    t = table("F4")
+    spec = t.modules[0].spec
+    engine = grassmann.EulerEngine()
+    module_side = [(beta, engine.f_polynomial(t.module_of(beta)),
+                    grassmann.g_vector(t.module_of(beta))) for beta in COLLIDED["F4"]]
+    report = cluster.match_report(spec.datum, spec.omega, module_side)
+    assert report["missed"] == []
+    assert len(report["matched"]) == len(COLLIDED["F4"])
+    assert {poly.variety for poly in engine.transcripts.values()} == {"fixed_locus"}
+
+
+def test_fixed_locus_budget_boundary(monkeypatch):
+    # each vertex visit spends the size of its whole torus-fixed candidate
+    # set, memo hit or not: a budget equal to the spend passes, one unit
+    # less raises and names the vertex, its rank, e_v and the prime
+    m = table("B3").module_of((1, 2, 2))
+    e = (1, 1, 1)
+    monkeypatch.setattr(grassmann, "_Budget", RecordingBudget)
+    RecordingBudget.made = []
+    counts = fixed_counts(m, 5)
+    count = counts.count(e, grassmann.DEFAULT_BUDGET)
+    (query,) = RecordingBudget.made
+    spend = query.units - query.left
+    assert count > 0 and spend > 1
+    # the memo now holds every list: the same spend, from a fresh budget
+    assert counts.count(e, spend) == count
+    with pytest.raises(TooLargeError) as info:
+        counts.count(e, spend - 1)
+    assert re.fullmatch(
+        rf"enumeration budget of {spend - 1} exhausted by the \d+ free rank-\d "
+        r"candidates at vertex \d \(rank \d\) over F_5", str(info.value)), str(info.value)
+    # the spend is the torus-fixed set sizes, smaller than the Grassmannian's
+    RecordingBudget.made = []
+    assert grassmann.count_locally_free_submodules(hmod.reduce_mod_p(m, 5), e) >= count
+    (full,) = RecordingBudget.made
+    assert full.units - full.left > spend
+
+
+def is_graded(field, basis, w):
+    """Whether the span of basis is the sum of its intersections with the
+    weight spaces of w: each vector's weight components lie in the span."""
+    if not basis:
+        return True
+    rank = linalg.rank(field, basis)
+    return all(linalg.rank(field, basis + [[x if w[i] == lam else 0 for i, x in enumerate(vec)]
+                                           for vec in basis]) == rank
+               for lam in set(w))
+
+
+@pytest.mark.parametrize("label,beta", [("G2", (2, 3)), ("B3", (1, 2, 2)), ("D4", (1, 2, 1, 1))])
+def test_fixed_locus_counts_are_the_graded_submodules(label, beta):
+    # oracle: every lf submodule (each vertex enumerated, no closed form)
+    # kept when it is graded at every vertex
+    m = table(label).module_of(beta)
+    weights, _ = grassmann._torus_weights(m)
+    counts = fixed_counts(m, 5)
+    mp, field = counts.M, counts.field
+    for e in itertools.product(*(range(x + 1) for x in hmod.require_locally_free(m))):
+        graded = sum(all(is_graded(field, basis, w) for basis, w in zip(subspaces, weights))
+                     for subspaces in grassmann._iter_lf_submodules(
+                         mp, e, grassmann._Budget(grassmann.DEFAULT_BUDGET)))
+        assert counts.count(e, grassmann.DEFAULT_BUDGET) == graded, e
