@@ -1,6 +1,9 @@
 """Torus localization (grassmann.torus_weighting, grassmann.coordinate_counts):
 the gate against a dense nullspace oracle, the coordinate counts against the
-point counts and against the cluster-mutation oracle."""
+point counts and against the cluster-mutation oracle; and the fixed-locus
+counts of collided modules (iter_free_submodules(weights=)) against the
+unweighted enumeration, a graded-submodule filter, the Grassmannian's point
+counts and the cluster-mutation oracle."""
 
 import functools
 import itertools
