@@ -1,8 +1,11 @@
 """Exact coefficient fields: prime fields F_p and the rationals.
 
-Field elements are plain Python objects (ints in [0, p) for F_p,
-fractions.Fraction for Q), so matrices are ordinary nested lists and all
-arithmetic is exact.  Floating point is never used anywhere in symquiv.
+Field elements are plain Python objects, so matrices are ordinary nested
+lists and all arithmetic is exact.  An element of F_p is an int in [0, p).
+An element of Q is an int when it is integral and a fractions.Fraction
+otherwise; the two compare, hash and print alike, so either may stand for
+an integral value, and integral data never pays for Fraction arithmetic.
+Floating point is never used anywhere in symquiv.
 """
 
 from __future__ import annotations
@@ -73,13 +76,14 @@ class PrimeField:
 
 
 class RationalField:
-    """The rationals, with Fraction elements."""
+    """The rationals, with int elements where integral and Fraction ones
+    otherwise."""
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def add(self, a, b):
         return a + b
@@ -94,7 +98,12 @@ class RationalField:
         return -a
 
     def inv(self, a):
-        return 1 / Fraction(a)
+        n, d = a.numerator, a.denominator
+        if n == 1:
+            return d
+        if n == -1:
+            return -d
+        return Fraction(d, n)
 
     def size(self):
         return None  # infinite

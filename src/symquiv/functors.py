@@ -261,6 +261,12 @@ def root_module(spec, k) -> "hmod.HModule":
     _, w0 = cartan.admissible_words(datum, spec.omega)
     if not 1 <= k <= len(w0):
         raise IndexError("k out of range")
+    return _root_module(spec, w0, k)
+
+
+def _root_module(spec, w0, k):
+    """M(beta_k) along the given w0 word of spec's orientation."""
+    datum = spec.datum
     omega_t = spec.omega
     for t in range(k - 1):
         omega_t = cartan.reflect_orientation(datum, omega_t, w0[t])
@@ -272,12 +278,14 @@ def root_module(spec, k) -> "hmod.HModule":
 
 
 def all_root_modules(spec) -> RootModuleTable:
+    """Every M(beta_k), k = 1 .. |Delta^+|, from one w0 word, each checked
+    locally free of rank vector beta_k."""
     datum = spec.datum
     _, w0 = cartan.admissible_words(datum, spec.omega)
     betas, _ = cartan.beta_gamma_sequences(datum, w0)
     modules = []
     for k in range(1, len(w0) + 1):
-        m = root_module(spec, k)
+        m = _root_module(spec, w0, k)
         if hmod.is_locally_free(m) != betas[k - 1]:
             raise InternalMismatchError(f"M(beta_{k}) has wrong rank vector")
         modules.append(m)

@@ -768,7 +768,7 @@ def _torus_weights(M):
     nullspace = linalg.nullspace(QQ, [list(r) for r in sorted(relations)], len(maps))
     digits = []
     for vec in nullspace:
-        scale = math.lcm(*(Fraction(x).denominator for x in vec))
+        scale = math.lcm(*(x.denominator for x in vec))
         digits.append([int(x * scale) for x in vec])
     sig = [tuple(sum(s * t for s, t in zip(pi[x], vec)) for vec in digits)
            for x in range(offset[-1])]
@@ -791,9 +791,11 @@ def torus_weighting(M):
     return weights if separated else None
 
 
-def coordinate_counts(M):
+def coordinate_counts(M, torus=None):
     """{e: chi(Gr^lf_e(M))} over the rank vectors e of nonzero Euler
-    characteristic, or None when M fails the torus_weighting gate.
+    characteristic, or None when M fails the torus_weighting gate.  A caller
+    that already has M's _torus_weights (so M's eps is in canonical chain
+    form) passes them as `torus`.
 
     For M that passes, diag(t^w) rescales every structure map, so it acts on
     Gr^lf_e(M) (eps_v is only rescaled, so free stays free) and chi(Gr^lf_e)
@@ -805,7 +807,11 @@ def coordinate_counts(M):
     enumerated output-sensitively: taking an undecided chain forces every
     chain it reaches, leaving it out forces out every chain reaching it, and
     both branches always extend to a closed set."""
-    if torus_weighting(M) is None:
+    if torus is None:
+        if not _canonical_eps(M):
+            return None
+        torus = _torus_weights(M)
+    if not torus[1]:
         return None
     D = M.spec.datum.D
     chains = [(v, b) for v, c in enumerate(D) for b in range(M.dims[v] // c)]
@@ -1134,11 +1140,12 @@ class _PointCounts:
     chi of the fixed locus (Bialynicki-Birula), so the graded lf submodules
     are counted (variety "fixed_locus"); otherwise the whole Gr^lf_e is
     ("grassmannian").  M is reduced and prepared (_LocallyFreeCounts) once
-    per prime, for every e."""
+    per prime, for every e.  torus is M's _torus_weights, or None when its
+    eps is not in chain form."""
 
-    def __init__(self, M):
+    def __init__(self, M, torus):
         self.M = M
-        self.weights = _torus_weights(M)[0] if _canonical_eps(M) else None
+        self.weights = None if torus is None else torus[0]
         self.variety = "grassmannian" if self.weights is None else "fixed_locus"
         self.by_prime = {}
         self.memo = _CandidateMemo()
@@ -1148,6 +1155,14 @@ class _PointCounts:
             self.by_prime[p] = _LocallyFreeCounts(hmod.reduce_mod_p(self.M, p), self.weights,
                                                   self.memo)
         return self.by_prime[p].count(e, budget)
+
+
+def _localize(M):
+    """(coordinate_counts(M), None) when M passes the torus gate, else (None,
+    _PointCounts of M), with M's _torus_weights computed once."""
+    torus = _torus_weights(M) if _canonical_eps(M) else None
+    coordinate = None if torus is None else coordinate_counts(M, torus)
+    return coordinate, None if coordinate is not None else _PointCounts(M, torus)
 
 
 class EulerEngine:
@@ -1175,8 +1190,7 @@ class EulerEngine:
         """chi of the locally free Grassmannian of rank e: a coordinate count
         when M passes the torus gate, else fitted to point counts."""
         rk = hmod.require_locally_free(M)
-        coordinate = coordinate_counts(M)
-        return self._grlf(rk, tuple(e), coordinate, None if coordinate is not None else _PointCounts(M))
+        return self._grlf(rk, tuple(e), *_localize(M))
 
     def _grlf(self, rk, e, coordinate, points):
         """euler_char_grlf of a module M, locally free of rank rk.  coordinate
@@ -1199,8 +1213,7 @@ class EulerEngine:
         M is checked and put through the torus gate once; a module that fails
         it is reduced and prepared mod each prime once for all e."""
         rk = hmod.require_locally_free(M)
-        coordinate = coordinate_counts(M)
-        points = None if coordinate is not None else _PointCounts(M)
+        coordinate, points = _localize(M)
         terms = {}
         for e in itertools.product(*(range(r + 1) for r in rk)):
             chi = self._grlf(rk, e, coordinate, points)

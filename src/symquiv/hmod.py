@@ -1065,13 +1065,14 @@ def injective_module(spec, i) -> HModule:
 def _entry_to_json(fieldspec, x):
     if fieldspec.kind == "Fp":
         return int(x)
-    return str(Fraction(x))
+    return str(x)
 
 
 def _entry_from_json(fieldspec, x):
     if fieldspec.kind == "Fp":
         return int(x) % fieldspec.p
-    return Fraction(x)
+    f = Fraction(x)
+    return f.numerator if f.denominator == 1 else f
 
 
 def module_to_json(M) -> str:
@@ -1111,10 +1112,11 @@ def reduce_mod_p(M, p) -> HModule:
     spec_p = M.spec.with_field(prime_field_spec(p))
 
     def red(x):
-        f = Fraction(x)
-        if f.denominator % p == 0:
+        if type(x) is int:
+            return x % p
+        if x.denominator % p == 0:
             raise PrimeReductionError(f"denominator not invertible mod {p}")
-        return (f.numerator * pow(f.denominator, -1, p)) % p
+        return (x.numerator * pow(x.denominator, -1, p)) % p
 
     eps = [[[red(x) for x in row] for row in m] for m in M.eps]
     arrows = {k: [[red(x) for x in row] for row in m] for k, m in M.arrows.items()}

@@ -10,7 +10,6 @@ combinatorics.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .fields import QQ as QQ_SINGLETON
 
@@ -231,9 +230,7 @@ def int_mat_vec(a, v):
 def int_inverse(a):
     """Inverse of an integer matrix as integer rows; None unless the matrix is
     unimodular, i.e. invertible with an integral inverse."""
-    n = len(a)
-    qa = [[Fraction(x) for x in row] for row in a]
-    inv = inverse(QQ_SINGLETON, qa)
+    inv = inverse(QQ_SINGLETON, a)
     if inv is None:
         return None
     out = []
