@@ -6,9 +6,6 @@ Conventions.  Vertices are 0-based internally (the JSON interface is
 puts g_ij arrows j -> i in the weighted quiver, so a *sink* is a vertex all
 of whose incident pairs have it in first position.  Root vectors are integer
 tuples in the simple-root basis, s_i(a) = a - (C a)_i * alpha_i.
-
-The zero vector is по convention outside the fundamental region (empty
-support is not connected).
 """
 
 from __future__ import annotations
@@ -29,7 +26,6 @@ from .errors import (
     NotReducedError,
     NotSinkOrSourceError,
     NotSymmetrizerError,
-    SymquivError,
 )
 
 RootVector = tuple  # integer tuple in the simple-root basis
@@ -255,99 +251,6 @@ def is_dynkin(datum: CartanDatum) -> bool:
     return True
 
 
-def connected_components(datum: CartanDatum):
-    n = datum.n
-    seen = set()
-    comps = []
-    for v in range(n):
-        if v in seen:
-            continue
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for y in datum.neighbors(x):
-                if y not in comp:
-                    comp.add(y)
-                    stack.append(y)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
-
-
-def classify_components(datum: CartanDatum):
-    """Best-effort Dynkin letter per connected component (None if not Dynkin)."""
-    out = []
-    for comp in connected_components(datum):
-        out.append((tuple(comp), _classify_one(datum, comp)))
-    return out
-
-
-def _classify_one(datum, comp):
-    sub = [[datum.C[i][j] for j in comp] for i in comp]
-    subD = [datum.D[i] for i in comp]
-    try:
-        d = validate_datum(sub, subD)
-    except SymquivError:
-        return None
-    if not is_dynkin(d):
-        return None
-    n = len(comp)
-    if n == 1:
-        return "A1"
-    degs = sorted(len(d.neighbors(i)) for i in range(n))
-    offdiag = sorted(abs(d.C[i][j]) for i in range(n) for j in range(n)
-                     if i != j and d.C[i][j] != 0)
-    mx = offdiag[-1]
-    if mx == 1:
-        if degs[-1] <= 2:
-            return f"A{n}"
-        return f"D{n}" if n >= 4 and degs.count(1) == 3 else f"E{n}"
-    if mx == 3:
-        return "G2"
-    # one double edge: B/C/F
-    if n == 2:
-        return "B2"
-    doubles = [(i, j) for i in range(n) for j in range(n) if d.C[i][j] == -2]
-    (i, j) = doubles[0]
-    if degs[-1] > 2:
-        return None
-    ends = [v for v in range(n) if len(d.neighbors(v)) == 1]
-    if i in ends or j in ends:
-        # the short/long pattern at the end distinguishes B from C:
-        # row entry -2 at (i, j) means alpha_j short relative to alpha_i
-        short = j if j in ends or d.D[j] < d.D[i] else i
-        return f"B{n}" if d.D[short] < d.D[i if short == j else j] else f"C{n}"
-    return f"F{n}" if n == 4 else None
-
-
-def fundamental_region_check(datum: CartanDatum, alpha) -> bool:
-    """alpha in N^I with connected support and (alpha, alpha_i) <= 0 for all i."""
-    if any(a < 0 for a in alpha):
-        raise ValueError("fundamental region lives in the positive cone")
-    supp = [i for i, a in enumerate(alpha) if a != 0]
-    if not supp:
-        return False  # documented convention: empty support is not connected
-    # connectivity of the support subgraph
-    comp = {supp[0]}
-    stack = [supp[0]]
-    while stack:
-        x = stack.pop()
-        for y in datum.neighbors(x):
-            if y in supp and y not in comp:
-                comp.add(y)
-                stack.append(y)
-    if len(comp) != len(supp):
-        return False
-    ei = [0] * datum.n
-    for i in range(datum.n):
-        ei[i] = 1
-        if symmetric_form(datum, alpha, ei) > 0:
-            return False
-        ei[i] = 0
-    return True
-
-
 # --- admissible words, root sequences, positive roots ----------------------
 
 
@@ -483,32 +386,6 @@ def all_orientations(datum: CartanDatum):
     return out
 
 
-def kostant_count(datum: CartanDatum, r) -> int:
-    """Number of N-decompositions of r as a sum of positive roots."""
-    if not is_dynkin(datum):
-        raise NotDynkinError("Kostant counts require a finite root system")
-    if any(x < 0 for x in r):
-        raise ValueError("r must be a nonnegative vector")
-    pos = positive_roots(datum)
-
-    def count(rem, idx):
-        if all(x == 0 for x in rem):
-            return 1
-        if idx == len(pos):
-            return 0
-        beta = pos[idx]
-        total = 0
-        cur = list(rem)
-        mult = 0
-        while all(x >= 0 for x in cur):
-            total += count(tuple(cur), idx + 1)
-            cur = [a - b for a, b in zip(cur, beta)]
-            mult += 1
-        return total
-
-    return count(tuple(r), 0)
-
-
 # --- bilinear forms and the Coxeter matrix ---------------------------------
 
 
@@ -562,13 +439,6 @@ def forms(datum: CartanDatum, omega: Orientation) -> FormData:
 
 
 # --- JSON interface (1-based vertices) --------------------------------------
-
-
-def datum_to_json(datum: CartanDatum, omega: Orientation | None = None) -> str:
-    obj = {"C": [list(row) for row in datum.C], "D": list(datum.D)}
-    if omega is not None:
-        obj["Omega"] = [[i + 1, j + 1] for i, j in sorted(omega.pairs)]
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def datum_from_json(text: str):

@@ -33,6 +33,7 @@ from .fields import RATIONALS, prime_field_spec
 
 USAGE_ERRORS = (NotCartanError, NotSymmetrizerError, NonPositiveSymmetrizerError,
                 NotOrientationError, NotDynkinError)
+RESOURCE_ERRORS = (TooLargeError, SearchBudgetExceededError, PrimePoolExhaustedError)
 
 
 def _load_datum(args):
@@ -244,7 +245,7 @@ def cmd_cluster_match(args):
     print(f"{len(report['matched'])}/{total} matched")
     _emit(args, {"matched": [list(b) for b in report["matched"]],
                  "missed": [list(b) for b in report["missed"]],
-                 "sign": report["sign"],
+                 "sign": cluster.SIGN,
                  "cluster_variable_count": report["cluster_variable_count"]})
     return 0 if not report["missed"] else 1
 
@@ -434,7 +435,7 @@ def main(argv=None):
     except USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         code = 2
-    except (TooLargeError, SearchBudgetExceededError, PrimePoolExhaustedError) as exc:
+    except RESOURCE_ERRORS as exc:
         print(f"resources exhausted: {exc}", file=sys.stderr)
         code = 3
     except SymquivError as exc:

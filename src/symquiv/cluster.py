@@ -6,10 +6,15 @@ Cartan datum and orientation.  Mutation tracks the B-matrix, the c- and
 g-vector matrices and the F-polynomials with exact integer arithmetic; the
 c-vector sign coherence of finite type picks the tropical sign at each step.
 
-The sign convention tying the exchange matrix to an orientation is fixed by
-calibration against the module side (both signs are exchanged by transposing
-conventions in the literature); match_report tries the declared convention
-first and falls back to the opposite one, recording the choice.
+The cluster variables are reached by one walk: mutate the acyclic initial
+seed along the orientation's Coxeter word, pass after pass.  In finite type
+this sequence reaches every cluster variable (Yang-Zelevinsky), |Phi^+| + n
+of them, within h + 2 passes (h the Coxeter number; Zamolodchikov
+periodicity).  A walk that falls short of that count within the bound is a
+broken invariant.
+
+The exchange matrix's sign convention (SIGN) was calibrated once against the
+module side; the opposite convention misses every root beyond A1.
 """
 
 from __future__ import annotations
@@ -17,7 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import cartan
-from .errors import NonFiniteTypeError, NotDynkinError
+from .errors import InternalMismatchError, NotDynkinError
+
+# initial_seed sets b_ij = SIGN * c_ij for (i, j) in omega: the convention the
+# module-side F-polynomials and g-vectors match (cluster-match reports it as
+# "sign").
+SIGN = -1
 
 # F-polynomials: dict from exponent tuples to nonzero int coefficients.
 
@@ -94,28 +104,21 @@ class ClusterSeed:
     def n(self):
         return len(self.B)
 
-    def f_poly(self, k):
-        return dict(self.F[k])
-
     def g_vector(self, k):
         return tuple(self.G[i][k] for i in range(self.n))
 
 
-def initial_seed(datum, omega, sign=1) -> ClusterSeed:
-    """Acyclic seed of the orientation: b_ij = -c_ij for (j,i) in omega and
-    +c_ij for (i,j) in omega, times an overall sign toggle."""
+def initial_seed(datum, omega) -> ClusterSeed:
+    """Acyclic seed of the orientation with principal coefficients:
+    b_ij = -c_ij and b_ji = c_ji for each (i, j) in omega, 0 off the edges,
+    so b_ij > 0 exactly when (i, j) is in omega."""
     if not cartan.is_dynkin(datum):
         raise NotDynkinError("finite-type oracle needs a Dynkin datum")
     n = datum.n
     B = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j or datum.C[i][j] == 0:
-                continue
-            if (j, i) in omega.pairs:
-                B[i][j] = -sign * datum.C[i][j]
-            else:
-                B[i][j] = sign * datum.C[i][j]
+    for i, j in omega.pairs:
+        B[i][j] = -datum.C[i][j]
+        B[j][i] = datum.C[j][i]
     ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     fpolys = tuple(poly_canon(poly_one(n)) for _ in range(n))
     return ClusterSeed(tuple(tuple(row) for row in B), ident, ident, fpolys)
@@ -175,67 +178,40 @@ def mutate(seed: ClusterSeed, k: int) -> ClusterSeed:
                        tuple(poly_canon(f) for f in F))
 
 
-def enumerate_variables(seed: ClusterSeed, max_seeds=10 ** 5):
-    """All (F-polynomial, g-vector) pairs over the mutation closure of the seed."""
-    n = seed.n
-    variables = set()
-    visited = {seed}
-    frontier = [seed]
-    for k in range(n):
+def coxeter_walk(datum, omega):
+    """All (F-polynomial, g-vector) pairs of the cluster algebra, reached by
+    mutating initial_seed(datum, omega) along cartan.coxeter_word, pass after
+    pass, until there are |Phi^+| + n of them.
+
+    Raises InternalMismatchError if h + 2 passes do not reach that count.
+    """
+    seed = initial_seed(datum, omega)
+    n = datum.n
+    npos = len(cartan.positive_roots(datum))
+    target = npos + n
+    variables = {(seed.F[k], seed.g_vector(k)) for k in range(n)}
+    passes = 2 * npos // n + 2  # h + 2, with h = 2 |Phi^+| / n
+    for k in cartan.coxeter_word(datum, omega) * passes:
+        if len(variables) == target:
+            break
+        seed = mutate(seed, k)
         variables.add((seed.F[k], seed.g_vector(k)))
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for k in range(n):
-                t = mutate(s, k)
-                if t in visited:
-                    continue
-                visited.add(t)
-                if len(visited) > max_seeds:
-                    raise NonFiniteTypeError("mutation closure exceeds the finite-type bound")
-                for c in range(n):
-                    variables.add((t.F[c], t.g_vector(c)))
-                nxt.append(t)
-        frontier = nxt
+    if len(variables) != target:
+        raise InternalMismatchError(
+            f"Coxeter walk found {len(variables)} cluster variables in {passes} "
+            f"passes, expected |Phi^+| + n = {target}")
     return variables
 
 
-def match_report(datum, omega, module_side, max_seeds=10 ** 5):
-    """Compare module pairs (beta, F as exponent dict, g) with the oracle.
-
-    Tries the declared sign convention first, then the opposite; returns a
-    dict with the calibrated sign, matches and misses.
-    """
-    best = None
-    for sign in (1, -1):
-        variables = enumerate_variables(initial_seed(datum, omega, sign), max_seeds)
-        matched, missed = [], []
-        for beta, fdict, g in module_side:
-            if (poly_canon(fdict), tuple(g)) in variables:
-                matched.append(tuple(beta))
-            else:
-                missed.append(tuple(beta))
-        report = {
-            "sign": sign,
-            "matched": matched,
-            "missed": missed,
-            "cluster_variable_count": len(variables),
-        }
-        if not missed:
-            return report
-        if best is None or len(report["missed"]) < len(best["missed"]):
-            best = report
-    return best
-
-
-def variables_to_json(variables) -> str:
-    """Same polynomial wire format as the module-side F-polynomials."""
-    import json
-
-    entries = []
-    for fcanon, g in sorted(variables):
-        entries.append({
-            "g": list(g),
-            "terms": [{"e": list(e), "coeff": c} for e, c in fcanon],
-        })
-    return json.dumps(entries, sort_keys=True, separators=(",", ":"))
+def match_report(datum, omega, module_side):
+    """Compare module pairs (beta, F as exponent dict, g) with the oracle;
+    returns a dict with the matched and missed betas and the variable count."""
+    variables = coxeter_walk(datum, omega)
+    matched, missed = [], []
+    for beta, fdict, g in module_side:
+        if (poly_canon(fdict), tuple(g)) in variables:
+            matched.append(tuple(beta))
+        else:
+            missed.append(tuple(beta))
+    return {"matched": matched, "missed": missed,
+            "cluster_variable_count": len(variables)}

@@ -70,10 +70,6 @@ class PrimeReductionError(SymquivError):
     """Integral model has a denominator divisible by the sample prime."""
 
 
-class NonFiniteTypeError(SymquivError):
-    """Seed mutation closure exceeded the finite-type bound."""
-
-
 class SearchBudgetExceededError(SymquivError):
     """Backtracking search ran out of budget; result is unknown, not false."""
 

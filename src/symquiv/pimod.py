@@ -68,11 +68,6 @@ def from_h_module(M: hmod.HModule) -> PiModule:
     return PiModule(M.spec, M.dims, M.eps, arrows)
 
 
-def restrict_to_h(M: PiModule) -> hmod.HModule:
-    arrows = {k: linalg.copy_mat(M.arrows[k]) for k in M.spec.arrow_keys()}
-    return hmod.HModule(M.spec, M.dims, M.eps, arrows)
-
-
 def mesh_terms(spec, k):
     """(sign, in-key, out-key, s, a-1-s) tuples listing the mesh sum at k."""
     out = []
@@ -226,13 +221,6 @@ def phi(M: PiModule, i) -> int:
     return len(sub)
 
 
-def phi_star(M: PiModule, i) -> int:
-    fac, _ = fac_sub(M, i)
-    if not _is_free_partition(fac, M.spec.datum.D[i]):
-        raise UndefinedValueError(f"fac_{i + 1} is not a free H-module")
-    return len(fac)
-
-
 # --- E-filtered search ------------------------------------------------------
 
 
@@ -366,45 +354,3 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
             raise InternalMismatchError(
                 f"presentation Ext={ext} disagrees with symmetrized-Hom formula={expected}")
     return ext
-
-
-# --- serialization ----------------------------------------------------------
-
-
-def pi_module_to_json(M: PiModule) -> str:
-    import json
-
-    fs = M.spec.fieldspec
-    fwd = [k for k in sorted(M.arrows) if k in set(M.spec.arrow_keys())]
-    rev = [k for k in sorted(M.arrows) if k not in set(M.spec.arrow_keys())]
-
-    def block(keys):
-        return [{"target": k[0] + 1, "source": k[1] + 1, "copy": k[2],
-                 "matrix": [[hmod._entry_to_json(fs, x) for x in row] for row in M.arrows[k]]}
-                for k in keys]
-
-    obj = {
-        "field": fs.to_json(),
-        "dims": list(M.dims),
-        "eps": [[[hmod._entry_to_json(fs, x) for x in row] for row in m] for m in M.eps],
-        "arrows": block(fwd),
-        "arrows_reversed": block(rev),
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def pi_module_from_json(spec, text: str) -> PiModule:
-    import json
-
-    obj = json.loads(text)
-    from .fields import FieldSpec
-    fs = FieldSpec.from_json(obj["field"])
-    if fs != spec.fieldspec:
-        raise SpecMismatchError("field of serialized module differs from spec")
-    dims = obj["dims"]
-    eps = [[[hmod._entry_from_json(fs, x) for x in row] for row in m] for m in obj["eps"]]
-    arrows = {}
-    for rec in obj["arrows"] + obj["arrows_reversed"]:
-        key = (rec["target"] - 1, rec["source"] - 1, rec["copy"])
-        arrows[key] = [[hmod._entry_from_json(fs, x) for x in row] for row in rec["matrix"]]
-    return PiModule(spec, dims, eps, arrows)

@@ -173,7 +173,7 @@ def criterion_7():
                        for beta, m in zip(table.betas, table.modules)]
         report = cluster.match_report(datum, omega, module_side)
         if report["missed"]:
-            return False, f"missed {report['missed']} (sign {report['sign']})"
+            return False, f"missed {report['missed']}"
         details.append(f"{len(report['matched'])}/{count}")
         if len(report["matched"]) != count:
             return False, f"expected {count} matches"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from symquiv import cartan
+from symquiv import cartan, functors, hmod, verify
 from symquiv.errors import (
     NotCartanError,
     NotDynkinError,
@@ -11,6 +11,7 @@ from symquiv.errors import (
     NotSinkOrSourceError,
     NotSymmetrizerError,
 )
+from symquiv.fields import RATIONALS
 
 # Standard test data.  B2/G2/B3 use the minimal symmetrizers.
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -139,11 +140,6 @@ class TestDynkin:
     def test_rank_one(self):
         assert cartan.is_dynkin(A1)
 
-    def test_classification_tags(self):
-        assert cartan.classify_components(A3) == [((0, 1, 2), "A3")]
-        assert cartan.classify_components(G2) == [((0, 1), "G2")]
-        assert cartan.classify_components(B3)[0][1] in ("B3", "C3")
-
 
 class TestPositiveRoots:
     @pytest.mark.parametrize(
@@ -168,18 +164,6 @@ class TestPositiveRoots:
     def test_not_dynkin_raises(self):
         with pytest.raises(NotDynkinError):
             cartan.positive_roots(AFF_A1)
-
-
-class TestFundamentalRegion:
-    def test_affine_delta(self):
-        assert cartan.fundamental_region_check(AFF_A1, (1, 1))
-
-    def test_b2_11_not_in_region(self):
-        # (alpha, alpha_1) = 4 - 2 = 2 > 0
-        assert not cartan.fundamental_region_check(B2, (1, 1))
-
-    def test_zero_vector_convention(self):
-        assert not cartan.fundamental_region_check(B2, (0, 0))
 
 
 class TestOrientations:
@@ -302,15 +286,25 @@ class TestForms:
 
 
 class TestKostant:
+    """Kostant partition counts: the PBW multiplicity vectors of one weight
+    are the ways to write it as a sum of positive roots."""
+
+    @staticmethod
+    def kostant_count(datum, r):
+        omega = cartan.all_orientations(datum)[0]
+        table = functors.all_root_modules(hmod.HAlgebraSpec(datum, omega, RATIONALS))
+        vectors = verify.pbw_multiplicity_vectors(table, r)
+        return sum(1 for _, weight in vectors if weight == tuple(r))
+
     def test_b2_11(self):
-        assert cartan.kostant_count(B2, (1, 1)) == 2
+        assert self.kostant_count(B2, (1, 1)) == 2
 
     def test_zero(self):
         for datum in (B2, G2, A3):
-            assert cartan.kostant_count(datum, tuple([0] * datum.n)) == 1
+            assert self.kostant_count(datum, tuple([0] * datum.n)) == 1
 
     def test_b2_12(self):
-        assert cartan.kostant_count(B2, (1, 2)) == 3
+        assert self.kostant_count(B2, (1, 2)) == 3
 
     def test_matches_enumeration_oracle(self):
         pos = cartan.positive_roots(B3)
@@ -330,14 +324,11 @@ class TestKostant:
             return rec(r, 0)
 
         for r in [(1, 1, 1), (2, 1, 0), (1, 2, 2)]:
-            assert cartan.kostant_count(B3, r) == brute(r)
+            assert self.kostant_count(B3, r) == brute(r)
 
 
 class TestJson:
-    def test_roundtrip(self):
-        text = cartan.datum_to_json(B2, B2_OMEGA)
+    def test_one_based_pairs(self):
+        text = '{"C": [[2, -1], [-2, 2]], "D": [2, 1], "Omega": [[1, 2]]}'
         datum, omega = cartan.datum_from_json(text)
         assert datum == B2 and omega.pairs == B2_OMEGA.pairs
-
-    def test_one_based_pairs(self):
-        assert '"Omega":[[1,2]]' in cartan.datum_to_json(B2, B2_OMEGA)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from symquiv import cartan, cli, grassmann
+from symquiv import cartan, cli, errors, grassmann
 from symquiv.errors import InterpolationError, SearchBudgetExceededError, TooLargeError
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -128,6 +128,62 @@ class TestExitCodes:
             cli.main(["pbw-check", "--datum", str(DATA / "b2.json")])
         assert info.value.code == 1
         assert capsys.readouterr().err.startswith("violated: counts do not fit")
+
+    # the errors that mean a broken invariant (exit 1); a new error class has
+    # to be placed here, in cli.USAGE_ERRORS or in cli.RESOURCE_ERRORS
+    INVARIANT_ERRORS = (errors.SymquivError, errors.NotSinkOrSourceError,
+                        errors.NotReducedError, errors.ShapeMismatchError,
+                        errors.SpecMismatchError, errors.NotLocallyFreeError,
+                        errors.NotNilpotentError, errors.InternalMismatchError,
+                        errors.InterpolationError, errors.PrimeReductionError,
+                        errors.UndefinedValueError)
+    ERROR_CLASSES = [obj for obj in vars(errors).values()
+                     if isinstance(obj, type) and issubclass(obj, errors.SymquivError)]
+
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_error_class_has_one_exit_code(self, monkeypatch, error):
+        codes = [code for code, classes in ((2, cli.USAGE_ERRORS),
+                                            (3, cli.RESOURCE_ERRORS),
+                                            (1, self.INVARIANT_ERRORS))
+                 if error in classes]
+        assert len(codes) == 1, codes
+
+        def fails(args):
+            raise error.__new__(error)  # skips __init__, whose arguments vary
+
+        monkeypatch.setattr(cli, "cmd_roots", fails)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["roots"])
+        assert info.value.code == codes[0]
+
+
+PATH5 = [[1, 2], [2, 3], [3, 4], [4, 5]]
+RANK5 = {  # datum, number of positive roots, number of cluster variables
+    "B5": ({"C": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+                  [0, 0, -1, 2, -1], [0, 0, 0, -2, 2]],
+            "D": [2, 2, 2, 2, 1], "Omega": PATH5}, 25, 30),
+    "C5": ({"C": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, 0],
+                  [0, 0, -1, 2, -2], [0, 0, 0, -1, 2]],
+            "D": [1, 1, 1, 1, 2], "Omega": PATH5}, 25, 30),
+    "D5": ({"C": [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+                  [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+            "D": [1, 1, 1, 1, 1], "Omega": [[1, 2], [2, 3], [3, 4], [3, 5]]}, 20, 25),
+}
+
+
+class TestClusterMatchRank5:
+    @pytest.mark.parametrize("name", sorted(RANK5))
+    def test_every_root_matches(self, tmp_path, name):
+        obj, roots, variables = RANK5[name]
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        proc = run_cli("cluster-match", "--datum", str(path))
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == f"{roots}/{roots} matched"
+        payload = json.loads(lines[1])
+        assert payload["cluster_variable_count"] == variables
+        assert payload["missed"] == [] and payload["sign"] == -1
 
 
 class TestDeterministicRandomized:

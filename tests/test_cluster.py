@@ -1,6 +1,7 @@
 import pytest
 
-from symquiv import cartan, cluster, functors, grassmann, hmod, linalg
+from symquiv import cartan, cluster, functors, grassmann, hmod, linalg, verify
+from symquiv.errors import InternalMismatchError
 from symquiv.fields import RATIONALS
 
 A1 = cartan.validate_datum([[2]], [1])
@@ -49,7 +50,7 @@ class TestMutation:
 
     def test_a1_first_mutation(self):
         seed = cluster.mutate(cluster.initial_seed(A1, OM_A1), 0)
-        assert seed.f_poly(0) == {(0,): 1, (1,): 1}
+        assert dict(seed.F[0]) == {(0,): 1, (1,): 1}
         assert seed.g_vector(0) == (-1,)
 
     def test_f_constant_term_one(self):
@@ -59,7 +60,7 @@ class TestMutation:
             for k in ks:
                 s = cluster.mutate(s, k)
             for c in range(2):
-                assert s.f_poly(c).get((0, 0)) == 1
+                assert dict(s.F[c]).get((0, 0)) == 1
 
     def test_g_matrix_unimodular(self):
         seed = cluster.initial_seed(B2, OM_B2)
@@ -78,6 +79,36 @@ class TestMutation:
                     assert B3.D[i] * s.B[i][j] == -B3.D[j] * s.B[j][i]
 
 
+def closure_variables(seed):
+    """All (F-polynomial, g-vector) pairs over the mutation closure of the
+    seed, by breadth-first search over seeds: the oracle for the walk."""
+    n = seed.n
+    variables = {(seed.F[k], seed.g_vector(k)) for k in range(n)}
+    visited = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for k in range(n):
+                t = cluster.mutate(s, k)
+                if t in visited:
+                    continue
+                visited.add(t)
+                variables.update((t.F[c], t.g_vector(c)) for c in range(n))
+                nxt.append(t)
+        frontier = nxt
+    return variables
+
+
+CATALOG = verify.catalog_rank_le_4()
+# every orientation of the small data, one orientation of each rank-4 datum:
+# the closure of a rank-4 seed takes up to about a second
+DIFFERENTIAL = [(name, omega) for name in ("A2", "A3", "B2", "B3", "C3", "G2")
+                for omega in cartan.all_orientations(CATALOG[name])]
+DIFFERENTIAL += [(name, cartan.all_orientations(CATALOG[name])[0])
+                 for name in ("A4", "B4", "C4", "D4", "F4")]
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("datum,omega,count", [
         (A1, OM_A1, 2), (A2, OM_A2, 5), (B2, OM_B2, 6), (G2, OM_G2, 8),
@@ -85,25 +116,36 @@ class TestEnumeration:
     ])
     def test_variable_counts(self, datum, omega, count):
         # n initial variables plus one per positive root
-        variables = cluster.enumerate_variables(cluster.initial_seed(datum, omega))
+        variables = cluster.coxeter_walk(datum, omega)
         assert len(variables) == count
         npos = len(cartan.positive_roots(datum))
         assert count == datum.n + npos
 
     def test_non_initial_count(self):
-        variables = cluster.enumerate_variables(cluster.initial_seed(B2, OM_B2))
+        variables = cluster.coxeter_walk(B2, OM_B2)
         one = cluster.poly_canon(cluster.poly_one(2))
         non_initial = [v for v in variables if v[0] != one]
         assert len(non_initial) == 4
 
+    @pytest.mark.parametrize("name,omega", DIFFERENTIAL,
+                             ids=[f"{name}-{sorted(om.pairs)}" for name, om in DIFFERENTIAL])
+    def test_walk_equals_mutation_closure(self, name, omega):
+        datum = CATALOG[name]
+        assert cluster.coxeter_walk(datum, omega) == \
+            closure_variables(cluster.initial_seed(datum, omega))
 
-class TestExport:
-    def test_variables_json_round(self):
-        import json
-        variables = cluster.enumerate_variables(cluster.initial_seed(A1, OM_A1))
-        payload = json.loads(cluster.variables_to_json(variables))
-        assert len(payload) == 2
-        assert all("g" in entry and "terms" in entry for entry in payload)
+    @pytest.mark.parametrize("name", sorted(CATALOG))
+    def test_walk_count_in_every_orientation(self, name):
+        datum = CATALOG[name]
+        target = len(cartan.positive_roots(datum)) + datum.n
+        for omega in cartan.all_orientations(datum):
+            assert len(cluster.coxeter_walk(datum, omega)) == target
+
+    def test_short_walk_is_a_broken_invariant(self, monkeypatch):
+        # a word that mutates at one vertex only flips between two seeds
+        monkeypatch.setattr(cartan, "coxeter_word", lambda datum, omega: (0,))
+        with pytest.raises(InternalMismatchError, match="expected"):
+            cluster.coxeter_walk(B2, OM_B2)
 
 
 class TestMatchReport:
