@@ -36,10 +36,14 @@ point-counted and fitted as above, with every pivot-form entry that does not
 sit at its pivot's weight forced to 0 (iter_free_submodules(weights=)),
 every vertex enumerated (the sink formula counts ungraded submodules too)
 and the candidate lists kept per (vertex, e_v, forced span) across the e of
-one F-polynomial, within a bounded memo (_CandidateMemo).  A module whose
-eps is not in chain form counts the whole Gr^lf_e.  Either way an
-F-polynomial reduces the module mod each prime and prepares it (canonical
-eps, constraint order, eps powers) once for all of its e.
+one F-polynomial.  A module whose eps is not in chain form counts the whole
+Gr^lf_e.  Either way an F-polynomial reduces the module mod each prime and
+prepares it (canonical eps, constraint order, eps powers) once for all of
+its e, and the count is a walk over the constraint order memoized per
+subtree (_LocallyFreeCounts): a subtree's count and the budget units its
+walk spent are kept, and a repeat spends those units again, so every count
+spends what the plain walk would.  Candidate lists, forced spans and
+subtrees share one bounded memo per F-polynomial (_CandidateMemo).
 """
 
 from __future__ import annotations
@@ -72,7 +76,9 @@ class _Budget:
     ClassFlagCounter.count call) gets a fresh instance.  Each rank-one
     generator spends one unit; each vertex enumeration spends the size of its
     whole canonical candidate set, although only the candidates containing
-    the forced span are enumerated."""
+    the forced span are enumerated.  A memo hit of _LocallyFreeCounts spends
+    what the walk of its subtree spent, so a count spends the same units
+    whether or not its subtrees were counted before."""
 
     __slots__ = ("units", "left")
 
@@ -555,17 +561,29 @@ def _canonical_eps(M):
                for v, c in enumerate(D))
 
 
-FIXED_MEMO_ROOM = 2048  # candidate lists plus candidates kept per F-polynomial
+FIXED_MEMO_ROOM = 8192  # units kept per F-polynomial (_CandidateMemo)
 
 
 class _CandidateMemo:
-    """Torus-fixed candidate lists by (prime, vertex, e_v, forced span in
-    RREF), shared by the primes of one F-polynomial.  Lists are kept until
-    `room` units (one per list, one per candidate) are used, which bounds
-    the memory; a list that does not fit is enumerated again at each visit."""
+    """What the counts of one module keep, shared by the primes and the e of
+    one F-polynomial, within `room` units, which bounds the memory:
+
+    - lists: torus-fixed candidate lists by (prime, vertex, e_v, forced span
+      in RREF, flattened), one unit per list and one per candidate;
+    - spans: (prime, vertex, the chosen components at the tails of the
+      arrows into the vertex) -> that flattened forced span, one unit each;
+    - subtrees: (prime, index into the walk, e from there on, the chosen
+      components the rest of the walk reads) -> (count, units spent), one
+      unit each.
+
+    A chosen component is keyed by the columns of its pivot form (its
+    pivots are the first rows with a unit constant term).  Whatever does
+    not fit is computed again at each visit."""
 
     def __init__(self):
         self.lists = {}
+        self.spans = {}
+        self.subtrees = {}
         self.room = FIXED_MEMO_ROOM
 
     def get(self, key, enumerate_candidates):
@@ -577,6 +595,11 @@ class _CandidateMemo:
             self.lists[key] = candidates
         return candidates
 
+    def keep(self, table, key, value):
+        if self.room:
+            self.room -= 1
+            table[key] = value
+
 
 class _LocallyFreeCounts:
     """count_locally_free_submodules of one module over a prime field, for any
@@ -584,13 +607,24 @@ class _LocallyFreeCounts:
     canonical eps (normalized if need be), the constraint order and the eps
     powers.  An F-polynomial makes one per prime for all of its e.
 
+    The count walks the enumerated vertices in constraint order and closes
+    the sinks by formula.  The walk is a transfer-matrix recursion, memoized
+    per subtree (_CandidateMemo.subtrees): the count below a vertex depends
+    only on the e from there on and on the chosen components that the rest
+    of the walk reads, those joined by an arrow to a later vertex (reads).
+    A subtree keeps the units its walk spent, and a memo hit spends them
+    again, so every count spends what the plain walk would; a hit whose
+    spend does not fit the budget left is walked, and raises at the same
+    vertex visit with the same message.
+
     With weights (_torus_weights of the integral model, whose eps must be
     canonical), it counts the fixed locus of the torus diag(t^weights) in
     Gr^lf_e instead: the graded lf submodules.  Every vertex is enumerated
     (the sink closed form counts all free submodules, not the graded ones),
     and the candidate lists are kept per (vertex, e_v, RREF of the forced
-    span), for all e; each vertex visit still spends the size of its whole
-    torus-fixed candidate set."""
+    span), for all e, and the forced span per chosen tail components; each
+    vertex visit still spends the size of its whole torus-fixed candidate
+    set."""
 
     def __init__(self, M, weights=None, memo=None):
         field = M.field()
@@ -614,35 +648,73 @@ class _LocallyFreeCounts:
             closed = {v for v in order if v not in has_out}
         self.M = M
         self.field = field
-        self.enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
+        enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
+        self.enum_verts = enum_verts
         self.closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
+        self.visit_order = enum_verts + self.closed_verts
+        into = {(i, j) for (i, j, _) in M.arrows}  # (target, source) of every arrow
+        # reads[idx]: the vertices of enum_verts[:idx] joined to visit_order[idx:]
+        self.reads = [tuple([u for u in enum_verts[:idx]
+                             if any((u, w) in into or (w, u) in into for w in self.visit_order[idx:])])
+                      for idx in range(len(enum_verts) + 1)]
+        # tails[idx]: the vertices of enum_verts[:idx] with an arrow into enum_verts[idx];
+        # heads[idx]: the arrows from enum_verts[idx] into them (only off a DAG order)
+        self.tails = [tuple([u for u in enum_verts[:idx] if (v, u) in into])
+                      for idx, v in enumerate(enum_verts)]
+        self.heads = [[(A, i) for (i, j, _), A in M.arrows.items() if j == v and i in enum_verts[:idx]]
+                      for idx, v in enumerate(enum_verts)]
         self.powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
         self.weights = weights
-        if weights is not None:
-            self.memo = memo if memo is not None else _CandidateMemo()
+        self.memo = memo if memo is not None else _CandidateMemo()
         self.sizes = {}  # (v, e_v) -> size of the torus-fixed candidate set
 
-    def _fixed_candidates(self, v, e_v, chosen, budget):
+    def _fixed_candidates(self, idx, v, e_v, chosen, budget):
         """The torus-fixed counterpart of _vertex_candidates, memoized."""
-        M, field = self.M, self.field
+        M, field, memo = self.M, self.field, self.memo
         p, c, r = field.p, M.spec.datum.D[v], _vertex_rank(M, v)
         if (v, e_v) not in self.sizes:
             self.sizes[(v, e_v)] = _candidate_set_size(p, c, r, e_v, self.weights[v])
         _spend_on_vertex(budget, self.sizes[(v, e_v)], v, r, e_v, p)
-        span = linalg.row_space(field, _arrow_images(field, M, v, chosen))
-        key = (p, v, e_v, tuple([x for row in span for x in row]))
-        return self.memo.get(key, lambda: iter_free_submodules(p, c, r, e_v, span, self.weights[v]))
+        tails = (p, v, tuple([chosen[u].cols for u in self.tails[idx]]))
+        flat = memo.spans.get(tails)
+        if flat is None:
+            span = linalg.row_space(field, _arrow_images(field, M, v, chosen))
+            flat = tuple([x for row in span for x in row])
+            memo.keep(memo.spans, tails, flat)
+        d = M.dims[v]
+        return memo.get((p, v, e_v, flat), lambda: iter_free_submodules(
+            p, c, r, e_v, [list(flat[k:k + d]) for k in range(0, len(flat), d)], self.weights[v]))
 
     def count(self, e, budget):
         datum = self.M.spec.datum
         if any(c * x > d for c, x, d in zip(datum.D, e, self.M.dims)):
             return 0
-        return self._count(0, {}, e, _Budget(budget))
+        e_from = [tuple([e[v] for v in self.visit_order[idx:]])
+                  for idx in range(len(self.enum_verts) + 1)]
+        return self._count(0, {}, e, e_from, _Budget(budget))
 
-    def _count(self, idx, chosen, e, query):
-        """The submodules extending the components chosen at enum_verts[:idx].
-        A method, not a closure: a self-referencing closure would keep the
-        memo alive until the cyclic garbage collector ran."""
+    def _count(self, idx, chosen, e, e_from, query):
+        """The submodules extending the components chosen at enum_verts[:idx],
+        memoized per subtree; e_from[idx] is e on visit_order[idx:].  A method, not
+        a closure: a self-referencing closure would keep the memo alive until
+        the cyclic garbage collector ran."""
+        reads = self.reads[idx]
+        if len(reads) == idx:  # the key would fix the whole walk so far: it never repeats
+            return self._walk(idx, chosen, e, e_from, query)
+        memo = self.memo
+        key = (self.field.p, idx, e_from[idx], tuple([chosen[u].cols for u in reads]))
+        hit = memo.subtrees.get(key)
+        if hit is not None and hit[1] <= query.left:
+            query.left -= hit[1]
+            return hit[0]
+        left = query.left
+        total = self._walk(idx, chosen, e, e_from, query)
+        memo.keep(memo.subtrees, key, (total, left - query.left))
+        return total
+
+    def _walk(self, idx, chosen, e, e_from, query):
+        """_count without the memo: the candidates at enum_verts[idx], each
+        extended by _count, or the closed sinks' product at the end."""
         M, field = self.M, self.field
         datum = M.spec.datum
         if idx == len(self.enum_verts):
@@ -659,26 +731,17 @@ class _LocallyFreeCounts:
         if self.weights is None:
             candidates = _vertex_candidates(field, M, v, e[v], chosen, query)
         else:
-            candidates = self._fixed_candidates(v, e[v], chosen, query)
+            candidates = self._fixed_candidates(idx, v, e[v], chosen, query)
+        heads = self.heads[idx]
         total = 0
         for cand in candidates:
-            # arrows from already-chosen vertices into v were handled by
-            # _vertex_candidates; arrows from v into already-chosen vertices (non-DAG case):
-            ok = True
-            for key, A in M.arrows.items():
-                (i, j, _) = key
-                if j == v and i in chosen and M.dims[i]:
-                    for vec in cand.k_basis():
-                        img = linalg.mat_vec(field, A, vec)
-                        if not chosen[i].contains_kvec(img):
-                            ok = False
-                            break
-                if not ok:
-                    break
-            if not ok:
+            # arrows from already-chosen vertices into v were handled by the
+            # candidates; arrows from v into already-chosen vertices (non-DAG case):
+            if heads and not all(chosen[i].contains_kvec(linalg.mat_vec(field, A, vec))
+                                 for A, i in heads for vec in cand.k_basis()):
                 continue
             chosen[v] = cand
-            total += self._count(idx + 1, chosen, e, query)
+            total += self._count(idx + 1, chosen, e, e_from, query)
             del chosen[v]
             if self.weights is not None:
                 cand.forget_k_basis()  # a kept candidate holds its K-basis only while chosen

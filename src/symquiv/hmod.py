@@ -374,7 +374,10 @@ def _random_couplings(top, bottom, unknowns, rng, bound):
 
 
 def is_locally_free(M):
-    """Rank vector if every vertex component is free over H_i, else None."""
+    """Rank vector if every vertex component is free over H_i, else None.
+    A vertex whose eps is in chain form with c_v-blocks only is read off
+    (read_jordan_blocks); any other eps is checked by the ranks of its
+    powers."""
     field = M.field()
     datum = M.spec.datum
     ranks = []
@@ -384,6 +387,9 @@ def is_locally_free(M):
         if d % c != 0:
             return None
         r = d // c
+        if read_jordan_blocks(field, M.eps[v]) == [c] * r:
+            ranks.append(r)
+            continue
         power = linalg.identity(field, d)
         for t in range(1, c + 1):
             power = linalg.mat_mul(field, power, M.eps[v])

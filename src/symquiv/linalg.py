@@ -5,6 +5,13 @@ elimination; sizes in this package stay small (vertexwise dimensions of
 modules are a few dozen at most), so clarity beats asymptotics.  Integer
 helpers (Bareiss determinant, inverse over Q) serve the Cartan-side
 combinatorics.
+
+The hot kernels (mat_mul, mat_vec, rref, in_span) work on whole rows with
+the native +, - and * of the elements, which are exact Python numbers in
+both fields, and skip zero multipliers.  Over F_p a row is reduced % p once
+per update (mat_mul: once per output row); over Q they make the same
+additions in the same order as the per-element field.add/field.mul loop, so
+every int and Fraction entry keeps its type and value.
 """
 
 from __future__ import annotations
@@ -12,6 +19,12 @@ from __future__ import annotations
 import math
 
 from .fields import QQ as QQ_SINGLETON
+from .fields import PrimeField
+
+
+def _modulus(field):
+    """p for F_p, None for Q."""
+    return field.p if isinstance(field, PrimeField) else None
 
 
 def zeros(field, m, n):
@@ -27,19 +40,18 @@ def identity(field, n):
 def mat_mul(field, a, b):
     if not a or not b:
         return []
-    n, k, m = len(a), len(b), len(b[0])
-    add, mul, z = field.add, field.mul, field.zero
+    p = _modulus(field)
+    z = [field.zero] * len(b[0])
     out = []
-    for i in range(n):
-        ai = a[i]
-        row = []
-        for j in range(m):
-            s = z
-            for t in range(k):
-                x = ai[t]
-                if x != z:
-                    s = add(s, mul(x, b[t][j]))
-            row.append(s)
+    for ai in a:
+        row = z
+        for x, bt in zip(ai, b):
+            if x:
+                row = [s + x * y for s, y in zip(row, bt)]
+        if p is not None:
+            row = [s % p for s in row]
+        elif row is z:
+            row = row[:]
         out.append(row)
     return out
 
@@ -61,14 +73,16 @@ def mat_neg(field, a):
 
 
 def mat_vec(field, a, v):
-    add, mul, z = field.add, field.mul, field.zero
+    p = _modulus(field)
+    nonzero = [(t, y) for t, y in enumerate(v) if y]
     out = []
     for row in a:
-        s = z
-        for x, y in zip(row, v):
-            if x != z and y != z:
-                s = add(s, mul(x, y))
-        out.append(s)
+        s = field.zero
+        for t, y in nonzero:
+            x = row[t]
+            if x:
+                s = s + x * y
+        out.append(s if p is None else s % p)
     return out
 
 
@@ -93,25 +107,27 @@ def rref(field, a):
     m = copy_mat(a)
     rows = len(m)
     cols = len(m[0]) if rows else 0
-    z = field.zero
+    p = _modulus(field)
     pivots = []
     r = 0
     for c in range(cols):
         pr = None
         for i in range(r, rows):
-            if m[i][c] != z:
+            if m[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = field.inv(m[r][c])
-        m[r] = [field.mul(inv, x) for x in m[r]]
+        mr = m[r] = [inv * x for x in m[r]] if p is None else [inv * x % p for x in m[r]]
         for i in range(rows):
-            if i != r and m[i][c] != z:
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mi, mr)]
+            f = m[i][c]
+            if i != r and f:
+                if p is None:
+                    m[i] = [x - f * y for x, y in zip(m[i], mr)]
+                else:
+                    m[i] = [(x - f * y) % p for x, y in zip(m[i], mr)]
         pivots.append(c)
         r += 1
         if r == rows:
@@ -178,16 +194,18 @@ def row_space(field, vectors):
 
 def in_span(field, basis_rref, v):
     """Membership test against an RREF basis (rows with leading ones)."""
-    z = field.zero
-    v = v[:]
+    p = _modulus(field)
     for row in basis_rref:
-        lead = next((c for c, x in enumerate(row) if x != z), None)
+        lead = next((c for c, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        if v[lead] != z:
-            f = v[lead]
-            v = [field.sub(x, field.mul(f, y)) for x, y in zip(v, row)]
-    return all(x == z for x in v)
+        f = v[lead]
+        if f:
+            if p is None:
+                v = [x - f * y for x, y in zip(v, row)]
+            else:
+                v = [(x - f * y) % p for x, y in zip(v, row)]
+    return not any(v)
 
 
 # --- integer helpers (exact, for Cartan-side computations) ---

@@ -40,6 +40,13 @@ class TestBasicCommands:
         b = run_cli("fpoly", "--datum", str(DATA / "b2.json"))
         assert a.stdout == b.stdout == (GOLDEN / "fpoly_b2.json").read_text()
 
+    def test_fpoly_fixed_locus_golden(self):
+        # G2 (2, 3) fails the torus gate: its F-polynomial is fitted to
+        # point counts of the torus fixed locus
+        proc = run_cli("fpoly", "--datum", str(DATA / "g2.json"))
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "fpoly_g2.json").read_text()
+
     def test_homext_csv_golden(self):
         proc = run_cli("homext-table", "--datum", str(DATA / "b2.json"),
                        "--format", "csv")

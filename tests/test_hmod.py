@@ -217,6 +217,64 @@ class TestLocallyFree:
         assert hmod.is_locally_free(m) is None
         assert hmod.eps_partition(m, 0) == (2, 1, 1)
 
+    @staticmethod
+    def rank_path(M):
+        """Oracle: the rank vector by the ranks of the eps powers at every
+        vertex, with no chain-form reading."""
+        field, datum = M.field(), M.spec.datum
+        ranks = []
+        for v, c in enumerate(datum.D):
+            d = M.dims[v]
+            if d % c:
+                return None
+            power = linalg.identity(field, d)
+            for t in range(1, c + 1):
+                power = linalg.mat_mul(field, power, M.eps[v])
+                if linalg.rank(field, power) != (c - t) * (d // c):
+                    return None
+            ranks.append(d // c)
+        return tuple(ranks)
+
+    def test_chain_form_reading_equals_rank_path(self, monkeypatch):
+        # random locally free modules over Q and F_5, in chain form and
+        # conjugated out of it, and chain-form modules of mixed Jordan type
+        # (not free), also conjugated: the same answer as the rank path
+        rng = random.Random(5)
+        modules = []
+        for spec, r in ((spec_b2(), (2, 1)), (spec_b2(), (1, 2)), (spec_g2(), (2, 3)),
+                        (spec_g2(), (1, 1)), (hmod.HAlgebraSpec(B3, B3_OMEGA, RATIONALS), (1, 2, 2))):
+            for seed in range(3):
+                m = hmod.random_locally_free(spec, r, seed)
+                modules.append((m, r))
+                modules.append((hmod.reduce_mod_p(m, 5), r))
+        for blocks in ([2, 1, 1], [3, 1], [1, 1], [2, 2, 1, 1]):
+            for fieldspec in (RATIONALS, prime_field_spec(5)):
+                spec = spec_b2(fieldspec)
+                field, d = spec.field(), sum(blocks)
+                m = hmod.HModule(spec, (d, 0), [hmod.jordan_nilpotent(field, blocks), []],
+                                 {k: linalg.zeros(field, d if k[0] == 0 else 0, d if k[1] == 0 else 0)
+                                  for k in spec.arrow_keys()})
+                modules.append((m, None))
+        ranks_taken = []
+        rank = linalg.rank
+
+        def counted_rank(field, a):
+            ranks_taken.append(1)
+            return rank(field, a)
+
+        monkeypatch.setattr(linalg, "rank", counted_rank)
+        for m, expected in modules:
+            ranks_taken.clear()
+            assert hmod.is_locally_free(m) == expected
+            # a free chain-form module is read off its eps, with no rank
+            assert (not ranks_taken) == (expected is not None)
+            assert self.rank_path(m) == expected
+            conjugate = generic_conjugate(m, rng)
+            moved = [eps for eps in conjugate.eps if any(any(row) for row in eps)]
+            assert not moved or any(hmod.read_jordan_blocks(conjugate.field(), eps) is None
+                                    for eps in moved)
+            assert hmod.is_locally_free(conjugate) == self.rank_path(conjugate) == expected
+
     def test_non_nilpotent_eps_raises(self):
         # eps_0 = 1 + (a nilpotent): no power of it vanishes, and both
         # Jordan routines used to loop for ever on it

@@ -264,12 +264,19 @@ def test_fixed_locus_chi_equals_grassmannian_chi(label, beta):
     assert {poly.variety for poly in engine.transcripts.values()} == {"fixed_locus"}
 
 
+def non_chain_g2():
+    """G2 (2, 3) with two basis vectors at vertex 0 swapped: eps_0 leaves
+    chain form."""
+    m = table("G2").module_of((2, 3))
+    swap = [[1 if j == (1, 0, 2, 3, 4, 5)[i] else 0 for j in range(6)] for i in range(6)]
+    return hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0, swap)
+
+
 def test_non_chain_eps_counts_the_grassmannian():
     # G2 (2, 3) with two basis vectors at vertex 0 swapped: eps_0 leaves
     # chain form, so the whole Grassmannian is point-counted, to the same chi
     m = table("G2").module_of((2, 3))
-    swap = [[1 if j == (1, 0, 2, 3, 4, 5)[i] else 0 for j in range(6)] for i in range(6)]
-    flip = hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0, swap)
+    flip = non_chain_g2()
     assert hmod.read_jordan_blocks(RATIONALS.field(), flip.eps[0]) is None
     fixed, whole = grassmann.EulerEngine(), grassmann.EulerEngine()
     assert whole.f_polynomial(flip) == fixed.f_polynomial(m)
@@ -314,6 +321,121 @@ def test_fixed_locus_budget_boundary(monkeypatch):
     assert grassmann.count_locally_free_submodules(hmod.reduce_mod_p(m, 5), e) >= count
     (full,) = RecordingBudget.made
     assert full.units - full.left > spend
+
+
+def plain_count(counts, e, budget):
+    """Oracle: (count, units spent) of the unmemoized walk over the prepared
+    module of a grassmann._LocallyFreeCounts: every vertex visit enumerates
+    its candidates afresh (Grassmannian or torus-fixed), no subtree is kept."""
+    M, field, datum = counts.M, counts.field, counts.M.spec.datum
+    if any(c * x > d for c, x, d in zip(datum.D, e, M.dims)):
+        return 0, 0
+    query = grassmann._Budget(budget)
+    visits = []
+
+    def candidates(v, e_v, chosen):
+        if counts.weights is None:
+            return grassmann._vertex_candidates(field, M, v, e_v, chosen, query)
+        p, c = field.p, datum.D[v]
+        r = M.dims[v] // c
+        size = grassmann._candidate_set_size(p, c, r, e_v, counts.weights[v])
+        grassmann._spend_on_vertex(query, size, v, r, e_v, p)
+        span = linalg.row_space(field, grassmann._arrow_images(field, M, v, chosen))
+        return grassmann.iter_free_submodules(p, c, r, e_v, span, counts.weights[v])
+
+    def walk(idx, chosen):
+        visits.append(idx)
+        if idx == len(counts.enum_verts):
+            total = 1
+            for v in counts.closed_verts:
+                c = datum.D[v]
+                rows = grassmann._forced_rows(field, M, v, chosen, counts.powers[v])
+                qt = grassmann.quotient_type(field, M.dims[v], c, rows)
+                total *= grassmann.count_free_submodules_of_type(qt, M.dims[v] // c - e[v], field.p, c)
+                if total == 0:
+                    return 0
+            return total
+        v = counts.enum_verts[idx]
+        total = 0
+        for cand in candidates(v, e[v], chosen):
+            ok = True
+            for (i, j, _), A in M.arrows.items():
+                if j == v and i in chosen and M.dims[i]:
+                    if not all(chosen[i].contains_kvec(linalg.mat_vec(field, A, vec))
+                               for vec in cand.k_basis()):
+                        ok = False
+                        break
+            if not ok:
+                continue
+            chosen[v] = cand
+            total += walk(idx + 1, chosen)
+            del chosen[v]
+        return total
+
+    return walk(0, {}), query.units - query.left, len(visits)
+
+
+def assert_walk_equals_plain(counts, e, walks, monkeypatch):
+    """The memoized count of e equals the plain walk's count and spend, and
+    one unit less raises the same TooLargeError; appends the number of
+    vertex visits of both walks to walks."""
+    visits = []
+    walk = grassmann._LocallyFreeCounts._walk
+
+    def counted(self, idx, *args):
+        visits.append(idx)
+        return walk(self, idx, *args)
+
+    monkeypatch.setattr(grassmann._LocallyFreeCounts, "_walk", counted)
+    RecordingBudget.made = []
+    count = counts.count(e, grassmann.DEFAULT_BUDGET)
+    monkeypatch.setattr(grassmann._LocallyFreeCounts, "_walk", walk)
+    (query,) = RecordingBudget.made
+    spend = query.units - query.left
+    plain, plain_spend, plain_visits = plain_count(counts, e, grassmann.DEFAULT_BUDGET)
+    assert (count, spend) == (plain, plain_spend), e
+    walks.append((len(visits), plain_visits))
+    if spend:
+        with pytest.raises(TooLargeError) as memoized:
+            counts.count(e, spend - 1)
+        with pytest.raises(TooLargeError) as plain:
+            plain_count(counts, e, spend - 1)
+        assert str(memoized.value) == str(plain.value), e
+
+
+def memo_units(memo):
+    return len(memo.lists) + sum(map(len, memo.lists.values())) + len(memo.spans) + \
+        len(memo.subtrees)
+
+
+@pytest.mark.parametrize("room,visit_share", [(grassmann.FIXED_MEMO_ROOM, 0.8), (40, 1)])
+def test_memoized_walk_equals_plain_walk(room, visit_share, monkeypatch):
+    # every e of every fixed-locus root at F_5 and F_7 (one memo for both
+    # primes, as in an F-polynomial), and the Grassmannian path of the G2
+    # flip: equal counts and spends, the same message at spend - 1, and the
+    # memo within its room, at the default room and at a small one
+    monkeypatch.setattr(grassmann, "_Budget", RecordingBudget)
+    monkeypatch.setattr(grassmann, "FIXED_MEMO_ROOM", room)
+    walks = []
+    for label, beta in FIXED_LOCUS_ROOTS:
+        m = table(label).module_of(beta)
+        weights, _ = grassmann._torus_weights(m)
+        memo = grassmann._CandidateMemo()
+        for p in (5, 7):
+            counts = grassmann._LocallyFreeCounts(hmod.reduce_mod_p(m, p), weights, memo)
+            for e in itertools.product(*(range(x + 1) for x in hmod.require_locally_free(m))):
+                assert_walk_equals_plain(counts, e, walks, monkeypatch)
+                assert 0 <= memo.room and memo_units(memo) + memo.room == room
+    flip = non_chain_g2()
+    for p in (5, 7):
+        counts = grassmann._LocallyFreeCounts(hmod.reduce_mod_p(flip, p))
+        assert counts.weights is None and counts.closed_verts
+        for e in itertools.product(range(3), range(4)):
+            assert_walk_equals_plain(counts, e, walks, monkeypatch)
+        assert 0 <= counts.memo.room and memo_units(counts.memo) + counts.memo.room == room
+    # the subtree memo is hit: fewer vertex visits than the plain walk
+    memoized, plain = map(sum, zip(*walks))
+    assert len(walks) > 300 and memoized < visit_share * plain, (memoized, plain)
 
 
 def is_graded(field, basis, w):
