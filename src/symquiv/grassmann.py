@@ -6,19 +6,23 @@ Counting strategy.  A free rank-e submodule of H^r (H = K[eps]/(eps^c)) is a
 direct summand; its canonical basis matrix has identity at the pivot rows,
 full H-entries below a pivot and eps*H-entries above, giving exactly
 q^{(c-1)e(r-e)} [r over e]_q candidates per vertex.  A submodule's component
-at a vertex must contain the span forced by the components already chosen;
-containment is linear in the pivot-form entries, so only the candidates that
-contain the forced span are enumerated, as the solutions of that system.
-Grassmannian counts enumerate source vertices of the (acyclic) constraint
-graph and close the sink vertices by the exact formula for the number of
-free submodules with prescribed containments; the Jordan type that formula
-needs comes from one elimination of the forced span, its columns ordered by
-eps-degree (quotient_type).  Flag counts recurse on the bottom factor.  An
-E-letter's submodules are split into orbits of a few verified automorphisms
-of the module, and one quotient is built per orbit (an automorphism g gives
-M/U = M/gU); quotients falling in one isomorphism class are merged
-(byte-equality first, then a certified isomorphism search), so the recursion
-depth stays flat.
+at a vertex must contain the span forced by the components already chosen
+and, off a DAG order, map into them along the arrows out of the vertex;
+containing a vector and lying in the kernel of a row are both linear in the
+pivot-form entries, so iter_free_submodules(containing=, killed_by=)
+enumerates only the solutions of that system.  It is the one submodule
+enumerator (E-letters read the pivot columns of its _pivot_forms without
+building candidates).  Grassmannian counts enumerate source vertices of the
+(acyclic) constraint graph and close the sink vertices by the exact formula
+for the number of free submodules with prescribed containments; the Jordan
+type that formula needs comes from one elimination of the forced span, its
+columns ordered by eps-degree (quotient_type).  Flag counts recurse on the
+bottom factor.  An E_j letter's submodules are the free rank-one ones killed
+by the arrows out of j (_e_letter_generators); they are split into orbits
+of a few verified automorphisms of the module, and one quotient is built
+per orbit (an automorphism g gives M/U = M/gU); quotients falling in one
+isomorphism class are merged (byte-equality first, then a certified
+isomorphism search), so the recursion depth stays flat.
 Flag Euler characteristics are values at q = 1 of integer polynomials fitted
 (in integer arithmetic) to counts over several primes and verified on a
 held-out prime.
@@ -60,6 +64,7 @@ from . import cartan, hmod, linalg
 from .errors import (
     InterpolationError,
     InternalMismatchError,
+    NotLocallyFreeError,
     PrimePoolExhaustedError,
     PrimeReductionError,
     TooLargeError,
@@ -73,12 +78,12 @@ DEFAULT_BUDGET = 10 ** 7
 class _Budget:
     """Enumeration units left to one query.  Every top-level count (one
     count_locally_free_submodules, Counter.flag_count or
-    ClassFlagCounter.count call) gets a fresh instance.  Each rank-one
-    generator spends one unit; each vertex enumeration spends the size of its
-    whole canonical candidate set, although only the candidates containing
-    the forced span are enumerated.  A memo hit of _LocallyFreeCounts spends
-    what the walk of its subtree spent, so a count spends the same units
-    whether or not its subtrees were counted before."""
+    ClassFlagCounter.count call) gets a fresh instance.  Each generator of
+    an E_j letter spends one unit; each vertex enumeration of a point count
+    spends the size of its whole canonical candidate set, although only the
+    candidates that solve its conditions are enumerated.  A memo hit of
+    _LocallyFreeCounts spends what the walk of its subtree spent, so a count
+    spends the same units whether or not its subtrees were counted before."""
 
     __slots__ = ("units", "left")
 
@@ -91,28 +96,6 @@ class _Budget:
         if self.left < 0:
             raise TooLargeError(f"enumeration budget of {self.units} exhausted"
                                 + (f" by {where}" if where else ""))
-
-
-# --- H-element helpers (truncated polynomials as int tuples) ----------------
-
-
-def _h_mul(p, c, x, y):
-    out = [0] * c
-    for a, xa in enumerate(x):
-        if xa:
-            for b in range(c - a):
-                yb = y[b]
-                if yb:
-                    out[a + b] = (out[a + b] + xa * yb) % p
-    return tuple(out)
-
-
-def _h_is_zero(x):
-    return all(t == 0 for t in x)
-
-
-def _kvec_to_hvec(vec, c, r):
-    return [tuple(vec[b * c + t] for t in range(c)) for b in range(r)]
 
 
 class FreeSubCandidate:
@@ -148,20 +131,6 @@ class FreeSubCandidate:
 
     def forget_k_basis(self):
         self._kbasis = None
-
-    def contains_kvec(self, vec):
-        p, c, r = self.p, self.c, self.r
-        hv = _kvec_to_hvec(vec, c, r)
-        residual = list(hv)
-        for s, pv in enumerate(self.pivots):
-            coeff = residual[pv]
-            if _h_is_zero(coeff):
-                continue
-            col = self.cols[s]
-            for b in range(r):
-                prod = _h_mul(p, c, coeff, col[b])
-                residual[b] = tuple((x - y) % p for x, y in zip(residual[b], prod))
-        return all(_h_is_zero(h) for h in residual)
 
 
 def _pivot_slots(c, r, pivots, weights=None):
@@ -200,16 +169,28 @@ def _candidate_set_size(p, c, r, e, weights=None):
                for pivots in itertools.combinations(range(r), e))
 
 
-def _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis):
-    """The unknowns of a pivot form that contain every w of w_basis, as
-    (free unknowns, [(dependent unknown, constant, [(free unknown, coeff)])]),
-    or None when no candidate with these pivots contains them.
+def _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis, killed=()):
+    """The unknowns of a pivot form that contain every w of w_basis and are
+    killed by every row of killed, as (free unknowns, [(dependent unknown,
+    constant, [(free unknown, coeff)])]), or None when no candidate with
+    these pivots does.
 
     The slots are those of _pivot_slots.  A candidate contains w iff
     w[b] = sum_s w[pv_s] * x[s][b] in H at every free row b: the pivot rows
-    read the coefficients off.  Columns run over the unknowns in reverse, so
+    read the coefficients off.  It is killed by a row iff row . eps^t x[s] =
+    0 for every s and t < c, and eps^t x[s] holds the eps^a coefficient of
+    x[s][b] at b*c + a + t.  Columns run over the unknowns in reverse, so
     each dependent unknown is solved for in terms of earlier free ones."""
     rows = []
+    for row in killed:
+        for s, pv in enumerate(pivots):
+            for t in range(c):
+                eq = [0] * n_vars + [field.neg(row[pv * c + t])]
+                for (ss, b, off, first, stop) in slots:
+                    if ss == s:
+                        for a in range(first, min(stop, c - t)):
+                            eq[n_vars - 1 - (off + a - first)] = row[b * c + a + t]
+                rows.append(eq)
     for w in w_basis:
         for b in free_rows:
             # equation k: the eps^k coefficients of sum_s w[pv_s] * x[s][b] = w[b]
@@ -252,12 +233,14 @@ def _solved_entries(p, c, slots, n_vars, free_vars, dependents):
         yield entries
 
 
-def iter_free_submodules(p, c, r, e, containing=(), weights=None):
+def iter_free_submodules(p, c, r, e, containing=(), weights=None, killed_by=()):
     """The free rank-e submodules of H^r in canonical form that contain every
-    K-vector of `containing`, pivot sets in lexicographic order and the
-    entries of each pivot form lexicographically, slot by slot.
+    K-vector of `containing` and lie in the kernel of every row of
+    `killed_by` (row . v = 0 for each K-basis vector v = eps^t x_s of the
+    submodule), pivot sets in lexicographic order and the entries of each
+    pivot form lexicographically, slot by slot.
 
-    The containment conditions are linear in the entries, so their solutions
+    Both kinds of condition are linear in the entries, so their solutions
     are enumerated directly; each dependent entry is a function of earlier
     free ones, which keeps the order of the unconstrained enumeration.
 
@@ -267,11 +250,20 @@ def iter_free_submodules(p, c, r, e, containing=(), weights=None):
     torus rescales the entry x[s][b] at eps^t by t^(weights[b*c+t] -
     weights[pv_s*c]), so a submodule is fixed iff each of its entries sits
     at its pivot's weight (_pivot_slots)."""
+    for pivots, cols in _pivot_forms(p, c, r, e, containing, weights, killed_by):
+        yield FreeSubCandidate(p, c, r, e, pivots, cols)
+
+
+def _pivot_forms(p, c, r, e, containing=(), weights=None, killed_by=()):
+    """(pivots, columns) of each submodule that iter_free_submodules yields,
+    in its order: the one enumeration of free submodules, whose pivot
+    columns E-letters (_e_letter_generators) read without building
+    candidates."""
     if e > r:
         return
     if e == 0:
         if not any(any(w) for w in containing):
-            yield FreeSubCandidate(p, c, r, 0, (), ())
+            yield (), ()
         return
     field = prime_field_spec(p).field()
     w_basis = []
@@ -279,12 +271,13 @@ def iter_free_submodules(p, c, r, e, containing=(), weights=None):
         w_basis = linalg.row_space(field, containing)
         if len(w_basis) > c * e:
             return  # a free rank-e submodule has dimension c * e
+    killed = [row for row in killed_by if any(row)]
     options = {}  # (first, stop) -> the H-tuples with support in [first, stop)
     unit = tuple([1] + [0] * (c - 1))
     zero = tuple([0] * c)
     for pivots in itertools.combinations(range(r), e):
         free_rows, slots, n_vars = _pivot_slots(c, r, pivots, weights)
-        if not w_basis:
+        if not w_basis and not killed:
             for (_, _, _, first, stop) in slots:
                 if (first, stop) not in options:
                     options[(first, stop)] = [
@@ -293,7 +286,8 @@ def iter_free_submodules(p, c, r, e, containing=(), weights=None):
             assignments = itertools.product(*(options[(first, stop)]
                                               for (_, _, _, first, stop) in slots))
         else:
-            solved = _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis)
+            solved = _containment_solutions(field, c, pivots, free_rows, slots, n_vars, w_basis,
+                                            killed)
             if solved is None:
                 continue
             assignments = _solved_entries(p, c, slots, n_vars, *solved)
@@ -303,7 +297,7 @@ def iter_free_submodules(p, c, r, e, containing=(), weights=None):
                 cols[s][pv] = unit
             for (s, b, _, _, _), h in zip(slots, assignment):
                 cols[s][b] = h
-            yield FreeSubCandidate(p, c, r, e, pivots, tuple([tuple(col) for col in cols]))
+            yield pivots, tuple([tuple(col) for col in cols])
 
 
 def count_free_submodules_of_type(partition, e, q, c):
@@ -424,69 +418,19 @@ def allowed_bottom_space(M, j):
     return linalg.nullspace(field, rows, M.dims[j])
 
 
-def iter_free_rank1_generators(field, eps, space_basis, c):
-    """One generator per free rank-1 H-submodule of the span of space_basis.
-
-    The span must be eps-stable.  Generators are canonical: unit coefficient
-    on the pivot chain, zero constant term on earlier full-length chains.
-    """
-    if not space_basis:
-        return
-    dim_space = len(space_basis)
-    p = field.p if isinstance(field, PrimeField) else None
-    if p is None:
-        raise ValueError("generator enumeration requires a prime field")
-    coord_mat = [[space_basis[s][t] for s in range(dim_space)] for t in range(len(space_basis[0]))]
-    eps_core = []
-    for s in range(dim_space):
-        img = linalg.mat_vec(field, eps, space_basis[s])
-        sol = linalg.solve(field, coord_mat, img)
-        if sol is None:
-            raise ValueError("space is not eps-stable")
-        eps_core.append(sol)
-    eps_core = [[eps_core[s][t] for s in range(dim_space)] for t in range(dim_space)]
-    jordan_cols = hmod.jordan_basis(field, eps_core)
-    if not jordan_cols:
-        return
-    blocks = hmod.read_jordan_blocks(
-        field, linalg.mat_mul(field, linalg.inverse(field, jordan_cols),
-                              linalg.mat_mul(field, eps_core, jordan_cols)))
-    # chain vectors in ambient coordinates
-    chain_vecs = []
-    pos = 0
-    amb = len(space_basis[0])
-    for b in blocks:
-        chain = []
-        for t in range(b):
-            col = [jordan_cols[row][pos + t] for row in range(dim_space)]
-            vec = [field.zero] * amb
-            for s, coeff in enumerate(col):
-                if coeff != field.zero:
-                    for x in range(amb):
-                        vec[x] = field.add(vec[x], field.mul(coeff, space_basis[s][x]))
-            chain.append(vec)
-        chain_vecs.append(chain)
-        pos += b
-    full = [bi for bi, b in enumerate(blocks) if b == c]
-    for bstar in full:
-        other = [bi for bi in range(len(blocks)) if bi != bstar]
-        coeff_ranges = []
-        for bi in other:
-            lam = blocks[bi]
-            if blocks[bi] == c and bi < bstar:
-                opts = [co for co in itertools.product(range(p), repeat=lam) if co[0] == 0]
-            else:
-                opts = list(itertools.product(range(p), repeat=lam))
-            coeff_ranges.append(opts)
-        for combo in itertools.product(*coeff_ranges):
-            u = list(chain_vecs[bstar][0])
-            for bi, co in zip(other, combo):
-                for t, x in enumerate(co):
-                    if x:
-                        vec = chain_vecs[bi][t]
-                        for idx in range(amb):
-                            u[idx] = field.add(u[idx], field.mul(x, vec[idx]))
-            yield u
+def _e_letter_generators(M, j):
+    """The canonical generators u of the E_j-submodules H u of M: the free
+    rank-one submodules of M_j inside allowed_bottom_space, that is killed
+    by the rows of every arrow leaving j, each its pivot column flattened
+    into a tuple (u[b*c + t] is the eps^t coefficient at row b).  M_j must be free with
+    eps_j in canonical chain form."""
+    field, c = M.field(), M.spec.datum.D[j]
+    if not hmod._free_chains(field, M.eps[j], c):
+        raise ValueError(f"E_{j + 1}-submodules are enumerated in a free M_{j + 1} "
+                         "with eps in canonical chain form")
+    arrow_rows = [row for (_, src, _), A in M.arrows.items() if src == j for row in A]
+    for _, cols in _pivot_forms(field.p, c, M.dims[j] // c, 1, killed_by=arrow_rows):
+        yield tuple(itertools.chain.from_iterable(cols[0]))
 
 
 def _vertex_rank(M, v):
@@ -543,22 +487,15 @@ def _spend_on_vertex(budget, size, v, r, e_v, p):
     budget.spend(size, f"the {size} free rank-{e_v} candidates at vertex {v} (rank {r}) over F_{p}")
 
 
-def _vertex_candidates(field, M, v, e_v, chosen, budget):
+def _vertex_candidates(field, M, v, e_v, chosen, budget, killed=()):
     """Free rank-e_v candidates at v that contain the arrow images (an
-    H-submodule contains their H-span).  The call spends the size of the
-    whole canonical candidate set at v, so a query spends what enumerating
-    and filtering every candidate would."""
+    H-submodule contains their H-span) and are killed by the rows of killed.
+    The call spends the size of the whole canonical candidate set at v, so a
+    query spends what enumerating and filtering every candidate would."""
     p, c, r = field.p, M.spec.datum.D[v], _vertex_rank(M, v)
     _spend_on_vertex(budget, count_free_submodules_of_type((c,) * r, e_v, p, c), v, r, e_v, p)
-    yield from iter_free_submodules(p, c, r, e_v, _arrow_images(field, M, v, chosen))
-
-
-def _canonical_eps(M):
-    """Whether every eps_v of M is exactly the canonical free chain form:
-    rank(v) chains of length c_v, e_t -> e_(t+1) within each chain."""
-    field, D = M.field(), M.spec.datum.D
-    return all(not M.dims[v] or hmod.read_jordan_blocks(field, M.eps[v]) == [c] * (M.dims[v] // c)
-               for v, c in enumerate(D))
+    yield from iter_free_submodules(p, c, r, e_v, _arrow_images(field, M, v, chosen),
+                                    killed_by=killed)
 
 
 FIXED_MEMO_ROOM = 8192  # units kept per F-polynomial (_CandidateMemo)
@@ -587,13 +524,17 @@ class _CandidateMemo:
         self.room = FIXED_MEMO_ROOM
 
     def get(self, key, enumerate_candidates):
+        """The candidate list of key; one that does not fit the room is
+        returned as an iterator and never held whole."""
         if key in self.lists:
             return self.lists[key]
-        candidates = list(enumerate_candidates())
-        if len(candidates) < self.room:
-            self.room -= 1 + len(candidates)
-            self.lists[key] = candidates
-        return candidates
+        candidates = enumerate_candidates()
+        head = list(itertools.islice(candidates, self.room))
+        if len(head) < self.room:  # the enumeration ended within the room
+            self.room -= 1 + len(head)
+            self.lists[key] = head
+            return head
+        return itertools.chain(head, candidates)
 
     def keep(self, table, key, value):
         if self.room:
@@ -631,11 +572,12 @@ class _LocallyFreeCounts:
         if not isinstance(field, PrimeField):
             raise ValueError("point counts run over prime fields")
         # candidates and the sink closed form assume the canonical free eps layout
-        if not _canonical_eps(M):
-            if weights is not None:
-                raise ValueError("fixed-locus counts need eps in canonical chain form")
-            M = hmod.normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
-            hmod.require_locally_free(M)
+        normalized = hmod.chain_form(M)
+        if normalized is not M and weights is not None:
+            raise ValueError("fixed-locus counts need eps in canonical chain form")
+        if normalized is None:
+            raise NotLocallyFreeError("module is not locally free")
+        M = normalized
         datum = M.spec.datum
         order = _constraint_order(M)
         if order is None:
@@ -668,7 +610,7 @@ class _LocallyFreeCounts:
         self.memo = memo if memo is not None else _CandidateMemo()
         self.sizes = {}  # (v, e_v) -> size of the torus-fixed candidate set
 
-    def _fixed_candidates(self, idx, v, e_v, chosen, budget):
+    def _fixed_candidates(self, idx, v, e_v, chosen, budget, killed):
         """The torus-fixed counterpart of _vertex_candidates, memoized."""
         M, field, memo = self.M, self.field, self.memo
         p, c, r = field.p, M.spec.datum.D[v], _vertex_rank(M, v)
@@ -682,8 +624,22 @@ class _LocallyFreeCounts:
             flat = tuple([x for row in span for x in row])
             memo.keep(memo.spans, tails, flat)
         d = M.dims[v]
-        return memo.get((p, v, e_v, flat), lambda: iter_free_submodules(
-            p, c, r, e_v, [list(flat[k:k + d]) for k in range(0, len(flat), d)], self.weights[v]))
+        return memo.get((p, v, e_v, flat, killed), lambda: iter_free_submodules(
+            p, c, r, e_v, [list(flat[k:k + d]) for k in range(0, len(flat), d)], self.weights[v],
+            killed))
+
+    def _killed_rows(self, idx, chosen):
+        """In RREF, as a tuple of tuples, the rows that kill exactly the
+        vectors at enum_verts[idx] that the arrows of heads[idx] map into the
+        chosen components at their heads: f A for every arrow A and every f
+        in the annihilator of the component at its head."""
+        field, M = self.field, self.M
+        rows = []
+        for A, i in self.heads[idx]:
+            annihilator = linalg.nullspace(field, chosen[i].k_basis(), M.dims[i])
+            if annihilator:
+                rows.extend(linalg.mat_mul(field, annihilator, A))
+        return tuple(map(tuple, linalg.row_space(field, rows)))
 
     def count(self, e, budget):
         datum = self.M.spec.datum
@@ -728,18 +684,15 @@ class _LocallyFreeCounts:
                     return 0
             return total
         v = self.enum_verts[idx]
+        # the candidates contain the images of the arrows from chosen components
+        # into v and, off a DAG order, map into the chosen ones along the heads
+        killed = self._killed_rows(idx, chosen) if self.heads[idx] else ()
         if self.weights is None:
-            candidates = _vertex_candidates(field, M, v, e[v], chosen, query)
+            candidates = _vertex_candidates(field, M, v, e[v], chosen, query, killed)
         else:
-            candidates = self._fixed_candidates(idx, v, e[v], chosen, query)
-        heads = self.heads[idx]
+            candidates = self._fixed_candidates(idx, v, e[v], chosen, query, killed)
         total = 0
         for cand in candidates:
-            # arrows from already-chosen vertices into v were handled by the
-            # candidates; arrows from v into already-chosen vertices (non-DAG case):
-            if heads and not all(chosen[i].contains_kvec(linalg.mat_vec(field, A, vec))
-                                 for A, i in heads for vec in cand.k_basis()):
-                continue
             chosen[v] = cand
             total += self._count(idx + 1, chosen, e, e_from, query)
             del chosen[v]
@@ -755,14 +708,11 @@ def count_locally_free_submodules(M, e, budget=DEFAULT_BUDGET):
     preprojective algebra (both arrow directions); closed sink vertices are
     counted by formula rather than enumeration.  Each call may spend at most
     `budget` units: a vertex enumeration spends the size of its whole
-    canonical candidate set (_Budget).
+    canonical candidate set (_Budget).  A module that is not locally free
+    raises NotLocallyFreeError, whatever e, and one over the rationals
+    ValueError.
     """
-    if not isinstance(M.field(), PrimeField):
-        raise ValueError("point counts run over prime fields")
-    e = tuple(e)
-    if any(c * x > d for c, x, d in zip(M.spec.datum.D, e, M.dims)):
-        return 0
-    return _LocallyFreeCounts(M).count(e, budget)
+    return _LocallyFreeCounts(M).count(tuple(e), budget)
 
 
 # --- torus localization: coordinate submodules ------------------------------
@@ -848,7 +798,7 @@ def torus_weighting(M):
     """_torus_weights of M when they separate its basis at every vertex, else
     None: M fails the gate when its eps is not in canonical chain form or
     two basis vectors at one vertex collide."""
-    if not _canonical_eps(M):
+    if not hmod.in_chain_form(M):
         return None
     weights, separated = _torus_weights(M)
     return weights if separated else None
@@ -871,7 +821,7 @@ def coordinate_counts(M, torus=None):
     chain it reaches, leaving it out forces out every chain reaching it, and
     both branches always extend to a closed set."""
     if torus is None:
-        if not _canonical_eps(M):
+        if not hmod.in_chain_form(M):
             return None
         torus = _torus_weights(M)
     if not torus[1]:
@@ -986,67 +936,34 @@ def _h_inverse(p, c, h):
     return out
 
 
-def _chain_frame(field, eps):
-    """(block sizes, change to chain coordinates) of a nilpotent eps: its
-    Jordan blocks in basis order and the matrix taking a vector to the
-    coordinates of a chain basis (hmod.jordan_basis), or None when eps is in
-    chain form already (read_jordan_blocks)."""
-    blocks = hmod.read_jordan_blocks(field, eps)
-    if blocks is not None:
-        return blocks, None
-    cols = hmod.jordan_basis(field, eps)
-    to_chain = linalg.inverse(field, cols)
-    return (hmod.read_jordan_blocks(field, linalg.mat_mul(field, to_chain,
-                                                          linalg.mat_mul(field, eps, cols))),
-            to_chain)
-
-
-def _rank1_key(p, c, blocks, u):
-    """The canonical generator of the free rank-one submodule H u, from u in
-    chain coordinates (the chains of eps, of the lengths in blocks, one after
-    another: coordinate pos + t is the coefficient of eps^t on the top of the
-    chain starting at pos).  The generators of one submodule differ by units
-    of H, so u is multiplied by the inverse in H of the coefficient of its
-    first full-length (c) chain with a nonzero constant term, which becomes
-    1.  None when u generates no free rank-one submodule."""
-    pos = 0
-    for lam in blocks:
-        if lam == c and u[pos]:
+def _rank1_key(p, c, u):
+    """The canonical generator of the free rank-one submodule H u of a free
+    module whose eps is in canonical chain form (chains of length c, one
+    after another: coordinate b*c + t is the coefficient of eps^t on the top
+    of chain b).  The generators of one submodule differ by units of H, so u
+    is multiplied by the inverse in H of its first chain coefficient with a
+    nonzero constant term, which becomes 1: the flattened pivot column of
+    iter_free_submodules.  None when u generates no free rank-one
+    submodule."""
+    for pos in range(0, len(u), c):
+        if u[pos]:
             break
-        pos += lam
     else:
         return None
     inv = _h_inverse(p, c, u[pos:pos + c])
-    key = []
-    pos = 0
-    for lam in blocks:
-        for t in range(lam):
-            acc = 0
-            for s in range(t + 1):
-                acc += inv[s] * u[pos + t - s]
-            key.append(acc % p)
-        pos += lam
-    return tuple(key)
-
-
-def _eps_type(M, v):
-    """hmod.eps_partition(M, v), read off without arithmetic when eps_v is in
-    chain form."""
-    blocks = hmod.read_jordan_blocks(M.field(), M.eps[v])
-    if blocks is None:
-        return hmod.eps_partition(M, v)
-    return tuple(sorted(blocks, reverse=True))
+    return tuple(sum(inv[s] * u[pos + t - s] for s in range(t + 1)) % p
+                 for pos in range(0, len(u), c) for t in range(c))
 
 
 AUT_DRAWS = 2  # random elements of End(M) tried as automorphisms, per module
 
 
 class Counter:
-    """Memoizing per-prime counting engine for flags and Grassmannians.
+    """Memoizing per-prime counting engine for E-flags.
 
     The memo tables are keyed by exact module fingerprints and outlive
     queries; the budget does not: each flag_count call may enumerate at most
-    `budget` generators.
+    `budget` E-letter generators (_e_letter_generators, one unit each).
     """
 
     def __init__(self, budget=DEFAULT_BUDGET):
@@ -1064,7 +981,7 @@ class Counter:
         if memo_key in self.rep_memo:
             return self.rep_memo[memo_key]
         inv = (M.spec, M.dims,
-               tuple(_eps_type(M, v) for v in range(M.spec.datum.n)),
+               tuple(hmod.eps_partition(M, v) for v in range(M.spec.datum.n)),
                tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
                             for k, m in M.arrows.items())))
         for inv2, rep in self.class_reps:
@@ -1100,24 +1017,16 @@ class Counter:
         return self.aut_memo[memo_key]
 
     def _orbits(self, M, j, gens):
-        """[(index of the first-seen generator, orbit size)] of the rank-one
-        generators gens at vertex j, in first-seen order, under the group
-        that the automorphisms of M generate: each u is joined with g_j u,
-        found by its _rank1_key.  An image that is not among gens raises."""
+        """[(index of the first-seen generator, orbit size)] of the canonical
+        rank-one generators gens at vertex j (_e_letter_generators), in
+        first-seen order, under the group that the automorphisms of M
+        generate: each u is joined with g_j u, found by its _rank1_key.  An
+        image that is not among gens raises."""
         if len(gens) == 1:
             return [(0, 1)]
         field = M.field()
         p, c = field.p, M.spec.datum.D[j]
-        blocks, to_chain = _chain_frame(field, M.eps[j])
-
-        def key(u):
-            return _rank1_key(p, c, blocks, u if to_chain is None else
-                             linalg.mat_vec(field, to_chain, u))
-
-        index = {key(u): k for k, u in enumerate(gens)}
-        if None in index or len(index) != len(gens):
-            raise InternalMismatchError(
-                "the rank-one generators do not span distinct free submodules")
+        index = {u: k for k, u in enumerate(gens)}
         root = list(range(len(gens)))
 
         def find(k):
@@ -1128,7 +1037,8 @@ class Counter:
 
         for g in self._automorphisms(M):
             for k, u in enumerate(gens):
-                image = index.get(key([sum(map(operator.mul, row, u)) % p for row in g[j]]))
+                image = index.get(_rank1_key(p, c, [sum(map(operator.mul, row, u)) % p
+                                                     for row in g[j]]))
                 if image is None:
                     raise InternalMismatchError(
                         f"an automorphism maps a rank-one generator at vertex {j} "
@@ -1143,27 +1053,26 @@ class Counter:
         return sorted(sizes.items())
 
     def bottom_e_groups(self, M, j):
-        """[(quotient representative, multiplicity)] over E_j-submodules of M.
+        """[(quotient representative, multiplicity)] over E_j-submodules of M,
+        whose M_j must be free with eps_j in canonical chain form.
 
-        The E_j-submodules are the H u for the free rank-one generators u of
-        allowed_bottom_space.  An automorphism g of M gives M/Hu = M/H(g u),
-        so one quotient is built per orbit (_orbits), from its first-seen
-        generator, and weighted by the orbit size; orbits merge further only
-        by a proved isomorphism (_merge_isomorphic)."""
+        The E_j-submodules are the H u for the canonical generators u of
+        _e_letter_generators, each spending one unit.  An automorphism g of M
+        gives M/Hu = M/H(g u), so one quotient is built per orbit (_orbits),
+        from its first-seen generator, and weighted by the orbit size; orbits
+        merge further only by a proved isomorphism (_merge_isomorphic)."""
         key = (M.key(), j)
         if key in self.group_memo:
             return self.group_memo[key]
-        field = M.field()
         c = M.spec.datum.D[j]
         n = M.spec.datum.n
         gens = []
-        for u in iter_free_rank1_generators(field, M.eps[j], allowed_bottom_space(M, j), c):
+        for u in _e_letter_generators(M, j):
             self._query.spend(1)
             gens.append(u)
-        powers = _eps_powers(field, M.eps[j], c)
 
         def quotient(u):
-            span = [linalg.mat_vec(field, P, u) for P in powers]
+            span = [[u[x - t] if x % c >= t else 0 for x in range(len(u))] for t in range(c)]
             return hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
 
         out = _merge_isomorphic((quotient(gens[k]), size)
@@ -1173,9 +1082,21 @@ class Counter:
 
     def flag_count(self, M, word):
         """Number of flags of submodules with subquotients E_{word[0]}, ... ,
-        E_{word[-1]} from the bottom, over the prime field of M."""
+        E_{word[-1]} from the bottom, over the prime field of M.  Such a flag
+        makes M locally free, so a module that is not has none; one whose eps
+        is not in canonical chain form is normalized once (hmod.chain_form),
+        after the memo is looked up, so a repeated query reads no eps.
+        Every quotient of the recursion is locally free (H is self-injective,
+        so a free Hu is a summand at its vertex) and normalized by
+        quotient_by_subspaces."""
         word = tuple(word)
         if not _fills(M, [word.count(v) for v in range(M.spec.datum.n)]):
+            return 0
+        known = self.flag_memo.get((M.key(), word))
+        if known is not None:
+            return known
+        M = hmod.chain_form(M)
+        if M is None:
             return 0
         self._query = _Budget(self.budget)
         return _count_flags(M, word, self.bottom_e_groups, self.flag_memo)
@@ -1223,7 +1144,7 @@ class _PointCounts:
 def _localize(M):
     """(coordinate_counts(M), None) when M passes the torus gate, else (None,
     _PointCounts of M), with M's _torus_weights computed once."""
-    torus = _torus_weights(M) if _canonical_eps(M) else None
+    torus = _torus_weights(M) if hmod.in_chain_form(M) else None
     coordinate = None if torus is None else coordinate_counts(M, torus)
     return coordinate, None if coordinate is not None else _PointCounts(M, torus)
 

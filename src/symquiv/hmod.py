@@ -373,11 +373,32 @@ def _random_couplings(top, bottom, unknowns, rng, bound):
     return blocks
 
 
+def _free_chains(field, eps, c):
+    """Whether eps is exactly the canonical free chain form: chains of
+    length c only, e_t -> e_(t+1) within each chain (read_jordan_blocks)."""
+    return read_jordan_blocks(field, eps) == [c] * (len(eps) // c)
+
+
+def in_chain_form(M):
+    """Whether every eps_v of M is the canonical free chain form (_free_chains)."""
+    field = M.field()
+    return all(_free_chains(field, eps, c) for eps, c in zip(M.eps, M.spec.datum.D))
+
+
+def chain_form(M):
+    """M with every eps_v in canonical free chain form: M itself when it is
+    in chain form already, else a normalized copy (normalize_eps); None when
+    M is not locally free, so that no such form exists."""
+    if in_chain_form(M):
+        return M
+    N = normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
+    return N if in_chain_form(N) else None
+
+
 def is_locally_free(M):
     """Rank vector if every vertex component is free over H_i, else None.
     A vertex whose eps is in chain form with c_v-blocks only is read off
-    (read_jordan_blocks); any other eps is checked by the ranks of its
-    powers."""
+    (_free_chains); any other eps is checked by the ranks of its powers."""
     field = M.field()
     datum = M.spec.datum
     ranks = []
@@ -387,7 +408,7 @@ def is_locally_free(M):
         if d % c != 0:
             return None
         r = d // c
-        if read_jordan_blocks(field, M.eps[v]) == [c] * r:
+        if _free_chains(field, M.eps[v], c):
             ranks.append(r)
             continue
         power = linalg.identity(field, d)
@@ -482,12 +503,16 @@ def normalize_eps(M):
 
 
 def eps_partition(M, v):
-    """Jordan type of eps_v (block sizes descending), from rank drops;
-    NotNilpotentError if eps_v^d is not 0 in dimension d."""
+    """Jordan type of eps_v (block sizes descending): read off without
+    arithmetic when eps_v is in chain form (read_jordan_blocks), else from
+    rank drops; NotNilpotentError if eps_v^d is not 0 in dimension d."""
     field = M.field()
     d = M.dims[v]
     if d == 0:
         return ()
+    blocks = read_jordan_blocks(field, M.eps[v])
+    if blocks is not None:
+        return tuple(sorted(blocks, reverse=True))
     ranks = [d]
     power = linalg.identity(field, d)
     while ranks[-1] > 0:

@@ -21,6 +21,7 @@ random_E_filtered and ext1_pi run the same code as their H counterparts.
 from __future__ import annotations
 
 import functools
+import itertools
 import random
 
 from . import cartan, grassmann, hmod, linalg
@@ -227,31 +228,35 @@ def phi(M: PiModule, i) -> int:
 def is_E_filtered(M: PiModule, budget=100000, seed=0):
     """(flag, witness): search for a flag with generalized-simple subquotients.
 
-    Bottom-factor generators are enumerated exhaustively over a prime field
-    when the candidate space is small, otherwise by a 64-sample randomized
-    sweep (and always randomized over the rationals), so a False answer is
-    certified only on the exhaustive path.  Budget exhaustion raises
-    SearchBudgetExceededError: the answer is then unknown, never False.
+    An E-filtered module is locally free, so a module that is not returns
+    (False, None) at once; one whose eps is not in canonical chain form is
+    normalized once (hmod.chain_form), and every quotient the search takes
+    stays locally free and normalized.  Over a prime field, when there are
+    at most 512 free rank-one candidates at a vertex, they are enumerated
+    exhaustively (grassmann._e_letter_generators, stopped at the 513th);
+    otherwise, and always over the rationals, 64 random elements of
+    sub_space are tried.  A search that finds no flag after any randomized
+    step is inconclusive and raises InternalMismatchError: the answer is
+    then unknown, never False.  Budget exhaustion raises
+    SearchBudgetExceededError, also unknown.
     """
+    M = hmod.chain_form(M)
+    if M is None:
+        return False, None
     field = M.field()
     rng = random.Random(seed)
-    state = {"budget": budget}
+    state = {"budget": budget, "randomized": False}
 
     def candidates(current, j):
+        if isinstance(field, PrimeField):
+            gens = list(itertools.islice(grassmann._e_letter_generators(current, j), 513))
+            if len(gens) <= 512:
+                return gens, True
         space = sub_space(current, j)
-        c = current.spec.datum.D[j]
         if not space:
             return [], True
-        if isinstance(field, PrimeField):
-            powers = grassmann._eps_powers(field, current.eps[j], c + 1)
-            count = grassmann.count_free_submodules_of_type(
-                _stable_type(field, powers, space), 1, field.p, c)
-            if count == 0:
-                return [], True
-            if count <= 512:
-                return list(grassmann.iter_free_rank1_generators(
-                    field, current.eps[j], space, c)), True
         # randomized sweep over the candidate space
+        c = current.spec.datum.D[j]
         out = []
         eps_top = linalg.mat_pow(field, current.eps[j], c - 1)
         for _ in range(64):
@@ -273,7 +278,8 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
         for j in range(current.spec.datum.n):
             if current.dims[j] == 0:
                 continue
-            cands, _ = candidates(current, j)
+            cands, exhaustive = candidates(current, j)
+            state["randomized"] |= not exhaustive
             c = current.spec.datum.D[j]
             for u in cands:
                 state["budget"] -= 1
@@ -290,6 +296,10 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
         return None
 
     witness = search(M)
+    if witness is None and state["randomized"]:
+        raise InternalMismatchError(
+            f"E-filtration search inconclusive over {field!r}: no flag found, and the "
+            f"bottom factors were sampled at random at some step (dims {M.dims})")
     return (witness is not None), witness
 
 

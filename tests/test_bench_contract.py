@@ -150,6 +150,30 @@ def test_lf_candidates_are_the_accepted_candidates(monkeypatch):
     assert metrics["grassmann.lf_submodules"]["value"] == count
 
 
+def test_e_letters_are_not_lf_candidates(monkeypatch):
+    # E-letters come from the same enumeration as the vertex steps, but a
+    # flag count enumerates no vertex step, so grassmann.lf_candidates reads
+    # 0 on it (perfbench/selftest.py predicts 0 on serre and preproj)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    module = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_G2, (2, 1), 3), 5)
+    letters = []
+    for j in range(2):
+        letters.extend(grassmann._e_letter_generators(module, j))
+    assert letters
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        tracer.set_phase("setup")
+        tracer.set_phase("queries")
+        assert grassmann.Counter().flag_count(module, (0, 0, 1)) > 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts.calls.get("grassmann.Counter.bottom_e_groups", 0) > 0
+    assert tracing.layer_metrics(tracer)["grassmann.lf_candidates"]["value"] == 0
+
+
 def test_f_polynomial_reduces_once_and_fits_per_e(monkeypatch):
     # a traced F-polynomial reduces its module once per sampled prime, fits
     # once per e in the box, and the integer fit is still a linalg span, so

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from symquiv import cartan, functors, grassmann, hmod, linalg, verify
-from symquiv.errors import InternalMismatchError, InterpolationError, TooLargeError
+from symquiv.errors import (InternalMismatchError, InterpolationError, NotLocallyFreeError,
+                            TooLargeError)
 from symquiv.fields import RATIONALS, PrimeField, prime_field_spec
 
 B2 = cartan.validate_datum([[2, -1], [-2, 2]], [2, 1])
@@ -74,20 +75,36 @@ B3 = cartan.validate_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1])
 C3 = cartan.validate_datum([[2, -1, 0], [-1, 2, -2], [0, -1, 2]], [1, 1, 2])
 
 
+def contains(cand, vec):
+    """Oracle: whether the K-span of cand's K-basis holds the K-vector vec."""
+    field = PrimeField(cand.p)
+    return linalg.in_span(field, linalg.row_space(field, cand.k_basis()), vec)
+
+
+def lies_inside(p, rows, cand):
+    """Oracle: whether every K-basis vector of cand lies in the subspace
+    killed by rows, by membership in a basis of that kernel."""
+    field = PrimeField(p)
+    kernel = linalg.row_space(field, linalg.nullspace(field, rows, cand.c * cand.r)) \
+        if rows else linalg.identity(field, cand.c * cand.r)
+    return all(linalg.in_span(field, kernel, vec) for vec in cand.k_basis())
+
+
 def filtered_free_submodules(p, c, r, e, rows):
     """Oracle: every canonical candidate, filtered by containment."""
     return [cand for cand in grassmann.iter_free_submodules(p, c, r, e)
-            if all(cand.contains_kvec(w) for w in rows)]
+            if all(contains(cand, w) for w in rows)]
 
 
-def vertex_candidates_oracle(field, M, v, e_v, chosen, budget):
+def vertex_candidates_oracle(field, M, v, e_v, chosen, budget, killed=()):
     """The enumerate-then-filter vertex step: every canonical candidate at v
-    spends one unit and is kept if it contains the forced rows."""
+    spends one unit and is kept if it contains the forced rows and lies in
+    the kernel of killed."""
     c = M.spec.datum.D[v]
     rows = grassmann._forced_rows(field, M, v, chosen, grassmann._eps_powers(field, M.eps[v], c))
     for cand in grassmann.iter_free_submodules(field.p, c, M.dims[v] // c, e_v):
         budget.spend(1)
-        if all(cand.contains_kvec(w) for w in rows):
+        if all(contains(cand, w) for w in rows) and lies_inside(field.p, killed, cand):
             yield cand
 
 
@@ -133,15 +150,63 @@ def root_table(datum, pairs):
         datum, cartan.validate_orientation(datum, pairs), RATIONALS))
 
 
+def jordan_chain_generators(field, eps, space_basis, c):
+    """Oracle: one generator per free rank-1 H-submodule of the eps-stable
+    span of space_basis, read off a Jordan basis of eps on that span:
+    unit coefficient on the top of one full-length chain, zero constant term
+    on the earlier full-length chains."""
+    if not space_basis:
+        return
+    p = field.p
+    dim_space, amb = len(space_basis), len(space_basis[0])
+    coord_mat = [[space_basis[s][t] for s in range(dim_space)] for t in range(amb)]
+    eps_core = []
+    for s in range(dim_space):
+        sol = linalg.solve(field, coord_mat, linalg.mat_vec(field, eps, space_basis[s]))
+        assert sol is not None, "space is not eps-stable"
+        eps_core.append(sol)
+    eps_core = [[eps_core[s][t] for s in range(dim_space)] for t in range(dim_space)]
+    jordan_cols = hmod.jordan_basis(field, eps_core)
+    blocks = hmod.read_jordan_blocks(
+        field, linalg.mat_mul(field, linalg.inverse(field, jordan_cols),
+                              linalg.mat_mul(field, eps_core, jordan_cols)))
+    chain_vecs = []  # the chain vectors in ambient coordinates
+    pos = 0
+    for b in blocks:
+        chain = []
+        for t in range(b):
+            col = [jordan_cols[row][pos + t] for row in range(dim_space)]
+            chain.append([sum(x * space_basis[s][i] for s, x in enumerate(col)) % p
+                          for i in range(amb)])
+        chain_vecs.append(chain)
+        pos += b
+    for bstar in [bi for bi, b in enumerate(blocks) if b == c]:
+        other = [bi for bi in range(len(blocks)) if bi != bstar]
+        coeff_ranges = [[co for co in itertools.product(range(p), repeat=blocks[bi])
+                         if not (blocks[bi] == c and bi < bstar and co[0])] for bi in other]
+        for combo in itertools.product(*coeff_ranges):
+            u = list(chain_vecs[bstar][0])
+            for bi, co in zip(other, combo):
+                for t, x in enumerate(co):
+                    if x:
+                        u = [(a + x * b) % p for a, b in zip(u, chain_vecs[bi][t])]
+            yield u
+
+
+def oracle_e_generators(M, j):
+    """Oracle: the Jordan-chain generators of the E_j-submodules of M."""
+    return list(jordan_chain_generators(M.field(), M.eps[j], grassmann.allowed_bottom_space(M, j),
+                                        M.spec.datum.D[j]))
+
+
 def per_quotient_groups(M, j):
-    """Oracle: the E_j groups of M by one quotient per rank-one generator,
-    grouped by key and then merged by isomorphism in first-seen order, as
-    [(representative key, multiplicity)]."""
+    """Oracle: the E_j groups of M by one quotient per Jordan-chain
+    generator, grouped by key and then merged by isomorphism in first-seen
+    order, as [(representative, multiplicity)]."""
     field, c, n = M.field(), M.spec.datum.D[j], M.spec.datum.n
-    core = grassmann.allowed_bottom_space(M, j)
     powers = grassmann._eps_powers(field, M.eps[j], c)
     by_key = {}
-    for u in grassmann.iter_free_rank1_generators(field, M.eps[j], core, c):
+    for u in oracle_e_generators(M, j):
         span = [linalg.mat_vec(field, P, u) for P in powers]
         quotient = hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
         by_key.setdefault(quotient.key(), [quotient, 0])[1] += 1
@@ -153,7 +218,34 @@ def per_quotient_groups(M, j):
                 break
         else:
             merged.append([quotient, count])
-    return [(rep.key(), count) for rep, count in merged]
+    return [(rep, count) for rep, count in merged]
+
+
+def assert_same_groups(got, expected):
+    """The two group lists hold the same isomorphism classes with the same
+    multiplicities, whichever quotient represents each class."""
+    assert len(got) == len(expected)
+    left = list(expected)
+    for rep, mult in got:
+        match = [k for k, (other, _) in enumerate(left)
+                 if other.dims == rep.dims and hmod.is_isomorphic(rep, other)]
+        assert len(match) == 1 and left[match[0]][1] == mult, (rep.dims, mult)
+        del left[match[0]]
+
+
+def oracle_flag_count(M, word):
+    """Oracle: the E-flag recursion with one quotient per Jordan-chain
+    generator and no merging; M may have any eps."""
+    if not word:
+        return 1
+    field, j, n = M.field(), word[0], M.spec.datum.n
+    powers = grassmann._eps_powers(field, M.eps[j], M.spec.datum.D[j])
+    total = 0
+    for u in oracle_e_generators(M, j):
+        span = [linalg.mat_vec(field, P, u) for P in powers]
+        total += oracle_flag_count(
+            hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)]), word[1:])
+    return total
 
 
 def criterion_9_modules(spec, count):
@@ -166,15 +258,8 @@ def criterion_9_modules(spec, count):
             for seed in seeds[offset:offset + count]]
 
 
-def rank1_keys(M, j):
-    """(generators, their canonical keys) of the E_j-submodules of M."""
-    field, c = M.field(), M.spec.datum.D[j]
-    gens = list(grassmann.iter_free_rank1_generators(
-        field, M.eps[j], grassmann.allowed_bottom_space(M, j), c))
-    blocks, to_chain = grassmann._chain_frame(field, M.eps[j])
-    keys = [grassmann._rank1_key(field.p, c, blocks, u if to_chain is None
-                                 else linalg.mat_vec(field, to_chain, u)) for u in gens]
-    return gens, keys
+def e_generators(M, j):
+    return list(grassmann._e_letter_generators(M, j))
 
 
 def h_act(field, eps, a, u):
@@ -185,6 +270,30 @@ def h_act(field, eps, a, u):
         out = [field.add(x, field.mul(coeff, y)) for x, y in zip(out, vec)]
         vec = linalg.mat_vec(field, eps, vec)
     return out
+
+
+def h_automorphism(p, c, r, rng):
+    """A random H-linear automorphism of H^r (canonical eps): unitriangular
+    over H, each entry above the diagonal a random H-element."""
+    g = [[int(i == j) for j in range(c * r)] for i in range(c * r)]
+    for b in range(r):
+        for b2 in range(b + 1, r):
+            h = [rng.randrange(p) for _ in range(c)]
+            for a in range(c):
+                for t in range(c - a):
+                    g[b * c + a + t][b2 * c + a] = h[t]
+    return g
+
+
+def eps_partition_by_ranks(M, v):
+    """Oracle: the Jordan type of eps_v from the ranks of its powers."""
+    field, d = M.field(), M.dims[v]
+    ranks = [d]
+    power = linalg.identity(field, d)
+    while ranks[-1] > 0:
+        power = linalg.mat_mul(field, power, M.eps[v])
+        ranks.append(linalg.rank(field, power))
+    return hmod._partition_from_ranks(ranks)
 
 
 def quotient_type_oracle(field, dim, c, w_rows):
@@ -260,7 +369,7 @@ class TestFreeSubEnumeration:
             basis = cand.k_basis()
             assert len(basis) == 2
             for vec in basis:
-                assert cand.contains_kvec(vec)
+                assert contains(cand, vec)
 
     @pytest.mark.parametrize("p,c,r,e", [
         (p, c, r, e) for p in (3, 5, 7) for c in (1, 2, 3) for r in (1, 2, 3)
@@ -293,20 +402,60 @@ class TestFreeSubEnumeration:
             assert kind != "some" or got
             assert kind != "none" or not got
 
+    @pytest.mark.parametrize("p,c,r,e", [
+        (p, c, r, e) for p in (3, 5) for c in (1, 2, 3) for r in (1, 2, 3)
+        for e in range(r + 1)
+        if grassmann.count_free_submodules_of_type((c,) * r, e, p, c) <= 2500])
+    def test_killed_by_equals_filtered_enumeration(self, p, c, r, e):
+        # killed_by= yields the candidates, with and without containing= and
+        # weights=, whose K-basis lies in the kernel of the rows, in order
+        field = PrimeField(p)
+        rng = random.Random(1000 * p + 100 * c + 10 * r + e)
+        d = c * r
+        everything = list(grassmann.iter_free_submodules(p, c, r, e))
+        kernels = [[]]  # the rows' kernel: eps-stable or not
+        for _ in range(3):
+            inside = rng.choice(everything).k_basis()
+            extra = h_span(p, c, r, [[rng.randrange(p) for _ in range(d)]])
+            kernels.append(linalg.nullspace(field, inside + extra, d) if inside + extra else [])
+            kernels.append([[rng.randrange(p) for _ in range(d)] for _ in range(rng.randint(1, 2))])
+        heads = [rng.randrange(3) for _ in range(r)]
+        weights = [heads[b] + t for b in range(r) for t in range(c)]  # eps homogeneous
+        cases = 0
+        for rows in kernels:
+            for containing in ([], h_span(p, c, r, [rng.choice(everything).k_basis()[0]]
+                                          if e else [[0] * d])):
+                for w in (None, weights):
+                    base = grassmann.iter_free_submodules(p, c, r, e, containing, w)
+                    expected = [(x.pivots, x.cols) for x in base if lies_inside(p, rows, x)]
+                    got = [(x.pivots, x.cols) for x in grassmann.iter_free_submodules(
+                        p, c, r, e, containing, w, killed_by=rows)]
+                    assert got == expected, (rows, containing, w)
+                    cases += bool(got) and bool(rows)
+        assert cases or e == r
+
     def test_rank1_generator_enumeration_counts(self):
+        # the full free module H^2, c = 2: the pivot forms and the Jordan-chain
+        # oracle give the same free rank-one submodules, as many as the formula
         field = PrimeField(5)
-        # the full free module H^2 with c = 2
         eps = hmod.free_eps(field, 2, 2)
-        space = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-        gens = list(grassmann.iter_free_rank1_generators(field, eps, space, 2))
-        assert len(gens) == grassmann.count_free_submodules_of_type((2, 2), 1, 5, 2)
+        gens = [tuple(x for h in cand.cols[0] for x in h)
+                for cand in grassmann.iter_free_submodules(5, 2, 2, 1, killed_by=[])]
+        oracle = {grassmann._rank1_key(5, 2, u)
+                  for u in jordan_chain_generators(field, eps, linalg.identity(field, 4), 2)}
+        assert set(gens) == oracle
+        assert len(gens) == len(oracle) == grassmann.count_free_submodules_of_type((2, 2), 1, 5, 2)
 
     def test_rank1_generators_in_mixed_type_module(self):
+        # type (2,1): chain 0 of H^2 and the socle of chain 1, the kernel of e_2^*
         field = PrimeField(5)
-        # type (2,1): one full chain, one short chain
-        eps = hmod.jordan_nilpotent(field, [2, 1])
-        space = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-        gens = list(grassmann.iter_free_rank1_generators(field, eps, space, 2))
+        eps = hmod.free_eps(field, 2, 2)
+        space = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+        gens = [tuple(x for h in cand.cols[0] for x in h)
+                for cand in grassmann.iter_free_submodules(5, 2, 2, 1, killed_by=[[0, 0, 1, 0]])]
+        oracle = {grassmann._rank1_key(5, 2, u)
+                  for u in jordan_chain_generators(field, eps, space, 2)}
+        assert set(gens) == oracle
         assert len(gens) == grassmann.count_free_submodules_of_type((2, 1), 1, 5, 2)
 
 
@@ -331,6 +480,28 @@ class TestGrassmannianCounts:
         m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (2, 1), 5), 7)
         assert grassmann.count_locally_free_submodules(m, (2, 1)) == 1
 
+    def test_not_locally_free_raises_for_every_e(self):
+        # the count checks its module before it reads e: a module that is not
+        # locally free raises whatever e, one past the rank bound too, in
+        # chain form or not; a locally free one counts 0 past the bound, and
+        # a module over Q raises ValueError whatever e
+        field = PrimeField(5)
+        spec = SPEC_B2.with_field(prime_field_spec(5))
+        m = hmod.HModule(spec, (4, 0), [hmod.jordan_nilpotent(field, [2, 1, 1]), []],
+                         {k: linalg.zeros(field, 4, 0) for k in spec.arrow_keys()})
+        flip = hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0,
+                                        h_automorphism(5, 1, 4, random.Random(1)))
+        assert hmod.read_jordan_blocks(field, flip.eps[0]) is None
+        for module in (m, flip):
+            for e in [(0, 0), (1, 0), (3, 0), (0, 1)]:
+                with pytest.raises(NotLocallyFreeError):
+                    grassmann.count_locally_free_submodules(module, e)
+        free = hmod.random_locally_free(SPEC_B2, (2, 1), 5)
+        assert grassmann.count_locally_free_submodules(hmod.reduce_mod_p(free, 7), (3, 0)) == 0
+        for e in [(1, 0), (3, 0)]:
+            with pytest.raises(ValueError, match="prime fields"):
+                grassmann.count_locally_free_submodules(free, e)
+
     def test_closed_form_agrees_with_full_enumeration(self):
         # force full enumeration by counting on the preprojective double quiver
         # analog: here simply compare the sink-closed-form count against a
@@ -346,7 +517,7 @@ class TestGrassmannianCounts:
                     for vec in c2.k_basis():
                         img = [sum(mp.arrows[(0, 1, 0)][r][t] * vec[t]
                                    for t in range(1)) % p for r in range(4)]
-                        if not c1.contains_kvec(img):
+                        if not contains(c1, img):
                             ok = False
                             break
                     if ok:
@@ -488,6 +659,18 @@ class TestFlags:
             counter = grassmann.Counter()
             assert counter.flag_count(hmod.reduce_mod_p(m, p), (0, 0)) == p * p + p
 
+    def test_repeated_count_reads_the_memo_first(self, monkeypatch):
+        # a count in the memo is returned before the module's eps is read
+        m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_G2, (2, 1), 3), 5)
+        counter = grassmann.Counter()
+        count = counter.flag_count(m, (0, 0, 1))
+        other = grassmann.Counter().flag_count(m, (0, 1, 0))
+        read = []
+        chain_form = hmod.chain_form
+        monkeypatch.setattr(hmod, "chain_form", lambda M: read.append(M) or chain_form(M))
+        assert counter.flag_count(m, (0, 0, 1)) == count and not read
+        assert counter.flag_count(m, (0, 1, 0)) == other and len(read) == 1
+
     def test_merge_propagates_unexpected_errors(self, monkeypatch):
         # only an inconclusive isomorphism search may be read as "distinct"
         def broken(A, B, *args, **kwargs):
@@ -503,8 +686,7 @@ class TestFlags:
         # than one orbit, so its merge still calls is_isomorphic
         m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (2, 1), 1), 5)
         counter = grassmann.Counter()
-        gens, _ = rank1_keys(m, 0)
-        assert len(counter._orbits(m, 0, gens)) > 1
+        assert len(counter._orbits(m, 0, e_generators(m, 0))) > 1
 
     def test_flag_through_root_module(self):
         # He_2 has a unique E-flag structure E_1 then E_2 and none reversed
@@ -553,36 +735,64 @@ class TestOrbitMerge:
         merged = 0
         for M, j in seen:
             got = grassmann.Counter().bottom_e_groups(M, j)
-            assert [(rep.key(), mult) for rep, mult in got] == per_quotient_groups(M, j)
+            assert_same_groups(got, per_quotient_groups(M, j))
             merged += sum(mult for _, mult in got) > len(got)
         assert merged  # some orbit or class holds more than one submodule
 
     def test_groups_without_chain_form_eps(self):
-        # a vertex basis change that is not H-linear: keys go through a chain basis
+        # a vertex basis change that is not H-linear: flag_count normalizes
+        # it once and counts what it counts on the chain-form module, and
+        # what the Jordan-chain oracle recursion counts on the changed one
         m = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_G2, (2, 1), 3), 5)
         field = m.field()
         g = linalg.identity(field, 6)
         g[0][1] = g[2][5] = g[4][3] = field.one
-        hmod.change_vertex_basis(m, 0, g)
-        assert hmod.read_jordan_blocks(field, m.eps[0]) is None
-        got = grassmann.Counter().bottom_e_groups(m, 0)
-        assert [(rep.key(), mult) for rep, mult in got] == per_quotient_groups(m, 0)
+        changed = hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0, g)
+        assert hmod.read_jordan_blocks(field, changed.eps[0]) is None
+        with pytest.raises(ValueError, match="canonical chain form"):
+            grassmann.Counter().bottom_e_groups(changed, 0)
+        counts = []
+        for word in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
+            count = grassmann.Counter().flag_count(changed, word)
+            assert count == grassmann.Counter().flag_count(m, word) == \
+                oracle_flag_count(changed, word), word
+            counts.append(count)
+        assert any(counts)
+
+    @pytest.mark.parametrize("blocks", [(2, 1, 1), (1, 2, 1), (2, 2, 1, 1)])
+    def test_mixed_jordan_type_has_no_flag(self, blocks):
+        # a module that is not locally free has no E-flag: flag_count reads 0
+        # without enumerating, and the oracle recursion, which does find
+        # rank-one generators, counts 0 too; also with eps out of chain form
+        field = PrimeField(5)
+        spec = SPEC_B2.with_field(prime_field_spec(5))
+        m = hmod.HModule(spec, (sum(blocks), 0), [hmod.jordan_nilpotent(field, blocks), []],
+                         {k: linalg.zeros(field, sum(blocks), 0) for k in spec.arrow_keys()})
+        assert hmod.is_locally_free(m) is None and oracle_e_generators(m, 0)
+        flip = hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0,
+                                        h_automorphism(5, 1, sum(blocks), random.Random(1)))
+        assert hmod.read_jordan_blocks(field, flip.eps[0]) is None
+        word = (0,) * (sum(blocks) // 2)
+        for module in (m, flip):
+            assert grassmann.Counter(budget=0).flag_count(module, word) == 0
+            assert oracle_flag_count(module, word) == 0
 
     @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5)])
     def test_key_is_a_unit_invariant(self, spec, p):
+        # a canonical generator is its own key, and so is each unit multiple
         rng = random.Random(p)
         for module in criterion_9_modules(spec, 2):
             m = hmod.reduce_mod_p(module, p)
             field, c = m.field(), spec.datum.D[0]
-            blocks, _ = grassmann._chain_frame(field, m.eps[0])
-            gens, keys = rank1_keys(m, 0)
-            for u, key in zip(gens, keys):
+            for u in e_generators(m, 0):
                 unit = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(c - 1)]
-                assert grassmann._rank1_key(p, c, blocks, h_act(field, m.eps[0], unit, u)) == key
-                assert grassmann._rank1_key(p, c, blocks, list(key)) == key
+                assert grassmann._rank1_key(p, c, h_act(field, m.eps[0], unit, u)) == u
+                assert grassmann._rank1_key(p, c, u) == u
 
     @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5)])
     def test_one_key_per_free_rank1_submodule(self, spec, p):
+        # the E_0 generators are the Jordan-chain oracle's submodules, one
+        # each, as many as the formula for the Jordan type of the allowed space
         for module in criterion_9_modules(spec, 2):
             m = hmod.reduce_mod_p(module, p)
             field, c = m.field(), spec.datum.D[0]
@@ -593,29 +803,39 @@ class TestOrbitMerge:
                 vecs = [linalg.mat_vec(field, m.eps[0], v) for v in vecs]
                 ranks.append(linalg.rank(field, vecs))
             jordan_type = hmod._partition_from_ranks(ranks)
-            _, keys = rank1_keys(m, 0)
-            assert None not in keys
-            assert len(set(keys)) == grassmann.count_free_submodules_of_type(jordan_type, 1, p, c)
+            gens = e_generators(m, 0)
+            assert len(set(gens)) == len(gens) == \
+                grassmann.count_free_submodules_of_type(jordan_type, 1, p, c)
+            assert set(gens) == {grassmann._rank1_key(p, c, u) for u in oracle_e_generators(m, 0)}
 
     @pytest.mark.parametrize("p, c, blocks", [(5, 2, [2, 1]), (3, 2, [1, 2, 2]),
                                               (3, 3, [3, 1, 3]), (5, 3, [2, 3])])
     def test_one_key_per_free_rank1_submodule_of_mixed_type(self, p, c, blocks):
+        # an eps-stable subspace of H^r of Jordan type blocks (the bottom
+        # blocks[b] vectors of chain b, moved by an H-linear automorphism):
+        # killed_by its annihilator yields the Jordan-chain oracle's
+        # submodules, as many as the formula for that type
         field = PrimeField(p)
-        eps = hmod.jordan_nilpotent(field, blocks)
-        space = linalg.identity(field, sum(blocks))
-        keys = [grassmann._rank1_key(p, c, blocks, u)
-                for u in grassmann.iter_free_rank1_generators(field, eps, space, c)]
+        r = len(blocks)
+        g = h_automorphism(p, c, r, random.Random(p * c))
+        space = [linalg.mat_vec(field, g, [int(x == b * c + a) for x in range(c * r)])
+                 for b, lam in enumerate(blocks) for a in range(c - lam, c)]
+        rows = linalg.nullspace(field, space, c * r)
+        gens = [tuple(x for h in cand.cols[0] for x in h)
+                for cand in grassmann.iter_free_submodules(p, c, r, 1, killed_by=rows)]
+        oracle = [grassmann._rank1_key(p, c, u)
+                  for u in jordan_chain_generators(field, hmod.free_eps(field, c, r), space, c)]
         jordan_type = tuple(sorted(blocks, reverse=True))
-        assert None not in keys
-        assert len(set(keys)) == grassmann.count_free_submodules_of_type(jordan_type, 1, p, c)
+        assert None not in oracle and set(gens) == set(oracle)
+        assert len(gens) == len(oracle) == \
+            grassmann.count_free_submodules_of_type(jordan_type, 1, p, c)
 
     @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5)])
     def test_automorphism_images_are_candidates(self, spec, p):
         for module in criterion_9_modules(spec, 2):
             m = hmod.reduce_mod_p(module, p)
             field, n = m.field(), spec.datum.n
-            gens, keys = rank1_keys(m, 0)
-            blocks, _ = grassmann._chain_frame(field, m.eps[0])
+            gens = e_generators(m, 0)
             auts = grassmann.Counter()._automorphisms(m)
             assert auts
             for g in auts:
@@ -625,9 +845,9 @@ class TestOrbitMerge:
                     assert linalg.mat_mul(field, g[v], eps) == linalg.mat_mul(field, eps, g[v])
                 for (i, j, _), A in m.arrows.items():
                     assert linalg.mat_mul(field, g[i], A) == linalg.mat_mul(field, A, g[j])
-                images = {grassmann._rank1_key(p, spec.datum.D[0], blocks,
-                                               linalg.mat_vec(field, g[0], u)) for u in gens}
-                assert images == set(keys)
+                images = {grassmann._rank1_key(p, spec.datum.D[0], linalg.mat_vec(field, g[0], u))
+                          for u in gens}
+                assert images == set(gens)
 
     def test_missing_image_raises(self, monkeypatch):
         # an invertible map at vertex 0 that does not commute with eps takes
@@ -690,9 +910,10 @@ class TestSerre:
         assert len(lf_checks) == 2 and len(reductions) == made
 
     def test_class_invariant_reads_chain_form_eps(self, monkeypatch):
-        # class_rep's cheap invariant reads the Jordan type of a chain-form
-        # eps off the matrix and equals eps_partition's, over Q and F_p; a
-        # module whose eps is not in chain form still goes to eps_partition
+        # eps_partition reads the Jordan type of a chain-form eps off the
+        # matrix, over Q and F_p, and equals the rank-drop oracle's; only a
+        # module whose eps is not in chain form takes ranks.  class_rep's
+        # cheap invariant is eps_partition
         modules = criterion_9_modules(SPEC_B2, 4) + criterion_9_modules(SPEC_G2, 4) + \
             [hmod.generalized_simple(SPEC_G2, 0), hmod.zero_module(SPEC_B2)]
         # chain form with blocks (1, 2) in basis order: not locally free
@@ -705,19 +926,20 @@ class TestSerre:
         assert hmod.read_jordan_blocks(SPEC_B2.field(), flip.eps[0]) is None
         for m in modules + [flip]:
             for v in range(m.spec.datum.n):
-                assert grassmann._eps_type(m, v) == hmod.eps_partition(m, v)
+                assert hmod.eps_partition(m, v) == eps_partition_by_ranks(m, v)
         counter = grassmann.Counter()
         for m in modules + [flip]:
             counter.class_rep(m)
         for inv, rep in counter.class_reps:
-            assert inv[2] == tuple(hmod.eps_partition(rep, v) for v in range(rep.spec.datum.n))
-        calls = []
-        eps_partition = hmod.eps_partition
-        monkeypatch.setattr(hmod, "eps_partition", lambda M, v: calls.append(v) or eps_partition(M, v))
-        for m in modules + [flip]:
+            assert inv[2] == tuple(eps_partition_by_ranks(rep, v) for v in range(rep.spec.datum.n))
+        ranked = []
+        rank = linalg.rank
+        monkeypatch.setattr(linalg, "rank", lambda *args: ranked.append(where) or rank(*args))
+        for k, m in enumerate(modules + [flip]):
             for v in range(m.spec.datum.n):
-                grassmann._eps_type(m, v)
-        assert calls == [0]  # flip's eps_0
+                where = (k, v)
+                hmod.eps_partition(m, v)
+        assert set(ranked) == {(len(modules), 0)}  # flip's eps_0
 
     def test_class_lookup_once_per_module(self, monkeypatch):
         # a conjugate of a cached module is matched to it by one isomorphism

@@ -275,6 +275,32 @@ class TestLocallyFree:
                                     for eps in moved)
             assert hmod.is_locally_free(conjugate) == self.rank_path(conjugate) == expected
 
+    def test_chain_form(self):
+        # a module already in canonical chain form is returned as it is; one
+        # conjugated out of it comes back as a chain-form copy with the same
+        # Jordan types, the input untouched; a module that is not locally
+        # free has no chain form, whether its eps is in chain form or not
+        rng = random.Random(7)
+        for spec, r in ((spec_b2(), (2, 1)), (spec_g2(prime_field_spec(5)), (2, 1))):
+            m = hmod.random_locally_free(spec, r, 3)
+            assert hmod.in_chain_form(m) and hmod.chain_form(m) is m
+            conjugate = generic_conjugate(m, rng)
+            assert not hmod.in_chain_form(conjugate)
+            before = conjugate.key()
+            normal = hmod.chain_form(conjugate)
+            assert conjugate.key() == before and hmod.in_chain_form(normal)
+            assert normal.dims == m.dims and hmod.is_locally_free(normal) == r
+            assert hmod.is_isomorphic(normal, m)
+        for blocks in ([2, 1, 1], [1, 1]):
+            spec = spec_b2()
+            field, d = spec.field(), sum(blocks)
+            mixed = hmod.HModule(spec, (d, 0), [hmod.jordan_nilpotent(field, blocks), []],
+                                 {k: linalg.zeros(field, d if k[0] == 0 else 0, d if k[1] == 0 else 0)
+                                  for k in spec.arrow_keys()})
+            assert not hmod.in_chain_form(mixed)
+            assert hmod.chain_form(mixed) is None
+            assert hmod.chain_form(generic_conjugate(mixed, rng)) is None
+
     def test_non_nilpotent_eps_raises(self):
         # eps_0 = 1 + (a nilpotent): no power of it vanishes, and both
         # Jordan routines used to loop for ever on it

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from symquiv import cartan, grassmann, hmod, linalg, pimod, verify
-from symquiv.errors import UndefinedValueError
+from symquiv.errors import InternalMismatchError, UndefinedValueError
 from symquiv.fields import RATIONALS, prime_field_spec
 from test_hmod import _relation_space_dim
 
@@ -123,6 +123,49 @@ class TestEFiltered:
         assert hmod.is_locally_free(fixture) == (1, 1)
         flag, witness = pimod.is_E_filtered(fixture)
         assert not flag and witness is None
+
+    def test_inconclusive_search_is_unknown(self):
+        # over Q every bottom factor is sampled at random, so finding no flag
+        # is "unknown"; over F_7 every step is exhaustive and "no" is certified
+        with pytest.raises(InternalMismatchError, match="inconclusive"):
+            pimod.is_E_filtered(make_pi_b2((0, 1), (1, 0), RATIONALS))
+        assert pimod.is_E_filtered(make_pi_b2((0, 1), (1, 0), prime_field_spec(7))) == (False, None)
+
+    @pytest.mark.parametrize("copies, drawn, sampled", [(2, 30, False), (3, 513, True)])
+    def test_exhaustive_branch_takes_at_most_512_letters(self, monkeypatch, copies, drawn,
+                                                         sampled):
+        # E_1^copies over F_5 has p^(copies-1) [copies]_p free rank-one
+        # submodules at vertex 1: 30 are all taken from the enumerator, and of
+        # 775 the search takes 513 and then samples sub_space instead
+        spec = hmod.HAlgebraSpec(B2, B2_OMEGA, prime_field_spec(5))
+        m = hmod.generalized_simple(spec, 0)
+        for _ in range(copies - 1):
+            m = hmod.direct_sum(m, hmod.generalized_simple(spec, 0))
+        taken, spaces = [], []
+        generators, sub_space = grassmann._e_letter_generators, pimod.sub_space
+
+        def counted(M, j):
+            taken.append(0)
+            for u in generators(M, j):
+                taken[-1] += 1
+                yield u
+
+        monkeypatch.setattr(grassmann, "_e_letter_generators", counted)
+        monkeypatch.setattr(pimod, "sub_space", lambda M, k: spaces.append(k) or sub_space(M, k))
+        flag, witness = pimod.is_E_filtered(pimod.from_h_module(m))
+        assert flag and witness == [0] * copies
+        assert taken[0] == drawn and bool(spaces) == sampled
+
+    def test_not_locally_free_has_no_flag(self):
+        # an E-filtered module is locally free: certified "no", over Q as well
+        for fieldspec in (RATIONALS, prime_field_spec(7)):
+            spec = hmod.HAlgebraSpec(B2, B2_OMEGA, fieldspec)
+            field = spec.field()
+            m = pimod.PiModule(spec, (2, 0), [linalg.zeros(field, 2, 2), []],
+                               {k: linalg.zeros(field, 2 if k[0] == 0 else 0, 0 if k[0] == 0 else 2)
+                                for k in pimod.double_arrow_keys(spec)})
+            assert hmod.is_locally_free(m) is None
+            assert pimod.is_E_filtered(m) == (False, None)
 
     def test_random_generator_output_is_filtered(self):
         rng = random.Random(5)

@@ -12,10 +12,10 @@ import re
 
 import pytest
 
-from symquiv import cartan, cluster, functors, grassmann, hmod, linalg, verify
+from symquiv import cartan, cluster, functors, grassmann, hmod, linalg, pimod, verify
 from symquiv.errors import TooLargeError
-from symquiv.fields import QQ, RATIONALS
-from test_grassmann import RecordingBudget
+from symquiv.fields import QQ, RATIONALS, prime_field_spec
+from test_grassmann import RecordingBudget, contains
 
 CATALOG = verify.catalog_rank_le_4()
 # label -> (datum, orientation pairs)
@@ -213,7 +213,8 @@ def reached_enumerations(M, p, monkeypatch):
     calls = []
     enumerate_ = grassmann.iter_free_submodules
 
-    def recorded(p, c, r, e, containing=(), weights=None):
+    def recorded(p, c, r, e, containing=(), weights=None, killed_by=()):
+        assert not killed_by  # an H-module's constraint order is a DAG order
         calls.append((p, c, r, e, [list(w) for w in containing], weights))
         return enumerate_(p, c, r, e, containing, weights)
 
@@ -361,7 +362,7 @@ def plain_count(counts, e, budget):
             ok = True
             for (i, j, _), A in M.arrows.items():
                 if j == v and i in chosen and M.dims[i]:
-                    if not all(chosen[i].contains_kvec(linalg.mat_vec(field, A, vec))
+                    if not all(contains(chosen[i], linalg.mat_vec(field, A, vec))
                                for vec in cand.k_basis()):
                         ok = False
                         break
@@ -436,6 +437,50 @@ def test_memoized_walk_equals_plain_walk(room, visit_share, monkeypatch):
     # the subtree memo is hit: fewer vertex visits than the plain walk
     memoized, plain = map(sum, zip(*walks))
     assert len(walks) > 300 and memoized < visit_share * plain, (memoized, plain)
+
+
+def test_candidate_memo_streams_a_list_past_its_room():
+    # a list shorter than the room is kept; one that reaches the room is
+    # yielded whole and in order, never kept, and enumerated only as it is read
+    memo = grassmann._CandidateMemo()
+    memo.room = 5
+    read = []
+
+    def enumerate_(n):
+        for k in range(n):
+            read.append(k)
+            yield k
+
+    streamed = memo.get("long", lambda: enumerate_(8))
+    assert len(read) == 5 and not isinstance(streamed, list)
+    assert list(streamed) == list(range(8)) and read == list(range(8))
+    assert memo.room == 5 and "long" not in memo.lists
+    assert list(memo.get("room", lambda: enumerate_(5))) == list(range(5))
+    assert memo.room == 5 and "room" not in memo.lists
+    assert memo.get("short", lambda: enumerate_(4)) == [0, 1, 2, 3]
+    assert memo.room == 0 and memo.lists == {"short": [0, 1, 2, 3]}
+    assert memo.get("short", lambda: enumerate_(4)) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("name,seq,seed", [("B2", (1, 0, 1), 0), ("B2", (0, 1, 1), 0),
+                                            ("G2", (0, 1, 0), 0)])
+def test_pi_walk_equals_plain_walk(name, seq, seed, monkeypatch):
+    # off a DAG order the walk solves for the candidates that the arrows out
+    # of the vertex map into the chosen components (killed_by=); the plain
+    # walk filters every candidate by K-span membership: equal counts and
+    # spends, and the same message at spend - 1, for every e
+    monkeypatch.setattr(grassmann, "_Budget", RecordingBudget)
+    datum = CATALOG[name]
+    spec = hmod.HAlgebraSpec(datum, cartan.validate_orientation(datum, [(0, 1)]),
+                             prime_field_spec(5))
+    m = pimod.random_E_filtered(spec, seq, seed)
+    counts = grassmann._LocallyFreeCounts(m)
+    assert not counts.closed_verts and any(counts.heads)
+    totals = []
+    for e in itertools.product(*(range(x + 1) for x in hmod.require_locally_free(m))):
+        assert_walk_equals_plain(counts, e, [], monkeypatch)
+        totals.append(counts.count(e, grassmann.DEFAULT_BUDGET))
+    assert max(totals) > 1
 
 
 def is_graded(field, basis, w):
