@@ -22,7 +22,9 @@ by the arrows out of j (_e_letter_generators); they are split into orbits
 of a few verified automorphisms of the module, and one quotient is built
 per orbit (an automorphism g gives M/U = M/gU); quotients falling in one
 isomorphism class are merged (byte-equality first, then a certified
-isomorphism search), so the recursion depth stays flat.
+isomorphism search), so the recursion depth stays flat.  Whether a flag of
+prescribed classes exists (ClassFlagCounter.exists) is decided on the same
+quotients, unmerged, by a depth-first walk that stops at the first flag.
 Flag Euler characteristics are values at q = 1 of integer polynomials fitted
 (in integer arithmetic) to counts over several primes and verified on a
 held-out prime.
@@ -76,9 +78,9 @@ DEFAULT_BUDGET = 10 ** 7
 
 
 class _Budget:
-    """Enumeration units left to one query.  Every top-level count (one
-    count_locally_free_submodules, Counter.flag_count or
-    ClassFlagCounter.count call) gets a fresh instance.  Each generator of
+    """Enumeration units left to one query.  Every top-level query (one
+    count_locally_free_submodules, Counter.flag_count, ClassFlagCounter.count
+    or ClassFlagCounter.exists call) gets a fresh instance.  Each generator of
     an E_j letter spends one unit; each vertex enumeration of a point count
     spends the size of its whole canonical candidate set, although only the
     candidates that solve its conditions are enumerated.  A memo hit of
@@ -1282,10 +1284,14 @@ def _iter_lf_submodules(M, e, budget):
 
 
 class ClassFlagCounter:
-    """Counts flags whose subquotients run through prescribed rigid classes.
+    """Counts flags whose subquotients run through prescribed rigid classes,
+    and decides whether one exists.
 
-    The memo tables outlive queries; the budget does not: each count call may
-    spend at most `budget` units, the sizes of the candidate sets of its
+    count merges the isomorphic quotients of each level (_sub_groups);
+    exists walks the quotients depth first, unmerged, and stops at the first
+    complete flag.  Both read one enumeration, _class_quotients.  The memo
+    tables outlive queries; the budget does not: each count or exists call
+    may spend at most `budget` units, the sizes of the candidate sets of its
     vertex enumerations (_Budget).
     """
 
@@ -1296,36 +1302,63 @@ class ClassFlagCounter:
         self.ranks = [hmod.require_locally_free(m) for m in class_modules]
         self.end_dims = [hmod.hom_dim(m, m) for m in class_modules]
         self.flag_memo = {}
+        self.exists_memo = {}  # (module key, word) -> whether a flag exists
         self.group_memo = {}
         self.budget = budget
         self._query = _Budget(budget)
 
+    def _class_quotients(self, M, cls_idx):
+        """Yield M/S for every locally free submodule S of M in the class
+        cls_idx, in _iter_lf_submodules order, one per submodule."""
+        if not hmod.hom_dim(self.classes[cls_idx], M):
+            return
+        for subspaces in _iter_lf_submodules(M, self.ranks[cls_idx], self._query):
+            sub = hmod.submodule_from_subspaces(M, subspaces)
+            # rigid locally free modules of a fixed rank form one class:
+            # membership is detected by the minimal endomorphism dimension
+            if hmod.hom_dim(sub, sub) == self.end_dims[cls_idx]:
+                yield hmod.quotient_by_subspaces(M, subspaces)
+
     def _sub_groups(self, M, cls_idx):
         key = (M.key(), cls_idx)
-        if key in self.group_memo:
-            return self.group_memo[key]
+        if key not in self.group_memo:
+            self.group_memo[key] = _merge_isomorphic(
+                (quotient, 1) for quotient in self._class_quotients(M, cls_idx))
+        return self.group_memo[key]
 
-        def quotients():
-            for subspaces in _iter_lf_submodules(M, self.ranks[cls_idx], self._query):
-                sub = hmod.submodule_from_subspaces(M, subspaces)
-                # rigid locally free modules of a fixed rank form one class:
-                # membership is detected by the minimal endomorphism dimension
-                if hmod.hom_dim(sub, sub) == self.end_dims[cls_idx]:
-                    yield hmod.quotient_by_subspaces(M, subspaces), 1
-
-        out = _merge_isomorphic(quotients()) if hmod.hom_dim(self.classes[cls_idx], M) else []
-        self.group_memo[key] = out
-        return out
+    def _fills_word(self, M, class_word):
+        rank = [sum(self.ranks[idx][v] for idx in class_word) for v in range(M.spec.datum.n)]
+        return _fills(M, rank)
 
     def count(self, M, class_word):
         """Number of flags of submodules with subquotients in the classes
         class_word[0], ... , class_word[-1] from the bottom."""
         class_word = tuple(class_word)
-        rank = [sum(self.ranks[idx][v] for idx in class_word) for v in range(M.spec.datum.n)]
-        if not _fills(M, rank):
+        if not self._fills_word(M, class_word):
             return 0
         self._query = _Budget(self.budget)
         return _count_flags(M, class_word, self._sub_groups, self.flag_memo)
+
+    def exists(self, M, class_word):
+        """Whether count(M, class_word) > 0, found by a depth-first walk that
+        returns at the first complete flag; a "yes" spends only up to it."""
+        class_word = tuple(class_word)
+        if not self._fills_word(M, class_word):
+            return False
+        self._query = _Budget(self.budget)
+        return self._exists(M, class_word)
+
+    def _exists(self, M, word):
+        if not word:
+            return True
+        key = (M.key(), word)
+        if key in self.flag_memo:
+            return self.flag_memo[key] > 0
+        if key not in self.exists_memo:
+            # a walk cut off by TooLargeError leaves before the store
+            self.exists_memo[key] = any(self._exists(quotient, word[1:])
+                                        for quotient in self._class_quotients(M, word[0]))
+        return self.exists_memo[key]
 
 
 def _weight_splits(betas, target, bound):
@@ -1426,14 +1459,16 @@ class PBWEngine:
 
     def filtration_exists(self, M, prescription, primes=None):
         """Per-prime existence of a flag with ordered subquotients
-        M(beta_{k})^{mult} (bottom first).  prescription: [(class index, mult)]."""
+        M(beta_{k})^{mult} (bottom first).  prescription: [(class index, mult)].
+        Each prime is one ClassFlagCounter.exists query: a first-flag search,
+        not a count."""
         word = []
         for idx, mult in prescription:
             word.extend([idx] * mult)
         out = {}
         for p in primes or self.pool[:3]:
             engine = self._prime_setup(p)
-            out[p] = engine.count(hmod.reduce_mod_p(M, p), tuple(word)) > 0
+            out[p] = engine.exists(hmod.reduce_mod_p(M, p), tuple(word))
         return out
 
 

@@ -33,6 +33,10 @@ def test_tracer_records_engine_layers(monkeypatch):
         found = grassmann.PBWEngine(table).filtration_exists(
             table.module_of((1, 2)), [(idx, 1)], primes=(5,))
         assert found == {5: True}
+        # filtration_exists searches for a first flag without count, so a
+        # pairing reaches the counting methods
+        m = tuple(int(beta in ((1, 0), (0, 1))) for beta in table.betas)
+        assert grassmann.PBWEngine(table).pairing(m, m) == 1
     finally:
         tracer.uninstall()
     calls = tracer.counts.calls

@@ -240,6 +240,11 @@ class TestNofilt:
         betas = {tuple(r["beta"]) for r in payload["results"]}
         assert (1, 1) in betas  # the decomposable root beta_1 + beta_4
 
+    def test_g2_golden(self):
+        proc = run_cli("nofilt-check", "--datum", str(DATA / "g2.json"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (GOLDEN / "nofilt_g2.json").read_text()
+
 
 class TestTranscripts:
     @staticmethod

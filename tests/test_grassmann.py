@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from symquiv import cartan, functors, grassmann, hmod, linalg, verify
+from symquiv import cartan, cli, functors, grassmann, hmod, linalg, verify
 from symquiv.errors import (InternalMismatchError, InterpolationError, NotLocallyFreeError,
                             TooLargeError)
 from symquiv.fields import RATIONALS, PrimeField, prime_field_spec
@@ -1052,6 +1052,73 @@ class TestFiltrationOrder:
         idx = table.betas.index((1, 2))
         res = engine.filtration_exists(m, [(idx, 1)], primes=(5, 7))
         assert all(res.values())
+
+    @staticmethod
+    def engines(table, p, budget=grassmann.DEFAULT_BUDGET):
+        """Two ClassFlagCounters over F_p with separate memos, and the
+        root modules reduced mod p."""
+        mods = [hmod.reduce_mod_p(m, p) for m in table.modules]
+        return [grassmann.ClassFlagCounter(mods[0].spec, mods, budget) for _ in range(2)], mods
+
+    @pytest.mark.parametrize("datum,omega", [(verify.B2, verify.OM_B2), (verify.G2, verify.OM_G2),
+                                             (verify.B3, verify.OM_B3)], ids=["B2", "G2", "B3"])
+    def test_exists_equals_count_oracle(self, datum, omega):
+        # every nofilt-check prescription, in both orders: the first-flag
+        # search answers what the merged count says
+        table = functors.all_root_modules(hmod.HAlgebraSpec(datum, omega, RATIONALS))
+        r = len(table.betas)
+        for p in (5, 7):
+            (counter, searcher), mods = self.engines(table, p)
+            answers = set()
+            for k in range(r):
+                for m in cli._decompositions(table.betas, table.betas[k], k):
+                    word = tuple(j for j in range(r) for _ in range(m[j]))
+                    for w in (word, word[::-1]):
+                        found = searcher.exists(mods[k], w)
+                        assert found == (counter.count(mods[k], w) > 0), (k, w, p)
+                        answers.add(found)
+            assert answers == {True, False}
+
+    def test_exists_equals_count_on_direct_sums(self):
+        # the criterion-11 pair and the direct sums of
+        # test_class_flag_budget_is_per_query, in both orders
+        table = functors.all_root_modules(SPEC_B2)
+        cases = [(table.module_of((1, 1)), (0, 3)),
+                 (direct_sum_of(table, (1, 1, 0, 0)), (1, 0)),
+                 (direct_sum_of(table, (1, 0, 1, 0)), (2, 0))]
+        for p in (5, 7):
+            (counter, searcher), _ = self.engines(table, p)
+            for rational, word in cases:
+                module = hmod.reduce_mod_p(rational, p)
+                for w in (word, word[::-1]):
+                    assert searcher.exists(module, w) == (counter.count(module, w) > 0)
+
+    def test_yes_stops_at_first_flag(self):
+        # M(1,2,2) of B3 over F_5, bottom M(1,1,1) then M(0,1,1): count spends
+        # 194 units on its 5 flags, the search 39 up to its first one
+        table = functors.all_root_modules(hmod.HAlgebraSpec(verify.B3, verify.OM_B3, RATIONALS))
+        (counter, searcher), mods = self.engines(table, 5, budget=100)
+        module = mods[table.betas.index((1, 2, 2))]
+        word = (table.betas.index((1, 1, 1)), table.betas.index((0, 1, 1)))
+        assert searcher.exists(module, word) is True
+        with pytest.raises(TooLargeError):
+            counter.count(module, word)
+
+    def test_abandoned_walk_is_not_memoized(self):
+        # M(1,2,2) of B3 over F_5, word M(1,0,0), M(0,1,0), M(0,1,2): at 36
+        # units the search completes one dead end and runs out two levels
+        # down; the root and the node it ran out in must not be stored as
+        # "no", so the same engine answers "yes" once the budget allows
+        table = functors.all_root_modules(hmod.HAlgebraSpec(verify.B3, verify.OM_B3, RATIONALS))
+        (searcher, _), mods = self.engines(table, 5, budget=36)
+        module = mods[table.betas.index((1, 2, 2))]
+        word = tuple(table.betas.index(b) for b in ((1, 0, 0), (0, 1, 0), (0, 1, 2)))
+        with pytest.raises(TooLargeError):
+            searcher.exists(module, word)
+        assert list(searcher.exists_memo.values()) == [False]
+        searcher.budget = grassmann.DEFAULT_BUDGET
+        assert searcher.exists(module, word) is True
+        assert searcher.exists_memo[(module.key(), word)] is True
 
 
 class TestVertexBudget:
