@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 from fractions import Fraction
 
 from . import cartan, cluster, functors, grassmann, hmod, pimod, verify
 from .errors import (
+    BadArgumentError,
     NonPositiveSymmetrizerError,
     NotCartanError,
     NotDynkinError,
@@ -29,10 +31,10 @@ from .errors import (
     SymquivError,
     TooLargeError,
 )
-from .fields import RATIONALS, prime_field_spec
+from .fields import RATIONALS, _is_prime, prime_field_spec
 
 USAGE_ERRORS = (NotCartanError, NotSymmetrizerError, NonPositiveSymmetrizerError,
-                NotOrientationError, NotDynkinError)
+                NotOrientationError, NotDynkinError, BadArgumentError)
 RESOURCE_ERRORS = (TooLargeError, SearchBudgetExceededError, PrimePoolExhaustedError)
 
 
@@ -52,12 +54,32 @@ def _load_datum(args):
     return datum, omega
 
 
+def _root_table(args):
+    """The datum and orientation of the arguments, and their root-module
+    table over the rationals."""
+    datum, omega = _load_datum(args)
+    return datum, omega, functors.all_root_modules(hmod.HAlgebraSpec(datum, omega, RATIONALS))
+
+
+def _int_list(flag, text):
+    try:
+        return tuple(int(tok) for tok in text.split(","))
+    except ValueError:
+        raise BadArgumentError(f"{flag} {text!r} is not a list of integers") from None
+
+
+def _prime_set(args, default):
+    """The primes of --prime-set as given, or default when it is absent."""
+    primes = _int_list("--prime-set", args.prime_set) if args.prime_set else default
+    bad = [p for p in primes if not _is_prime(p)]
+    if bad:
+        raise BadArgumentError(f"--prime-set {args.prime_set!r}: {bad[0]} is not prime")
+    return primes
+
+
 def _prime_pool(args):
-    if not args.prime_set:
-        return grassmann.PRIME_POOL
-    user = tuple(sorted({int(tok) for tok in args.prime_set.split(",")}))
-    extension = tuple(p for p in grassmann.PRIME_POOL if p > user[-1])
-    return user + extension
+    user = tuple(sorted(set(_prime_set(args, ()))))
+    return user + tuple(p for p in grassmann.PRIME_POOL if p > max(user, default=0))
 
 
 def _engine(args):
@@ -95,10 +117,6 @@ def _write_transcripts(args, engine):
     path = os.path.join(args.results_dir, "transcripts.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(out, sort_keys=True, separators=(",", ":")))
-
-
-def _fmt_fraction(x):
-    return str(Fraction(x))
 
 
 # --- commands ----------------------------------------------------------------
@@ -148,9 +166,7 @@ def cmd_coxeter_check(args):
 
 
 def cmd_root_modules(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
+    _, _, table = _root_table(args)
     entries = []
     for beta, m in zip(table.betas, table.modules):
         rigid = functors.is_rigid(m)
@@ -169,9 +185,7 @@ def cmd_root_modules(args):
 
 
 def cmd_homext_table(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
+    _, _, table = _root_table(args)
     measured = functors.homext_table(table)  # raises on mismatch with the form
     payload = {
         "betas": [list(b) for b in table.betas],
@@ -187,9 +201,7 @@ def cmd_homext_table(args):
 
 
 def cmd_tau_orbits(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
+    datum, omega, table = _root_table(args)
     fd = cartan.forms(datum, omega)
     orbits = []
     for beta, m in zip(table.betas, table.modules):
@@ -216,9 +228,7 @@ def cmd_tau_orbits(args):
 
 
 def cmd_fpoly(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
+    _, _, table = _root_table(args)
     engine = _engine(args)
     entries = []
     for beta, m in zip(table.betas, table.modules):
@@ -234,9 +244,7 @@ def cmd_fpoly(args):
 
 
 def cmd_cluster_match(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
+    datum, omega, table = _root_table(args)
     engine = _engine(args)
     module_side = [(beta, engine.f_polynomial(m), grassmann.g_vector(m))
                    for beta, m in zip(table.betas, table.modules)]
@@ -251,28 +259,22 @@ def cmd_cluster_match(args):
 
 
 def cmd_pbw_check(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
-    bound = tuple(int(x) for x in args.weight_bound.split(","))
+    datum, _, table = _root_table(args)
+    bound = _int_list("--weight-bound", args.weight_bound)
+    if len(bound) != datum.n or min(bound) < 0:
+        raise BadArgumentError(f"--weight-bound {args.weight_bound!r} needs {datum.n} "
+                               f"non-negative integers, one per vertex")
     engine = grassmann.PBWEngine(table, pool=_prime_pool(args))
     vectors = verify.pbw_multiplicity_vectors(table, bound)
     entries = []
     ok = True
-    # the pairing is graded: the entries of unequal weight vanish
-    same_weight = {}
-    for m, weight in vectors:
-        same_weight.setdefault(weight, []).append(m)
-    for m, weight in vectors:
-        for n in same_weight[weight]:
-            value = engine.pairing(m, n)
-            expected = Fraction(1) if m == n else Fraction(0)
-            if value != expected:
-                ok = False
-                print(f"violated: pairing({m},{n}) = {value} != {expected}",
-                      file=sys.stderr)
-            if value != 0:
-                entries.append({"m": list(m), "n": list(n), "value": _fmt_fraction(value)})
+    for m, n, value in verify.pbw_pairing_matrix(engine, vectors):
+        expected = Fraction(1) if m == n else Fraction(0)
+        if value != expected:
+            ok = False
+            print(f"violated: pairing({m},{n}) = {value} != {expected}", file=sys.stderr)
+        if value != 0:
+            entries.append({"m": list(m), "n": list(n), "value": str(value)})
     _emit(args, {"weight_bound": list(bound), "nonzero_entries": entries,
                  "identity": ok})
     return 0 if ok else 1
@@ -280,8 +282,7 @@ def cmd_pbw_check(args):
 
 def cmd_serre_check(args):
     datum, omega = _load_datum(args)
-    import random as _random
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
     power = 1 - datum.C[0][1]
     rank = tuple([power if v == 0 else (1 if v == 1 else 0) for v in range(datum.n)])
@@ -292,7 +293,7 @@ def cmd_serre_check(args):
         m = hmod.random_locally_free(spec, rank, rng.randrange(10 ** 9))
         value = engine.theta_eval(combo, m)
         if value != 0:
-            failures.append(_fmt_fraction(value))
+            failures.append(str(value))
     _emit(args, {"rank": list(rank), "samples": args.samples,
                  "nonzero_values": failures, "ok": not failures})
     if failures:
@@ -304,8 +305,7 @@ def cmd_serre_check(args):
 
 def cmd_pi_check(args):
     datum, omega = _load_datum(args)
-    import random as _random
-    rng = _random.Random(args.seed)
+    rng = random.Random(args.seed)
     spec = hmod.HAlgebraSpec(datum, omega, prime_field_spec(7))
     seqs = [(0, 1), (1, 0), (0, 1, 0), (1, 0, 0), (0,), (1,)]
     stats = {"relations": 0, "e_filtered": 0, "crystal": 0, "ext_symmetric": 0}
@@ -332,10 +332,8 @@ def cmd_pi_check(args):
 
 
 def cmd_nofilt_check(args):
-    datum, omega = _load_datum(args)
-    spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
-    table = functors.all_root_modules(spec)
-    primes = tuple(int(x) for x in (args.prime_set or "5,7,11").split(","))
+    _, _, table = _root_table(args)
+    primes = _prime_set(args, (5, 7, 11))
     engine = grassmann.PBWEngine(table)
     results = []
     ok = True

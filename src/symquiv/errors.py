@@ -25,6 +25,10 @@ class NotOrientationError(SymquivError):
     """Invalid orientation (wrong edge set or oriented cycle)."""
 
 
+class BadArgumentError(SymquivError):
+    """A command-line value does not parse, or does not fit the datum."""
+
+
 class NotSinkOrSourceError(SymquivError):
     """Vertex is not a sink (resp. source) of the oriented quiver."""
 

@@ -1380,7 +1380,8 @@ def _weight_splits(betas, target, bound):
 
 class PBWEngine:
     """Dual PBW pairing: evaluates theta_n on M(m) through flags of prescribed
-    root-module subquotients, counted per prime and interpolated."""
+    root-module subquotients, counted per prime and interpolated, from one
+    series S_b per root b and one row per prefix of summands."""
 
     def __init__(self, table, pool=PRIME_POOL, budget=DEFAULT_BUDGET):
         # table: functors.RootModuleTable over the rationals (integral models)
@@ -1389,7 +1390,8 @@ class PBWEngine:
         self.budget = budget
         self.spec = table.modules[0].spec
         self._per_prime = {}
-        self._root_chi_memo = {}  # (root index, class counts) -> chi
+        self._series_memo = {}  # root index b -> S_b
+        self._rows = {(): {(0,) * len(table.betas): Fraction(1)}}  # summands -> row
 
     def _prime_setup(self, p):
         if p not in self._per_prime:
@@ -1399,76 +1401,69 @@ class PBWEngine:
 
     def class_word(self, n):
         """theta_n factor sequence: highest root index first (bottom factor)."""
-        word = []
-        for idx in range(len(n) - 1, -1, -1):
-            word.extend([idx] * n[idx])
-        return tuple(word)
+        return tuple(idx for idx in range(len(n) - 1, -1, -1) for _ in range(n[idx]))
 
     def _root_chi(self, b, counts):
         """chi of the flags of the root module M(beta_b) with subquotients
         class_word(counts), counted per prime and interpolated."""
-        key = (b, counts)
-        if key not in self._root_chi_memo:
-            module = self.table.modules[b]
-            word = self.class_word(counts)
-            bound = 0
-            rho = list(self.table.betas[b])
-            for idx in word:
-                beta = self.table.betas[idx]
-                bound += _grlf_degree_bound(self.spec.datum, rho, beta)
-                rho = [a - x for a, x in zip(rho, beta)]
+        module = self.table.modules[b]
+        word = self.class_word(counts)
+        bound = 0
+        rho = list(self.table.betas[b])
+        for idx in word:
+            beta = self.table.betas[idx]
+            bound += _grlf_degree_bound(self.spec.datum, rho, beta)
+            rho = [a - x for a, x in zip(rho, beta)]
 
-            def count(p):
-                return self._prime_setup(p).count(hmod.reduce_mod_p(module, p), word)
+        def count(p):
+            return self._prime_setup(p).count(hmod.reduce_mod_p(module, p), word)
 
-            poly = interpolate_counts(count, bound, pool=self.pool)
-            self._root_chi_memo[key] = poly.value_at_one()
-        return self._root_chi_memo[key]
+        return interpolate_counts(count, bound, pool=self.pool).value_at_one()
+
+    def _series(self, b):
+        """S_b: each Kostant partition k of beta_b with nonzero
+        chi = chi(Fl_{class_word(k)}(M(beta_b))), mapped to chi / prod_c k_c!."""
+        if b not in self._series_memo:
+            betas = self.table.betas
+            series = {}
+            for k in _weight_splits(betas, betas[b], [max(betas[b])] * len(betas)):
+                chi = self._root_chi(b, k)
+                if chi:
+                    series[k] = Fraction(chi, math.prod(math.factorial(x) for x in k))
+            self._series_memo[b] = series
+        return self._series_memo[b]
+
+    def _row(self, summands):
+        """The row of M(m): prod_s S_{b_s} over its summands (root indices,
+        ascending), nonzero terms only; every prefix is kept, and shared."""
+        if summands not in self._rows:
+            product = {}
+            for u, a in self._row(summands[:-1]).items():
+                for k, c in self._series(summands[-1]).items():
+                    v = tuple(x + y for x, y in zip(u, k))
+                    product[v] = product.get(v, 0) + a * c
+            self._rows[summands] = {v: c for v, c in product.items() if c}
+        return self._rows[summands]
 
     def pairing(self, m, n):
         """delta_{M(m)}(theta_n) as an exact rational, counted on root modules
         only.  The torus scaling the summands s of M(m) = (+) M(beta_s) fixes a
         flag only when each step lies in one summand (every M(beta) is
         indecomposable), and class_word is sorted by class, so (README, "How
-        counting works") it is the sum over n = sum_s k^s with weight(k^s) =
-        beta_s of prod_s chi(Fl_{class_word(k^s)}(M(beta_s))) / prod_c k^s_c!."""
-        betas = self.table.betas
-        if any(sum((a - b) * beta[v] for a, b, beta in zip(m, n, betas))
-               for v in range(self.spec.datum.n)):
-            return Fraction(0)
-        summands = [b for b, mult in enumerate(m) for _ in range(mult)]
-        memo = {}
-
-        def share(s, rest):
-            # the weights match, so rest is zero once every summand is served
-            if s == len(summands):
-                return Fraction(1)
-            if (s, rest) not in memo:
-                b = summands[s]
-                total = Fraction(0)
-                for k in _weight_splits(betas, betas[b], rest):
-                    chi = self._root_chi(b, k)
-                    if chi:
-                        left = tuple(r - x for r, x in zip(rest, k))
-                        norm = math.prod(math.factorial(x) for x in k)
-                        total += Fraction(chi, norm) * share(s + 1, left)
-                memo[(s, rest)] = total
-            return memo[(s, rest)]
-
-        return share(0, tuple(n))
+        counting works") it is the coefficient of x^n in prod_s S_{b_s}, the
+        row of m.  A row holds only vectors of the weight of m."""
+        summands = tuple(b for b, mult in enumerate(m) for _ in range(mult))
+        return self._row(summands).get(tuple(n), Fraction(0))
 
     def filtration_exists(self, M, prescription, primes=None):
         """Per-prime existence of a flag with ordered subquotients
         M(beta_{k})^{mult} (bottom first).  prescription: [(class index, mult)].
         Each prime is one ClassFlagCounter.exists query: a first-flag search,
         not a count."""
-        word = []
-        for idx, mult in prescription:
-            word.extend([idx] * mult)
+        word = tuple(idx for idx, mult in prescription for _ in range(mult))
         out = {}
         for p in primes or self.pool[:3]:
-            engine = self._prime_setup(p)
-            out[p] = engine.exists(hmod.reduce_mod_p(M, p), tuple(word))
+            out[p] = self._prime_setup(p).exists(hmod.reduce_mod_p(M, p), word)
         return out
 
 

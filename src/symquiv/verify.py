@@ -43,10 +43,8 @@ def catalog_rank_le_4():
     return out
 
 
-B2 = _datum([[2, -1], [-2, 2]], [2, 1])
-G2 = _datum([[2, -1], [-3, 2]], [3, 1])
-B3 = _datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1])
-A2 = _datum([[2, -1], [-1, 2]], [1, 1])
+_CATALOG = catalog_rank_le_4()
+B2, G2, B3, A2 = (_CATALOG[name] for name in ("B2", "G2", "B3", "A2"))
 OM_B2 = cartan.validate_orientation(B2, [(0, 1)])
 OM_G2 = cartan.validate_orientation(G2, [(0, 1)])
 OM_B3 = cartan.validate_orientation(B3, [(0, 1), (1, 2)])
@@ -190,22 +188,26 @@ def pbw_multiplicity_vectors(table, weight_bound):
                   for m in grassmann._weight_splits(table.betas, weight, ceil))
 
 
-def criterion_8(weight_bound=(2, 2)):
-    """Dual PBW pairing matrix is the identity up to the weight bound (B2)."""
-    spec = hmod.HAlgebraSpec(B2, OM_B2, RATIONALS)
-    table = functors.all_root_modules(spec)
-    engine = grassmann.PBWEngine(table)
-    vectors = pbw_multiplicity_vectors(table, weight_bound)
-    # the pairing is graded: the entries of unequal weight vanish
+def pbw_pairing_matrix(engine, vectors):
+    """(m, n, engine.pairing(m, n)) for every pair of vectors of equal weight,
+    m in the order of vectors and n in that order within its weight: the
+    pairing is graded, so the entries of unequal weight vanish."""
     same_weight = {}
     for m, weight in vectors:
         same_weight.setdefault(weight, []).append(m)
     for m, weight in vectors:
         for n in same_weight[weight]:
-            value = engine.pairing(m, n)
-            expected = Fraction(1) if m == n else Fraction(0)
-            if value != expected:
-                return False, f"pairing({m}, {n}) = {value}, expected {expected}"
+            yield m, n, engine.pairing(m, n)
+
+
+def criterion_8(weight_bound=(2, 2)):
+    """Dual PBW pairing matrix is the identity up to the weight bound (B2)."""
+    table = functors.all_root_modules(hmod.HAlgebraSpec(B2, OM_B2, RATIONALS))
+    vectors = pbw_multiplicity_vectors(table, weight_bound)
+    for m, n, value in pbw_pairing_matrix(grassmann.PBWEngine(table), vectors):
+        expected = Fraction(1) if m == n else Fraction(0)
+        if value != expected:
+            return False, f"pairing({m}, {n}) = {value}, expected {expected}"
     return True, f"{len(vectors) ** 2} pairings form the identity matrix"
 
 

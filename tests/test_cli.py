@@ -230,6 +230,71 @@ class TestPBWCheck:
         assert payload["identity"] is True
 
 
+F4 = {"C": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -2, 2, -1], [0, 0, -1, 2]],
+      "D": [2, 2, 1, 1], "Omega": [[1, 2], [2, 3], [3, 4]]}
+
+
+def usage_error(capsys, argv):
+    """Run the CLI in-process; return its stderr after checking for exit 2."""
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err, err
+    return err
+
+
+class TestBadWeightBound:
+    """--weight-bound takes one non-negative integer per vertex."""
+
+    def test_f4_default_is_too_short(self, tmp_path, capsys):
+        # the default 2,2 once ran F4 over weights cut to two coordinates
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps(F4))
+        err = usage_error(capsys, ["pbw-check", "--datum", str(path)])
+        assert "'2,2' needs 4 non-negative integers" in err
+
+    def test_f4_too_long(self, tmp_path, capsys):
+        path = tmp_path / "f4.json"
+        path.write_text(json.dumps(F4))
+        err = usage_error(capsys, ["pbw-check", "--datum", str(path),
+                                   "--weight-bound", "1,1,1,1,1"])
+        assert "'1,1,1,1,1' needs 4 non-negative integers" in err
+
+    def test_negative_entry(self, capsys):
+        # "=" keeps argparse from reading -1,2 as an option
+        err = usage_error(capsys, ["pbw-check", "--datum", str(DATA / "g2.json"),
+                                   "--weight-bound=-1,2"])
+        assert "'-1,2' needs 2 non-negative integers" in err
+
+    def test_not_an_integer(self, capsys):
+        err = usage_error(capsys, ["pbw-check", "--datum", str(DATA / "g2.json"),
+                                   "--weight-bound", "1,x"])
+        assert "'1,x' is not a list of integers" in err
+
+
+class TestBadPrimeSet:
+    @pytest.mark.parametrize("command", ["fpoly", "nofilt-check"])
+    def test_not_prime(self, capsys, command):
+        err = usage_error(capsys, [command, "--datum", str(DATA / "b2.json"),
+                                   "--prime-set", "4,6"])
+        assert "--prime-set '4,6': 4 is not prime" in err
+
+    @pytest.mark.parametrize("command", ["pbw-check", "nofilt-check"])
+    def test_not_an_integer(self, capsys, command):
+        err = usage_error(capsys, [command, "--datum", str(DATA / "b2.json"),
+                                   "--prime-set", "5,x"])
+        assert "'5,x' is not a list of integers" in err
+
+    def test_given_set_is_extended(self):
+        args = cli.build_parser().parse_args(
+            ["fpoly", "--datum", "b2.json", "--prime-set", "13,7,13"])
+        assert cli._prime_pool(args) == (7, 13) + tuple(
+            p for p in grassmann.PRIME_POOL if p > 13)
+        args.prime_set = None
+        assert cli._prime_pool(args) == grassmann.PRIME_POOL
+
+
 class TestNofilt:
     def test_b2_order_asymmetry(self):
         proc = run_cli("nofilt-check", "--datum", str(DATA / "b2.json"),

@@ -19,6 +19,12 @@ G2_OMEGA = cartan.validate_orientation(G2, [(0, 1)])
 SPEC_B2 = hmod.HAlgebraSpec(B2, B2_OMEGA, RATIONALS)
 SPEC_G2 = hmod.HAlgebraSpec(G2, G2_OMEGA, RATIONALS)
 
+CATALOG = verify.catalog_rank_le_4()
+SPEC_F4 = hmod.HAlgebraSpec(CATALOG["F4"], cartan.validate_orientation(
+    CATALOG["F4"], [(0, 1), (1, 2), (2, 3)]), RATIONALS)
+ALL_ORIENTATIONS = [pytest.param(name, omega, id=f"{name}-{i}") for name in sorted(CATALOG)
+                    for i, omega in enumerate(cartan.all_orientations(CATALOG[name]))]
+
 
 def brute_count_free_subs(p, c, r, e):
     """Oracle: count e-tuples with independent images under eps^{c-1}, divided
@@ -69,6 +75,37 @@ def direct_sum_pairing(engine, m, n):
 
     poly = grassmann.interpolate_counts(count, bound, pool=engine.pool)
     return Fraction(poly.value_at_one(), math.prod(math.factorial(x) for x in n))
+
+
+def dp_pairing(engine, m, n):
+    """Oracle: delta_{M(m)}(theta_n) by a dynamic programme over the summands
+    of M(m) in root-index order.  Summand s takes a Kostant partition k of
+    its root that fits under what is left of n and contributes
+    chi(Fl_{class_word(k)}(M(beta_s))) / prod_c k_c!; the products are summed
+    over the ways to use up n exactly.  Each chi is the engine's _root_chi,
+    kept per engine."""
+    betas = engine.table.betas
+    chi = vars(engine).setdefault("oracle_chi", {})
+    summands = [b for b, mult in enumerate(m) for _ in range(mult)]
+    memo = {}
+
+    def share(s, rest):
+        if s == len(summands):
+            return Fraction(0 if any(rest) else 1)
+        if (s, rest) not in memo:
+            b = summands[s]
+            total = Fraction(0)
+            for k in grassmann._weight_splits(betas, betas[b], rest):
+                if (b, k) not in chi:
+                    chi[b, k] = engine._root_chi(b, k)
+                if chi[b, k]:
+                    left = tuple(r - x for r, x in zip(rest, k))
+                    norm = math.prod(math.factorial(x) for x in k)
+                    total += Fraction(chi[b, k], norm) * share(s + 1, left)
+            memo[s, rest] = total
+        return memo[s, rest]
+
+    return share(0, tuple(n))
 
 
 B3 = cartan.validate_datum([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], [2, 2, 1])
@@ -1031,6 +1068,37 @@ class TestPBW:
             for n, wn in vectors:
                 if wm == wn:
                     assert engine.pairing(m, n) == direct_sum_pairing(oracle, m, n), (m, n)
+
+    @pytest.mark.parametrize("spec,bound,engine_cls", [
+        (SPEC_B2, (4, 4), grassmann.PBWEngine),
+        (SPEC_G2, (2, 1), grassmann.PBWEngine),
+        (SPEC_F4, (1, 2, 2, 1), grassmann.PBWEngine),
+        (SPEC_B2, (3, 3), AscendingPBW),
+    ], ids=["B2-4,4", "G2-2,1", "F4-1,2,2,1", "B2-3,3-ascending"])
+    def test_rows_match_dp_oracle(self, spec, bound, engine_cls):
+        table = functors.all_root_modules(spec)
+        engine, oracle = engine_cls(table), engine_cls(table)
+        vectors = verify.pbw_multiplicity_vectors(table, bound)
+        off_identity = 0
+        for m, n, value in verify.pbw_pairing_matrix(engine, vectors):
+            assert value == dp_pairing(oracle, m, n), (m, n)
+            off_identity += value != (m == n)
+        # ascending class words give a pairing matrix that is not the
+        # identity, so a wrong coefficient or 1/k! would show
+        assert (off_identity > 0) == (engine_cls is AscendingPBW)
+
+    @pytest.mark.parametrize("name,omega", ALL_ORIENTATIONS)
+    def test_identity_at_all_weights(self, name, omega):
+        # the row of e_b is S_b, and every row is a product of the S_b, so
+        # the pairing matrix is the identity at every weight if and only if
+        # S_b = x^{e_b} for every root b
+        table = functors.all_root_modules(hmod.HAlgebraSpec(CATALOG[name], omega, RATIONALS))
+        engine = grassmann.PBWEngine(table)
+        r = len(table.betas)
+        for b, beta in enumerate(table.betas):
+            e_b = tuple(int(c == b) for c in range(r))
+            for n in grassmann._weight_splits(table.betas, beta, [max(beta)] * r):
+                assert engine.pairing(e_b, n) == (n == e_b), (b, n)
 
 
 class TestFiltrationOrder:
