@@ -2,12 +2,19 @@
 on locally free modules, plus the constructive root-module table realizing the
 bijection between indecomposable rigid locally free modules and positive roots.
 
-Concretely, the reflection at a sink k replaces the component at k by the
-kernel of the assembled in-map living on X = (+)_j  kH_j (x) M_j, where the
-summand for an arrow j -> k has the K-basis {eps_k^s alpha (x) m : s < a_kj}.
-The reversed arrow matrices are the top eps-slot components of the kernel
-inclusion (the trace-pairing normalization of the adjunction); the dual
-construction at a source uses the matching expansion of the out-map.
+Both reflections at k are read off one representation Y of the reflected
+quiver that agrees with M away from k and holds X = (+)_j kH_j (x) M_j at k,
+where the summand for an arrow between j and k has the K-basis
+{eps_k^s alpha (x) m : s < a_kj}; eps_k acts on X as _x_eps says.  For F_k^+
+at a sink, Y's new arrows out of k are the projections of X onto the top
+eps-slots (the trace-pairing normalization of the adjunction) and
+F_k^+ M = the submodule of Y that is M away from k and the kernel of the
+in-map X -> M_k at k.  For F_k^- at a source, Y's new arrows into k include
+M_j as the slot s = 0, and F_k^- M = Y / (image of the out-map M_k -> X at k).
+Y itself need not satisfy the relations: hmod.submodule_from_subspaces and
+hmod.quotient_by_subspaces only need the kernel or image to be eps_k-stable
+(away from k the subspace is all of M_j or zero, so the arrows keep it), and
+the reflected module is checked against the relations afterwards.
 """
 
 from __future__ import annotations
@@ -58,21 +65,32 @@ def _x_eps(spec, k, nbrs, offsets, total, M):
         a, b = spec.rel_powers(k, j)
         base = offsets[(j, cp)]
         dj = M.dims[j]
-        for s in range(a - 1):
-            for c in range(dj):
-                eps_x[base + (s + 1) * dj + c][base + s * dj + c] = field.one
-        epsb = linalg.mat_pow(field, M.eps[j], b)
-        for r in range(dj):
-            for c in range(dj):
-                eps_x[base + r][base + (a - 1) * dj + c] = epsb[r][c]
+        for c in range(base, base + (a - 1) * dj):
+            eps_x[c + dj][c] = field.one
+        for r, row in enumerate(linalg.mat_pow(field, M.eps[j], b)):
+            eps_x[base + r][base + (a - 1) * dj:base + a * dj] = row
     return eps_pows, eps_x
 
 
-def _checked_reflection(out):
-    """The reflected module in canonical eps form, or InternalMismatchError
-    if it violates the relations (a non-nilpotent eps among them)."""
+def _shifted_identity(field, rows, cols, r0, c0):
+    """rows x cols matrix with ones at (r0 + t, c0 + t): a slot inclusion
+    K^cols -> X (r0 = slot start, c0 = 0) or projection X -> K^rows (r0 = 0)."""
+    return [[field.one if r - r0 == c - c0 else field.zero for c in range(cols)]
+            for r in range(rows)]
+
+
+def _reflected(M, new_spec, k, eps_x, arrows_at_k, build, subspaces):
+    """build(Y, subspaces) for the Y that agrees with M away from k and holds
+    X, eps_x and arrows_at_k at k; InternalMismatchError if the result
+    violates the relations (a non-nilpotent eps among them)."""
+    dims = list(M.dims)
+    dims[k] = len(eps_x)
+    eps = list(M.eps)
+    eps[k] = eps_x
+    arrows = {key: arrows_at_k[key] if key in arrows_at_k else M.arrows[key]
+              for key in new_spec.arrow_keys()}
     try:
-        out = hmod.normalize_eps(out)
+        out = build(type(M)(new_spec, dims, eps, arrows), subspaces)
     except NotNilpotentError as exc:
         raise InternalMismatchError("reflected module violates relations") from exc
     if hmod.check_relations(out):
@@ -83,61 +101,32 @@ def _checked_reflection(out):
 def reflect_plus(k, M):
     """F_k^+ : rep H(C, D, Omega) -> rep H(C, D, s_k Omega) at a sink k."""
     spec = M.spec
-    datum = spec.datum
-    if k not in cartan.sinks(datum, spec.omega):
+    if k not in cartan.sinks(spec.datum, spec.omega):
         raise NotSinkOrSourceError(f"vertex {k} is not a sink")
     field = spec.field()
-    new_spec = spec.reflected(k)
     nbrs = _in_neighbors(spec, k)
     total, offsets = _x_layout(spec, k, nbrs, M.dims)
     eps_pows, eps_x = _x_eps(spec, k, nbrs, offsets, total, M)
-    # in-map X -> M_k: slot (j, cp, s, m) maps to eps_k^s A_{kj,cp} e_m
-    in_map = linalg.zeros(field, M.dims[k], total)
+    # in-map X -> M_k: slot (j, cp, s) is eps_k^s A_{kj,cp}, side by side in X's order
+    blocks = [linalg.mat_mul(field, eps_pows[s], M.arrows[(k, j, cp)])
+              for (j, cp) in nbrs for s in range(spec.rel_powers(k, j)[0])]
+    in_map = [[x for b in blocks for x in b[r]] for r in range(M.dims[k])]
+    # reversed arrow k -> j: projection of X onto the top eps-slot of (j, cp)
+    arrows_at_k = {}
     for (j, cp) in nbrs:
         a, _ = spec.rel_powers(k, j)
-        base = offsets[(j, cp)]
-        block = M.arrows[(k, j, cp)]
-        for s in range(a):
-            mat = linalg.mat_mul(field, eps_pows[s], block)
-            for r in range(M.dims[k]):
-                for c in range(M.dims[j]):
-                    in_map[r][base + s * M.dims[j] + c] = mat[r][c]
-    kernel = linalg.nullspace(field, in_map, total) if M.dims[k] else \
-        [[field.one if i == j else field.zero for j in range(total)] for i in range(total)]
-    new_dim_k = len(kernel)
-    kernel_mat = [[kernel[t][c] for t in range(new_dim_k)] for c in range(total)]
-    eps_k_new = []
-    for t in range(new_dim_k):
-        img = linalg.mat_vec(field, eps_x, kernel[t])
-        sol = linalg.solve(field, kernel_mat, img)
-        if sol is None:
-            raise InternalMismatchError("kernel not eps-stable")
-        eps_k_new.append(sol)
-    eps_k_new = [[eps_k_new[c][r] for c in range(new_dim_k)] for r in range(new_dim_k)]
-    dims = list(M.dims)
-    dims[k] = new_dim_k
-    eps = [linalg.copy_mat(M.eps[v]) for v in range(datum.n)]
-    eps[k] = eps_k_new
-    arrows = {}
-    for key in new_spec.arrow_keys():
-        (i, j, cp) = key
-        if j == k:
-            # reversed arrow k -> i: top eps-slot component of the kernel inclusion
-            a, _ = spec.rel_powers(k, i)
-            base = offsets[(i, cp)]
-            di = M.dims[i]
-            arrows[key] = [[kernel[t][base + (a - 1) * di + r] for t in range(new_dim_k)]
-                           for r in range(di)]
-        else:
-            arrows[key] = linalg.copy_mat(M.arrows[key])
-    return _checked_reflection(type(M)(new_spec, dims, eps, arrows))
+        top = offsets[(j, cp)] + (a - 1) * M.dims[j]
+        arrows_at_k[(j, k, cp)] = _shifted_identity(field, M.dims[j], total, 0, top)
+    subspaces = [linalg.nullspace(field, in_map, total) if v == k else
+                 linalg.identity(field, M.dims[v]) for v in range(spec.datum.n)]
+    return _reflected(M, spec.reflected(k), k, eps_x, arrows_at_k,
+                      hmod.submodule_from_subspaces, subspaces)
 
 
 def reflect_minus(k, M):
     """F_k^- : rep H(C, D, s_k Omega) -> rep H(C, D, Omega) at a source k."""
     spec = M.spec
-    datum = spec.datum
-    if k not in cartan.sources(datum, spec.omega):
+    if k not in cartan.sources(spec.datum, spec.omega):
         raise NotSinkOrSourceError(f"vertex {k} is not a source")
     field = spec.field()
     new_spec = spec.reflected(k)  # k is a sink there
@@ -145,61 +134,19 @@ def reflect_minus(k, M):
     # X built with the powers of the *target* orientation, where (k, j) are pairs
     total, offsets = _x_layout(new_spec, k, nbrs, M.dims)
     eps_pows, eps_x = _x_eps(new_spec, k, nbrs, offsets, total, M)
-    # out-map M_k -> X: component at slot (j, cp, s, m) of v(w) is A_jk(eps_k^{a-1-s} w)
-    out_map = linalg.zeros(field, total, M.dims[k])
+    # out-map M_k -> X: slot (j, cp, s) is A_{jk,cp} eps_k^{a-1-s}, stacked in X's order
+    out_map = []
     for (j, cp) in nbrs:
         a, _ = new_spec.rel_powers(k, j)
-        base = offsets[(j, cp)]
-        dj = M.dims[j]
-        A = M.arrows[(j, k, cp)]
         for s in range(a):
-            mat = linalg.mat_mul(field, A, eps_pows[a - 1 - s])
-            for r in range(dj):
-                for c in range(M.dims[k]):
-                    out_map[base + s * dj + r][c] = mat[r][c]
-    image_cols = [[out_map[r][c] for r in range(total)] for c in range(M.dims[k])]
-    image = linalg.row_space(field, image_cols)
-    z = field.zero
-    pivots = [next(c for c, x in enumerate(row) if x != z) for row in image]
-    free = [c for c in range(total) if c not in pivots]
-
-    def project(vec):
-        w = vec[:]
-        for row, pc in zip(image, pivots):
-            if w[pc] != z:
-                f = w[pc]
-                w = [field.sub(x, field.mul(f, y)) for x, y in zip(w, row)]
-        return [w[c] for c in free]
-
-    new_dim_k = len(free)
-
-    eps_k_new = [[z] * new_dim_k for _ in range(new_dim_k)]
-    for t in range(new_dim_k):
-        img = project([row[free[t]] for row in eps_x])
-        for r in range(new_dim_k):
-            eps_k_new[r][t] = img[r]
-    dims = list(M.dims)
-    dims[k] = new_dim_k
-    eps = [linalg.copy_mat(M.eps[v]) for v in range(datum.n)]
-    eps[k] = eps_k_new
-    arrows = {}
-    for key in new_spec.arrow_keys():
-        (i, j, cp) = key
-        if i == k:
-            # new sink arrow j -> k: class of the s = 0 slot of X_{kj}
-            base = offsets[(j, cp)]
-            dj = M.dims[j]
-            mat = linalg.zeros(field, new_dim_k, dj)
-            for c in range(dj):
-                vec = [z] * total
-                vec[base + c] = field.one
-                img = project(vec)
-                for r in range(new_dim_k):
-                    mat[r][c] = img[r]
-            arrows[key] = mat
-        else:
-            arrows[key] = linalg.copy_mat(M.arrows[key])
-    return _checked_reflection(type(M)(new_spec, dims, eps, arrows))
+            out_map.extend(linalg.mat_mul(field, M.arrows[(j, k, cp)], eps_pows[a - 1 - s]))
+    # new sink arrow j -> k: inclusion of M_j as the s = 0 slot of (j, cp)
+    arrows_at_k = {(k, j, cp): _shifted_identity(field, total, M.dims[j], offsets[(j, cp)], 0)
+                   for (j, cp) in nbrs}
+    subspaces = [[[row[c] for row in out_map] for c in range(M.dims[k])] if v == k else []
+                 for v in range(spec.datum.n)]
+    return _reflected(M, new_spec, k, eps_x, arrows_at_k,
+                      hmod.quotient_by_subspaces, subspaces)
 
 
 def twist(M):

@@ -355,13 +355,13 @@ class CountingPolynomial:
         return len(self.coefficients) - 1
 
 
-def interpolate_counts(count_fn, degree_bound, min_points=5, pool=PRIME_POOL):
+def interpolate_counts(count_fn, degree_bound, pool=PRIME_POOL):
     """Fit a single integer polynomial through exact counts over primes.
 
-    Samples are accumulated from the pool; a fit through all but the last
-    sample must have integer coefficients, degree within the bound, and must
-    reproduce the held-out last sample exactly.  Failures to stabilize within
-    degree_bound + 2 points surface as InterpolationError.
+    Samples are accumulated from the pool, at least five; a fit through all
+    but the last sample must have integer coefficients, degree within the
+    bound, and must reproduce the held-out last sample exactly.  Failures to
+    stabilize within degree_bound + 2 points surface as InterpolationError.
     """
     samples = []
     for p in pool:
@@ -370,7 +370,7 @@ def interpolate_counts(count_fn, degree_bound, min_points=5, pool=PRIME_POOL):
         except PrimeReductionError:
             continue  # integral model not reducible at this prime; use the next one
         samples.append((p, count))
-        if len(samples) < max(3, min_points):
+        if len(samples) < 5:
             continue
         coeffs = linalg.lagrange_interpolate(samples[:-1])
         if coeffs is not None and len(coeffs) - 1 <= degree_bound:
@@ -1406,7 +1406,6 @@ class PBWEngine:
     def _root_chi(self, b, counts):
         """chi of the flags of the root module M(beta_b) with subquotients
         class_word(counts), counted per prime and interpolated."""
-        module = self.table.modules[b]
         word = self.class_word(counts)
         bound = 0
         rho = list(self.table.betas[b])
@@ -1416,7 +1415,8 @@ class PBWEngine:
             rho = [a - x for a, x in zip(rho, beta)]
 
         def count(p):
-            return self._prime_setup(p).count(hmod.reduce_mod_p(module, p), word)
+            counter = self._prime_setup(p)  # its classes[b] is M(beta_b) mod p
+            return counter.count(counter.classes[b], word)
 
         return interpolate_counts(count, bound, pool=self.pool).value_at_one()
 

@@ -336,10 +336,6 @@ def random_E_filtered(spec, type_sequence, seed) -> PiModule:
 # --- Hom and Ext over Pi ----------------------------------------------------
 
 
-def hom_pi(M: PiModule, N: PiModule) -> int:
-    return hmod.hom_dim(M, N)
-
-
 def ext1_pi(M: PiModule, N: PiModule) -> int:
     """dim Ext^1_Pi(M, N) from the bimodule-resolution presentation.
 
@@ -359,7 +355,7 @@ def ext1_pi(M: PiModule, N: PiModule) -> int:
     ext, hom_mn = hmod._ext1_and_hom(M, N)
     rk_n = hmod.is_locally_free(N)
     if rk_n is not None:
-        expected = hom_mn + hom_pi(N, M) - cartan.symmetric_form(M.spec.datum, rk_m, rk_n)
+        expected = hom_mn + hmod.hom_dim(N, M) - cartan.symmetric_form(M.spec.datum, rk_m, rk_n)
         if ext != expected:
             raise InternalMismatchError(
                 f"presentation Ext={ext} disagrees with symmetrized-Hom formula={expected}")

@@ -1,6 +1,10 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
-from symquiv import cartan, functors, hmod, linalg
+from symquiv import cartan, functors, hmod, linalg, verify
 from symquiv.errors import InternalMismatchError, NotSinkOrSourceError
 from symquiv.fields import RATIONALS
 
@@ -14,6 +18,8 @@ B3_OMEGA = cartan.validate_orientation(B3, [(0, 1), (1, 2)])
 SPEC_B2 = hmod.HAlgebraSpec(B2, B2_OMEGA, RATIONALS)
 SPEC_G2 = hmod.HAlgebraSpec(G2, G2_OMEGA, RATIONALS)
 SPEC_B3 = hmod.HAlgebraSpec(B3, B3_OMEGA, RATIONALS)
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def _identity_eps_at_vertex_1(spec):
@@ -243,3 +249,33 @@ class TestB3:
         for k, i in enumerate(cox):
             assert hmod.is_locally_free(hmod.projective_module(SPEC_B3, i)) == betas[k]
             assert hmod.is_locally_free(hmod.injective_module(SPEC_B3, i)) == gammas[k]
+
+
+def _exact_text(key):
+    """key() as text, each scalar by its value (an int and an equal Fraction
+    print alike)."""
+    if isinstance(key, tuple):
+        return "(" + ",".join(_exact_text(x) for x in key) + ")"
+    return str(key)
+
+
+def root_module_digests():
+    """{"<datum> [<orientation>]": sha256 of the key() of every root module M
+    and of tau M and tau^- M} over every datum of catalog_rank_le_4() in every
+    orientation, over Q."""
+    out = {}
+    for name, datum in verify.catalog_rank_le_4().items():
+        for omega in cartan.all_orientations(datum):
+            spec = hmod.HAlgebraSpec(datum, omega, RATIONALS)
+            digest = hashlib.sha256()
+            for m in functors.all_root_modules(spec).modules:
+                for out_module in (m, functors.tau(m), functors.tau_minus(m)):
+                    digest.update(_exact_text(out_module.key()).encode() + b"\n")
+            label = ",".join(f"{i}-{j}" for i, j in sorted(omega.pairs))
+            out[f"{name} [{label}]"] = digest.hexdigest()
+    return out
+
+
+def test_reflection_outputs_match_golden_digests():
+    golden = json.loads((GOLDEN / "root_modules_rank_le_4.json").read_text())
+    assert root_module_digests() == golden

@@ -76,6 +76,35 @@ def brute_force_isomorphic(M, N):
     return False
 
 
+def projected_quotient_oracle(M, subspaces):
+    """M / U reduced one column at a time: each column of a structure matrix
+    is reduced against the RREF basis of U with field.sub and field.mul and
+    read at the non-pivot coordinates."""
+    field = M.field()
+    n = M.spec.datum.n
+    proj = []
+    for v in range(n):
+        rows = linalg.row_space(field, subspaces[v]) if subspaces[v] else []
+        pivots = [next(c for c, x in enumerate(row) if x != field.zero) for row in rows]
+        proj.append((rows, pivots, [c for c in range(M.dims[v]) if c not in pivots]))
+
+    def project(v, vec):
+        rows, pivots, free = proj[v]
+        for row, pc in zip(rows, pivots):
+            f = vec[pc]
+            vec = [field.sub(x, field.mul(f, y)) for x, y in zip(vec, row)]
+        return [vec[c] for c in free]
+
+    def image(i, j, mat):
+        cols = [project(i, [row[c] for row in mat]) for c in proj[j][2]]
+        return [[col[r] for col in cols] for r in range(len(proj[i][2]))]
+
+    eps = [image(v, v, M.eps[v]) for v in range(n)]
+    arrows = {key: image(key[0], key[1], A) for key, A in M.arrows.items()}
+    dims = [len(proj[v][2]) for v in range(n)]
+    return hmod.normalize_eps(hmod.HModule(M.spec, dims, eps, arrows))
+
+
 def dense_hom_dim(M, N):
     """dim Hom(M, N) from a dense system with no vertex bases: every entry of
     every f_v is an unknown, and the equations are f_v eps^M_v = eps^N_v f_v
@@ -593,6 +622,29 @@ class TestSubQuotient:
         subspaces = [[[field.one, field.zero], [field.zero, field.one]], []]
         s = hmod.submodule_from_subspaces(he2, subspaces)
         assert hmod.is_isomorphic(s, hmod.generalized_simple(spec, 0))
+
+    @pytest.mark.parametrize("fieldspec", [RATIONALS, prime_field_spec(5)], ids=["Q", "F5"])
+    def test_quotient_equals_projection_oracle(self, fieldspec):
+        # U = image of a random map P_i -> M, a submodule in no special
+        # position; eps of M is out of chain form half the time
+        rng = random.Random(7)
+        spec = spec_b2(fieldspec)
+        field = spec.field()
+        for seed in range(6):
+            M = hmod.random_locally_free(spec, (2, 2), seed)
+            if seed % 2:
+                M = generic_conjugate(M, rng)
+            for i in range(2):
+                basis = hmod.hom_basis(hmod.projective_module(spec, i), M).basis
+                coeffs = [field.from_int(rng.randint(-3, 3)) for _ in basis]
+                subspaces = []
+                for v in range(2):
+                    f = linalg.zeros(field, M.dims[v], len(basis[0][v][0]) if basis[0][v] else 0)
+                    for c, g in zip(coeffs, basis):
+                        f = linalg.mat_add(field, f, [[field.mul(c, x) for x in row] for row in g[v]])
+                    subspaces.append(linalg.transpose(f))
+                assert hmod.quotient_by_subspaces(M, subspaces).key() == \
+                    projected_quotient_oracle(M, subspaces).key()
 
 
 class TestSerialization:
