@@ -21,13 +21,14 @@ bottom factor.  An E_j letter's submodules are the free rank-one ones killed
 by the arrows out of j (_e_letter_generators); they are split into orbits
 of a few verified automorphisms of the module, and one quotient is built
 per orbit (an automorphism g gives M/U = M/gU); quotients falling in one
-isomorphism class are merged (byte-equality first, then a certified
-isomorphism search), so the recursion depth stays flat.  Whether a flag of
-prescribed classes exists (ClassFlagCounter.exists) is decided on the same
-quotients, unmerged, by a depth-first walk that stops at the first flag.
-Flag Euler characteristics are values at q = 1 of integer polynomials fitted
-(in integer arithmetic) to counts over several primes and verified on a
-held-out prime.
+isomorphism class are merged through the counter's class registry
+(Counter.class_rep: byte-equality first, then a cheap invariant, then a
+certified isomorphism search), so the recursion depth stays flat.  Whether
+a flag of prescribed classes exists (ClassFlagCounter.exists) is decided on
+the same quotients, unmerged, by a depth-first walk that stops at the first
+flag.  Flag Euler characteristics are values at q = 1 of integer polynomials
+fitted (in integer arithmetic) to counts over several primes and verified on
+a held-out prime.
 
 Grassmannian Euler characteristics use torus localization first.  A module
 whose basis a weighting separates at every vertex (torus_weighting, the
@@ -877,55 +878,6 @@ def _fills(M, rank):
     return all(c * r == d for c, r, d in zip(M.spec.datum.D, rank, M.dims))
 
 
-def _count_flags(M, word, groups, memo):
-    """Flags of M whose subquotients, from the bottom, are the letters of
-    word; groups(M, letter) lists the (quotient, multiplicity) pairs of the
-    bottom factor `letter`.  The caller has checked the grading, so M is zero
-    when the word is used up."""
-    if not word:
-        return 1
-    key = (M.key(), word)
-    if key in memo:
-        return memo[key]
-    total = 0
-    for quotient, count in groups(M, word[0]):
-        total += count * _count_flags(quotient, word[1:], groups, memo)
-    memo[key] = total
-    return total
-
-
-def _soft_iso(A, B):
-    """is_isomorphic, with an inconclusive search read as 'distinct': a missed
-    merge only costs speed."""
-    try:
-        return hmod.is_isomorphic(A, B)
-    except InternalMismatchError:
-        return False
-
-
-def _merge_isomorphic(groups):
-    """[(representative, multiplicity)] of the isomorphism classes among
-    (quotient, count) pairs: byte-equal quotients are grouped by key first,
-    then groups with isomorphic representatives are merged, in first-seen
-    order."""
-    by_key = {}
-    for quotient, count in groups:
-        qk = quotient.key()
-        if qk in by_key:
-            by_key[qk][1] += count
-        else:
-            by_key[qk] = [quotient, count]
-    merged = []
-    for quotient, count in by_key.values():
-        for entry in merged:
-            if entry[0].dims == quotient.dims and _soft_iso(entry[0], quotient):
-                entry[1] += count
-                break
-        else:
-            merged.append([quotient, count])
-    return [(rep, count) for rep, count in merged]
-
-
 def _h_inverse(p, c, h):
     """The inverse in H = F_p[eps]/(eps^c) of h, whose constant term is nonzero."""
     inv0 = pow(h[0], p - 2, p)
@@ -966,6 +918,9 @@ class Counter:
     The memo tables are keyed by exact module fingerprints and outlive
     queries; the budget does not: each flag_count call may enumerate at most
     `budget` E-letter generators (_e_letter_generators, one unit each).
+    The class registry (class_rep) outlives queries too: every quotient list
+    merges through it (_merge), so a class met again in a later query keeps
+    its first representative and that representative's memoized counts.
     """
 
     def __init__(self, budget=DEFAULT_BUDGET):
@@ -978,7 +933,13 @@ class Counter:
         self.aut_memo = {}  # key -> verified automorphisms (_automorphisms)
 
     def class_rep(self, M):
-        """The first-seen module isomorphic to M (M itself if none is)."""
+        """The first-seen module isomorphic to M (M itself if none is).
+
+        A module seen before is a memo hit on its key.  Otherwise only the
+        registered modules with M's invariant (spec, dims, Jordan types of
+        eps, arrow ranks) are tested, by the certified search
+        hmod.is_isomorphic; an inconclusive search counts as 'distinct', since
+        a missed merge only costs speed."""
         memo_key = (M.spec, M.key())
         if memo_key in self.rep_memo:
             return self.rep_memo[memo_key]
@@ -987,13 +948,41 @@ class Counter:
                tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
                             for k, m in M.arrows.items())))
         for inv2, rep in self.class_reps:
-            if inv2 == inv and _soft_iso(M, rep):
-                break
+            if inv2 != inv:
+                continue
+            try:
+                if hmod.is_isomorphic(M, rep):
+                    break
+            except InternalMismatchError:
+                pass
         else:
             self.class_reps.append((inv, M))
             rep = M
         self.rep_memo[memo_key] = rep
         return rep
+
+    def _merge(self, pairs):
+        """[(representative, multiplicity)] of the isomorphism classes among
+        (quotient, count) pairs: each quotient is grouped under its class_rep,
+        in first-seen order."""
+        merged = {}
+        for quotient, count in pairs:
+            rep = self.class_rep(quotient)
+            merged[rep] = merged.get(rep, 0) + count
+        return list(merged.items())
+
+    def _count_flags(self, M, word, groups):
+        """Flags of M whose subquotients, from the bottom, are the letters of
+        word; groups(M, letter) lists the (quotient, multiplicity) pairs of the
+        bottom factor `letter`.  The caller has checked the grading, so M is
+        zero when the word is used up.  Counts are kept in flag_memo."""
+        if not word:
+            return 1
+        key = (M.key(), word)
+        if key not in self.flag_memo:
+            self.flag_memo[key] = sum(count * self._count_flags(quotient, word[1:], groups)
+                                      for quotient, count in groups(M, word[0]))
+        return self.flag_memo[key]
 
     def _automorphisms(self, M):
         """Verified automorphisms of M over its prime field, as tuples of
@@ -1062,7 +1051,8 @@ class Counter:
         _e_letter_generators, each spending one unit.  An automorphism g of M
         gives M/Hu = M/H(g u), so one quotient is built per orbit (_orbits),
         from its first-seen generator, and weighted by the orbit size; orbits
-        merge further only by a proved isomorphism (_merge_isomorphic)."""
+        merge further by class (_merge): the class registry of the counter,
+        shared by all its queries (class_rep)."""
         key = (M.key(), j)
         if key in self.group_memo:
             return self.group_memo[key]
@@ -1077,8 +1067,8 @@ class Counter:
             span = [[u[x - t] if x % c >= t else 0 for x in range(len(u))] for t in range(c)]
             return hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
 
-        out = _merge_isomorphic((quotient(gens[k]), size)
-                                for k, size in self._orbits(M, j, gens)) if gens else []
+        out = self._merge((quotient(gens[k]), size)
+                          for k, size in self._orbits(M, j, gens)) if gens else []
         self.group_memo[key] = out
         return out
 
@@ -1101,7 +1091,7 @@ class Counter:
         if M is None:
             return 0
         self._query = _Budget(self.budget)
-        return _count_flags(M, word, self.bottom_e_groups, self.flag_memo)
+        return self._count_flags(M, word, self.bottom_e_groups)
 
 
 def _flag_degree_bound(M_rk, datum, word):
@@ -1283,29 +1273,27 @@ def _iter_lf_submodules(M, e, budget):
     yield from recurse(0, {})
 
 
-class ClassFlagCounter:
+class ClassFlagCounter(Counter):
     """Counts flags whose subquotients run through prescribed rigid classes,
     and decides whether one exists.
 
-    count merges the isomorphic quotients of each level (_sub_groups);
-    exists walks the quotients depth first, unmerged, and stops at the first
-    complete flag.  Both read one enumeration, _class_quotients.  The memo
-    tables outlive queries; the budget does not: each count or exists call
+    count merges the isomorphic quotients of each level through the class
+    registry it inherits (_sub_groups, Counter._merge); exists walks the
+    quotients depth first, unmerged, and stops at the first complete flag.
+    Both read one enumeration, _class_quotients.  The memo tables and the
+    registry outlive queries; the budget does not: each count or exists call
     may spend at most `budget` units, the sizes of the candidate sets of its
     vertex enumerations (_Budget).
     """
 
     def __init__(self, spec_p, class_modules, budget=DEFAULT_BUDGET):
         # class_modules: list of rigid locally free modules over the prime field
+        super().__init__(budget)
         self.spec = spec_p
         self.classes = class_modules
         self.ranks = [hmod.require_locally_free(m) for m in class_modules]
         self.end_dims = [hmod.hom_dim(m, m) for m in class_modules]
-        self.flag_memo = {}
         self.exists_memo = {}  # (module key, word) -> whether a flag exists
-        self.group_memo = {}
-        self.budget = budget
-        self._query = _Budget(budget)
 
     def _class_quotients(self, M, cls_idx):
         """Yield M/S for every locally free submodule S of M in the class
@@ -1322,7 +1310,7 @@ class ClassFlagCounter:
     def _sub_groups(self, M, cls_idx):
         key = (M.key(), cls_idx)
         if key not in self.group_memo:
-            self.group_memo[key] = _merge_isomorphic(
+            self.group_memo[key] = self._merge(
                 (quotient, 1) for quotient in self._class_quotients(M, cls_idx))
         return self.group_memo[key]
 
@@ -1337,7 +1325,7 @@ class ClassFlagCounter:
         if not self._fills_word(M, class_word):
             return 0
         self._query = _Budget(self.budget)
-        return _count_flags(M, class_word, self._sub_groups, self.flag_memo)
+        return self._count_flags(M, class_word, self._sub_groups)
 
     def exists(self, M, class_word):
         """Whether count(M, class_word) > 0, found by a depth-first walk that

@@ -80,7 +80,10 @@ class HAlgebraSpec:
         g = self.datum.g[i][j]
         return -self.datum.C[j][i] // g, -self.datum.C[i][j] // g
 
+    @functools.lru_cache
     def reflected(self, k) -> "HAlgebraSpec":
+        """The spec with the orientation reflected at the sink or source k;
+        memoized, so the confluence check runs once per distinct spec."""
         return HAlgebraSpec(
             self.datum, cartan.reflect_orientation(self.datum, self.omega, k), self.fieldspec)
 

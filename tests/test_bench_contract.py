@@ -100,6 +100,9 @@ def test_tracer_sees_pairing_root_counts(monkeypatch):
     for name in ("PBWEngine.pairing", "ClassFlagCounter.count", "ClassFlagCounter._sub_groups"):
         assert counts.calls.get("grassmann." + name, 0) > 0, name
         assert counts.self_s.get("grassmann." + name, 0) > 0, name
+    # the class quotients merge through the registry ClassFlagCounter
+    # inherits, so the wrapped Counter.class_rep sees them
+    assert counts.calls.get("grassmann.Counter.class_rep", 0) > 0
     assert counts.calls.get("hmod.direct_sum", 0) == 0
 
 

@@ -236,26 +236,42 @@ def oracle_e_generators(M, j):
                                         M.spec.datum.D[j]))
 
 
-def per_quotient_groups(M, j):
-    """Oracle: the E_j groups of M by one quotient per Jordan-chain
-    generator, grouped by key and then merged by isomorphism in first-seen
-    order, as [(representative, multiplicity)]."""
-    field, c, n = M.field(), M.spec.datum.D[j], M.spec.datum.n
-    powers = grassmann._eps_powers(field, M.eps[j], c)
+def soft_iso(A, B):
+    """Oracle: is_isomorphic, with an inconclusive search read as 'distinct'."""
+    try:
+        return hmod.is_isomorphic(A, B)
+    except InternalMismatchError:
+        return False
+
+
+def oracle_merge(pairs):
+    """Oracle: the per-list merge of (quotient, count) pairs, grouped by key
+    and then merged by isomorphism in first-seen order, as
+    [(representative, multiplicity)]."""
     by_key = {}
-    for u in oracle_e_generators(M, j):
-        span = [linalg.mat_vec(field, P, u) for P in powers]
-        quotient = hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
-        by_key.setdefault(quotient.key(), [quotient, 0])[1] += 1
+    for quotient, count in pairs:
+        by_key.setdefault(quotient.key(), [quotient, 0])[1] += count
     merged = []
     for quotient, count in by_key.values():
         for entry in merged:
-            if entry[0].dims == quotient.dims and grassmann._soft_iso(entry[0], quotient):
+            if entry[0].dims == quotient.dims and soft_iso(entry[0], quotient):
                 entry[1] += count
                 break
         else:
             merged.append([quotient, count])
     return [(rep, count) for rep, count in merged]
+
+
+def per_quotient_groups(M, j):
+    """Oracle: the E_j groups of M by one quotient per Jordan-chain
+    generator, merged by oracle_merge."""
+    field, c, n = M.field(), M.spec.datum.D[j], M.spec.datum.n
+    powers = grassmann._eps_powers(field, M.eps[j], c)
+    quotients = []
+    for u in oracle_e_generators(M, j):
+        span = [linalg.mat_vec(field, P, u) for P in powers]
+        quotients.append(hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)]))
+    return oracle_merge((quotient, 1) for quotient in quotients)
 
 
 def assert_same_groups(got, expected):
@@ -1008,6 +1024,61 @@ class TestSerre:
         assert len(q_calls) == 1
 
 
+    def test_registry_refutes_by_arrow_rank(self, monkeypatch):
+        # E_0 (+) E_1 and a module with a nonzero arrow, over F_7: equal dims
+        # and eps Jordan types, different arrow ranks, so two classes and
+        # no isomorphism search
+        spec7 = SPEC_B2.with_field(prime_field_spec(7))
+        split = hmod.direct_sum(*(hmod.generalized_simple(spec7, v) for v in (0, 1)))
+        joined = hmod.reduce_mod_p(hmod.random_locally_free(SPEC_B2, (1, 1), 7), 7)
+        assert split.dims == joined.dims and any(any(map(any, m)) for m in joined.arrows.values())
+        searches = []
+        monkeypatch.setattr(hmod, "is_isomorphic", lambda *args: searches.append(args))
+        counter = grassmann.Counter()
+        assert counter.class_rep(split) is split and counter.class_rep(joined) is joined
+        assert len(counter.class_reps) == 2 and searches == []
+
+    def test_registry_is_shared_across_flag_queries(self):
+        # the conjugate of test_class_lookup_once_per_module, mod 7, summed
+        # with E_0: in a second flag_count of the same Counter, a quotient
+        # that is not byte-equal to any seen in the first query maps to the
+        # first query's representative, whose count is a flag_memo hit
+        anchor = hmod.random_locally_free(SPEC_B2, (2, 1), 7)
+        conj = hmod.HModule(anchor.spec, anchor.dims, anchor.eps, anchor.arrows)
+        field = SPEC_B2.field()
+        g = linalg.identity(field, 4)
+        g[0][2] = g[1][3] = field.one
+        hmod.change_vertex_basis(conj, 0, g)
+        anchor7, conj7 = hmod.reduce_mod_p(anchor, 7), hmod.reduce_mod_p(conj, 7)
+        assert conj7.key() != anchor7.key()
+        e0 = hmod.generalized_simple(anchor7.spec, 0)
+        query, reps, grouped = [0], [], []
+
+        class Recording(grassmann.Counter):
+            def class_rep(self, M):
+                rep = super().class_rep(M)
+                reps.append((query[0], M, rep))
+                return rep
+
+            def bottom_e_groups(self, M, j):
+                grouped.append((query[0], M))
+                return super().bottom_e_groups(M, j)
+
+        counter = Recording()
+        word = (0, 0, 1, 0)
+        first = counter.flag_count(hmod.direct_sum(anchor7, e0), word)
+        query[0] = 1
+        second_top = hmod.direct_sum(conj7, e0)
+        assert counter.flag_count(second_top, word) == first == \
+            grassmann.Counter().flag_count(second_top, word)
+        first_reps = {id(rep) for q, _, rep in reps if q == 0}
+        first_keys = {M.key() for q, M, _ in reps if q == 0}
+        shared = [(M, rep) for q, M, rep in reps
+                  if q == 1 and M.key() not in first_keys and id(rep) in first_reps]
+        assert shared and all(hmod.is_isomorphic(M, rep) for M, rep in shared)
+        # below the top, every count of the second query is a flag_memo hit
+        assert [M for q, M in grouped if q == 1] == [second_top]
+
 class TestPBW:
     def test_diagonal_unit(self):
         table = functors.all_root_modules(SPEC_B2)
@@ -1086,6 +1157,73 @@ class TestPBW:
         # ascending class words give a pairing matrix that is not the
         # identity, so a wrong coefficient or 1/k! would show
         assert (off_identity > 0) == (engine_cls is AscendingPBW)
+
+    @staticmethod
+    def recorded_class_groups(monkeypatch, run):
+        """[(counter, module, class, groups)] of every class group that
+        _sub_groups computes while run() counts."""
+        seen = []
+
+        class Recording(grassmann.ClassFlagCounter):
+            def _sub_groups(self, M, cls_idx):
+                fresh = (M.key(), cls_idx) not in self.group_memo
+                got = super()._sub_groups(M, cls_idx)
+                if fresh:
+                    seen.append((self, M, cls_idx, got))
+                return got
+
+        monkeypatch.setattr(grassmann, "ClassFlagCounter", Recording)
+        run()
+        return seen
+
+    @staticmethod
+    def assert_groups_match_per_list_oracle(seen):
+        """Each recorded group list, merged through its counter's registry,
+        against the per-list merge of the same quotients."""
+        oracles = {}
+        for counter, M, cls_idx, got in seen:
+            if counter not in oracles:
+                oracles[counter] = type(counter)(counter.spec, counter.classes)
+            quotients = oracles[counter]._class_quotients(M, cls_idx)
+            assert_same_groups(got, oracle_merge((quotient, 1) for quotient in quotients))
+
+    @pytest.mark.parametrize("spec,bound", [(SPEC_B2, (4, 4)), (SPEC_G2, (2, 1))],
+                             ids=["B2-4,4", "G2-2,1"])
+    def test_class_groups_equal_per_list_oracle(self, spec, bound, monkeypatch):
+        # every class group that the pairing rows reach; each holds at most
+        # one quotient, so this checks that the registry, shared across the
+        # rows, never maps a quotient to a class it is not in
+        table = functors.all_root_modules(spec)
+
+        def rows():
+            engine = grassmann.PBWEngine(table)
+            vectors = verify.pbw_multiplicity_vectors(table, bound)
+            for _ in verify.pbw_pairing_matrix(engine, vectors):
+                pass
+
+        seen = self.recorded_class_groups(monkeypatch, rows)
+        assert len(seen) > 10 and any(got for *_, got in seen)
+        self.assert_groups_match_per_list_oracle(seen)
+
+    def test_class_groups_merge_within_a_list(self, monkeypatch):
+        # M(beta) (+) M(beta) over F_5: its submodules of class beta are the
+        # points of the projective line over the local ring R = End(M(beta)),
+        # 5^(d-1) * 6 of them for dim R = d, and every quotient is M(beta)
+        table = functors.all_root_modules(SPEC_B2)
+        mods = [hmod.reduce_mod_p(m, 5) for m in table.modules]
+        counts = []
+
+        def count():
+            counter = grassmann.ClassFlagCounter(mods[0].spec, mods)
+            for b, m in enumerate(mods):
+                counts.append(counter.count(hmod.direct_sum(m, m), (b, b)))
+
+        seen = self.recorded_class_groups(monkeypatch, count)
+        ends = [hmod.hom_dim(m, m) for m in mods]
+        assert counts == [5 ** (d - 1) * 6 for d in ends] and max(ends) > 1
+        assert sorted(got[0][1] for *_, got in seen if len(got) == 1 and got[0][1] > 1) == \
+            sorted(counts)
+        self.assert_groups_match_per_list_oracle(seen)
 
     @pytest.mark.parametrize("name,omega", ALL_ORIENTATIONS)
     def test_identity_at_all_weights(self, name, omega):

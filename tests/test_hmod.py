@@ -824,3 +824,20 @@ class TestFieldSpec:
         assert prime_field_spec(7) == FieldSpec("Fp", 7)
         assert hash(prime_field_spec(7)) == hash(FieldSpec("Fp", 7))
         assert prime_field_spec(7) != prime_field_spec(11) != RATIONALS
+
+
+class TestReflectedSpec:
+    @pytest.mark.parametrize("fieldspec", [RATIONALS, prime_field_spec(7)], ids=["Q", "F7"])
+    def test_reflected_is_memoized_and_involutive(self, fieldspec):
+        # every sink or source k of every catalog datum, in every orientation
+        from symquiv import verify
+        seen = 0
+        for datum in verify.catalog_rank_le_4().values():
+            for omega in cartan.all_orientations(datum):
+                spec = hmod.HAlgebraSpec(datum, omega, fieldspec)
+                equal = hmod.HAlgebraSpec(datum, omega, fieldspec)
+                for k in set(cartan.sinks(datum, omega)) | set(cartan.sources(datum, omega)):
+                    assert spec.reflected(k) is spec.reflected(k) is equal.reflected(k)
+                    assert spec.reflected(k).reflected(k) == spec
+                    seen += 1
+        assert seen > 100
