@@ -46,11 +46,10 @@ and the candidate lists kept per (vertex, e_v, forced span) across the e of
 one F-polynomial.  A module whose eps is not in chain form counts the whole
 Gr^lf_e.  Either way an F-polynomial reduces the module mod each prime and
 prepares it (canonical eps, constraint order, eps powers) once for all of
-its e, and the count is a walk over the constraint order memoized per
-subtree (_LocallyFreeCounts): a subtree's count and the budget units its
-walk spent are kept, and a repeat spends those units again, so every count
-spends what the plain walk would.  Candidate lists, forced spans and
-subtrees share one bounded memo per F-polynomial (_CandidateMemo).
+its e, and the count is a plain walk over the constraint order
+(_LocallyFreeCounts).  On the fixed locus, candidate lists and forced spans
+share one bounded memo per F-polynomial (_CandidateMemo); counts of
+subtrees are not kept.
 """
 
 from __future__ import annotations
@@ -84,9 +83,8 @@ class _Budget:
     or ClassFlagCounter.exists call) gets a fresh instance.  Each generator of
     an E_j letter spends one unit; each vertex enumeration of a point count
     spends the size of its whole canonical candidate set, although only the
-    candidates that solve its conditions are enumerated.  A memo hit of
-    _LocallyFreeCounts spends what the walk of its subtree spent, so a count
-    spends the same units whether or not its subtrees were counted before."""
+    candidates that solve its conditions are enumerated, and whether or not
+    its candidate list is memoized (_CandidateMemo)."""
 
     __slots__ = ("units", "left")
 
@@ -511,10 +509,7 @@ class _CandidateMemo:
     - lists: torus-fixed candidate lists by (prime, vertex, e_v, forced span
       in RREF, flattened), one unit per list and one per candidate;
     - spans: (prime, vertex, the chosen components at the tails of the
-      arrows into the vertex) -> that flattened forced span, one unit each;
-    - subtrees: (prime, index into the walk, e from there on, the chosen
-      components the rest of the walk reads) -> (count, units spent), one
-      unit each.
+      arrows into the vertex) -> that flattened forced span, one unit each.
 
     A chosen component is keyed by the columns of its pivot form (its
     pivots are the first rows with a unit constant term).  Whatever does
@@ -523,7 +518,6 @@ class _CandidateMemo:
     def __init__(self):
         self.lists = {}
         self.spans = {}
-        self.subtrees = {}
         self.room = FIXED_MEMO_ROOM
 
     def get(self, key, enumerate_candidates):
@@ -551,15 +545,10 @@ class _LocallyFreeCounts:
     canonical eps (normalized if need be), the constraint order and the eps
     powers.  An F-polynomial makes one per prime for all of its e.
 
-    The count walks the enumerated vertices in constraint order and closes
-    the sinks by formula.  The walk is a transfer-matrix recursion, memoized
-    per subtree (_CandidateMemo.subtrees): the count below a vertex depends
-    only on the e from there on and on the chosen components that the rest
-    of the walk reads, those joined by an arrow to a later vertex (reads).
-    A subtree keeps the units its walk spent, and a memo hit spends them
-    again, so every count spends what the plain walk would; a hit whose
-    spend does not fit the budget left is walked, and raises at the same
-    vertex visit with the same message.
+    The count walks the enumerated vertices in constraint order, spending
+    the candidate-set size at every vertex it visits, and closes the sinks
+    by formula.  Counts of subtrees are not memoized: measured, their keys
+    cost more than the repeats they saved.
 
     With weights (_torus_weights of the integral model, whose eps must be
     canonical), it counts the fixed locus of the torus diag(t^weights) in
@@ -596,12 +585,7 @@ class _LocallyFreeCounts:
         enum_verts = [v for v in order if v not in closed and M.dims[v] > 0]
         self.enum_verts = enum_verts
         self.closed_verts = [v for v in order if v in closed and M.dims[v] > 0]
-        self.visit_order = enum_verts + self.closed_verts
         into = {(i, j) for (i, j, _) in M.arrows}  # (target, source) of every arrow
-        # reads[idx]: the vertices of enum_verts[:idx] joined to visit_order[idx:]
-        self.reads = [tuple([u for u in enum_verts[:idx]
-                             if any((u, w) in into or (w, u) in into for w in self.visit_order[idx:])])
-                      for idx in range(len(enum_verts) + 1)]
         # tails[idx]: the vertices of enum_verts[:idx] with an arrow into enum_verts[idx];
         # heads[idx]: the arrows from enum_verts[idx] into them (only off a DAG order)
         self.tails = [tuple([u for u in enum_verts[:idx] if (v, u) in into])
@@ -648,32 +632,14 @@ class _LocallyFreeCounts:
         datum = self.M.spec.datum
         if any(c * x > d for c, x, d in zip(datum.D, e, self.M.dims)):
             return 0
-        e_from = [tuple([e[v] for v in self.visit_order[idx:]])
-                  for idx in range(len(self.enum_verts) + 1)]
-        return self._count(0, {}, e, e_from, _Budget(budget))
+        return self._walk(0, {}, e, _Budget(budget))
 
-    def _count(self, idx, chosen, e, e_from, query):
-        """The submodules extending the components chosen at enum_verts[:idx],
-        memoized per subtree; e_from[idx] is e on visit_order[idx:].  A method, not
-        a closure: a self-referencing closure would keep the memo alive until
-        the cyclic garbage collector ran."""
-        reads = self.reads[idx]
-        if len(reads) == idx:  # the key would fix the whole walk so far: it never repeats
-            return self._walk(idx, chosen, e, e_from, query)
-        memo = self.memo
-        key = (self.field.p, idx, e_from[idx], tuple([chosen[u].cols for u in reads]))
-        hit = memo.subtrees.get(key)
-        if hit is not None and hit[1] <= query.left:
-            query.left -= hit[1]
-            return hit[0]
-        left = query.left
-        total = self._walk(idx, chosen, e, e_from, query)
-        memo.keep(memo.subtrees, key, (total, left - query.left))
-        return total
-
-    def _walk(self, idx, chosen, e, e_from, query):
-        """_count without the memo: the candidates at enum_verts[idx], each
-        extended by _count, or the closed sinks' product at the end."""
+    def _walk(self, idx, chosen, e, query):
+        """The submodules extending the components chosen at enum_verts[:idx]:
+        the candidates at enum_verts[idx], each extended by _walk, or the
+        closed sinks' product at the end.  A method, not a closure: a
+        self-referencing closure would keep the memo alive until the cyclic
+        garbage collector ran."""
         M, field = self.M, self.field
         datum = M.spec.datum
         if idx == len(self.enum_verts):
@@ -697,7 +663,7 @@ class _LocallyFreeCounts:
         total = 0
         for cand in candidates:
             chosen[v] = cand
-            total += self._count(idx + 1, chosen, e, e_from, query)
+            total += self._walk(idx + 1, chosen, e, query)
             del chosen[v]
             if self.weights is not None:
                 cand.forget_k_basis()  # a kept candidate holds its K-basis only while chosen

@@ -62,12 +62,6 @@ def mat_add(field, a, b):
     return [[field.add(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(field, a, b):
-    if len(a) != len(b) or (a and len(a[0]) != len(b[0])):
-        raise ValueError("matrix shapes differ in mat_sub")
-    return [[field.sub(x, y) for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_neg(field, a):
     return [[field.neg(x) for x in row] for row in a]
 

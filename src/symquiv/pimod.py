@@ -225,7 +225,7 @@ def phi(M: PiModule, i) -> int:
 # --- E-filtered search ------------------------------------------------------
 
 
-def is_E_filtered(M: PiModule, budget=100000, seed=0):
+def is_E_filtered(M: PiModule, budget=100000):
     """(flag, witness): search for a flag with generalized-simple subquotients.
 
     An E-filtered module is locally free, so a module that is not returns
@@ -235,16 +235,17 @@ def is_E_filtered(M: PiModule, budget=100000, seed=0):
     at most 512 free rank-one candidates at a vertex, they are enumerated
     exhaustively (grassmann._e_letter_generators, stopped at the 513th);
     otherwise, and always over the rationals, 64 random elements of
-    sub_space are tried.  A search that finds no flag after any randomized
-    step is inconclusive and raises InternalMismatchError: the answer is
-    then unknown, never False.  Budget exhaustion raises
-    SearchBudgetExceededError, also unknown.
+    sub_space are tried, all drawn from one random.Random(0) stream, so the
+    outcome does not depend on earlier calls.  A search that finds no flag
+    after any randomized step is inconclusive and raises
+    InternalMismatchError: the answer is then unknown, never False.  Budget
+    exhaustion raises SearchBudgetExceededError, also unknown.
     """
     M = hmod.chain_form(M)
     if M is None:
         return False, None
     field = M.field()
-    rng = random.Random(seed)
+    rng = random.Random(0)
     state = {"budget": budget, "randomized": False}
 
     def candidates(current, j):

@@ -47,6 +47,13 @@ class TestBasicCommands:
         assert proc.returncode == 0
         assert proc.stdout == (GOLDEN / "fpoly_g2.json").read_text()
 
+    def test_fpoly_f4_golden(self):
+        # the deepest walk of the rank <= 4 catalog: eight F4 roots fail the
+        # torus gate and are point-counted on the fixed locus
+        proc = run_cli("fpoly", "--datum", str(DATA / "f4.json"))
+        assert proc.returncode == 0
+        assert proc.stdout == (GOLDEN / "fpoly_f4.json").read_text()
+
     def test_homext_csv_golden(self):
         proc = run_cli("homext-table", "--datum", str(DATA / "b2.json"),
                        "--format", "csv")
