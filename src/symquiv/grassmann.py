@@ -48,8 +48,8 @@ Gr^lf_e.  Either way an F-polynomial reduces the module mod each prime and
 prepares it (canonical eps, constraint order, eps powers) once for all of
 its e, and the count is a plain walk over the constraint order
 (_LocallyFreeCounts).  On the fixed locus, candidate lists and forced spans
-share one bounded memo per F-polynomial (_CandidateMemo); counts of
-subtrees are not kept.
+share one bounded memo per F-polynomial (_CandidateMemo); the count
+below a vertex is not kept.
 """
 
 from __future__ import annotations
@@ -547,8 +547,8 @@ class _LocallyFreeCounts:
 
     The count walks the enumerated vertices in constraint order, spending
     the candidate-set size at every vertex it visits, and closes the sinks
-    by formula.  Counts of subtrees are not memoized: measured, their keys
-    cost more than the repeats they saved.
+    by formula.  The count below a vertex is not memoized: measured, its
+    keys cost more than the repeats they saved.
 
     With weights (_torus_weights of the integral model, whose eps must be
     canonical), it counts the fixed locus of the torus diag(t^weights) in
