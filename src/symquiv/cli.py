@@ -27,7 +27,6 @@ from .errors import (
     NotOrientationError,
     NotSymmetrizerError,
     PrimePoolExhaustedError,
-    SearchBudgetExceededError,
     SymquivError,
     TooLargeError,
 )
@@ -35,7 +34,7 @@ from .fields import RATIONALS, _is_prime, prime_field_spec
 
 USAGE_ERRORS = (NotCartanError, NotSymmetrizerError, NonPositiveSymmetrizerError,
                 NotOrientationError, NotDynkinError, BadArgumentError)
-RESOURCE_ERRORS = (TooLargeError, SearchBudgetExceededError, PrimePoolExhaustedError)
+RESOURCE_ERRORS = (TooLargeError, PrimePoolExhaustedError)
 
 
 def _load_datum(args):

@@ -74,13 +74,5 @@ class PrimeReductionError(SymquivError):
     """Integral model has a denominator divisible by the sample prime."""
 
 
-class SearchBudgetExceededError(SymquivError):
-    """Backtracking search ran out of budget; result is unknown, not false."""
-
-    def __init__(self, budget):
-        super().__init__(f"search budget of {budget} nodes exhausted")
-        self.budget = budget
-
-
 class UndefinedValueError(SymquivError):
     """Requested quantity is undefined for this input (e.g. phi on a non-free socle)."""

@@ -272,7 +272,7 @@ def is_indecomposable(M) -> bool:
         return False
     if M.spec.fieldspec != RATIONALS:
         raise ValueError("indecomposability test runs over the rationals")
-    basis = hmod.hom_basis(M, M).basis
+    basis = hmod.hom_basis(M, M)
     dim = len(basis)
     # structure constants of End(M) in the hom basis via left regular action
     field = M.field()

@@ -45,11 +45,11 @@ every vertex enumerated (the sink formula counts ungraded submodules too)
 and the candidate lists kept per (vertex, e_v, forced span) across the e of
 one F-polynomial.  A module whose eps is not in chain form counts the whole
 Gr^lf_e.  Either way an F-polynomial reduces the module mod each prime and
-prepares it (canonical eps, constraint order, eps powers) once for all of
-its e, and the count is a plain walk over the constraint order
-(_LocallyFreeCounts).  On the fixed locus, candidate lists and forced spans
-share one bounded memo per F-polynomial (_CandidateMemo); the count
-below a vertex is not kept.
+prepares it (canonical eps, constraint order, eps powers at the closed
+sinks) once for all of its e, and the count is a plain walk over the
+constraint order (_LocallyFreeCounts).  On the fixed locus, candidate lists
+and forced spans share one bounded memo per F-polynomial (_CandidateMemo);
+the count below a vertex is not kept.
 """
 
 from __future__ import annotations
@@ -543,7 +543,8 @@ class _LocallyFreeCounts:
     """count_locally_free_submodules of one module over a prime field, for any
     rank vector, with the work that depends only on the module done once: the
     canonical eps (normalized if need be), the constraint order and the eps
-    powers.  An F-polynomial makes one per prime for all of its e.
+    powers at the sinks closed by formula.  An F-polynomial makes one per
+    prime for all of its e.
 
     The count walks the enumerated vertices in constraint order, spending
     the candidate-set size at every vertex it visits, and closes the sinks
@@ -592,7 +593,7 @@ class _LocallyFreeCounts:
                       for idx, v in enumerate(enum_verts)]
         self.heads = [[(A, i) for (i, j, _), A in M.arrows.items() if j == v and i in enum_verts[:idx]]
                       for idx, v in enumerate(enum_verts)]
-        self.powers = [_eps_powers(field, M.eps[v], c) for v, c in enumerate(datum.D)]
+        self.powers = {v: _eps_powers(field, M.eps[v], datum.D[v]) for v in self.closed_verts}
         self.weights = weights
         self.memo = memo if memo is not None else _CandidateMemo()
         self.sizes = {}  # (v, e_v) -> size of the torus-fixed candidate set
@@ -960,7 +961,7 @@ class Counter:
         if memo_key not in self.aut_memo:
             field = M.field()
             p = field.p
-            basis = hmod.hom_basis(M, M).basis
+            basis = hmod.hom_basis(M, M)
             rng = random.Random(0)
             auts = []
             for _ in range(AUT_DRAWS if len(basis) > 1 else 0):

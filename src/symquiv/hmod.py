@@ -18,6 +18,10 @@ On [[top, Y], [0, bottom]] with module diagonal blocks every relation's
 top-right block is linear in Y; _coupling_rows assembles that map, whose
 kernel gives the arrow space and random modules (top = bottom = the bare
 module), random extensions, and the cochains of Ext^1.
+
+One builder per kind of module: E_i and 0 are bare modules (_bare_module),
+He_i is spanned by normal monomials, and D(e_i H) is a transposed He_i of
+H(C, D, Omega^op), the opposite algebra.
 """
 
 from __future__ import annotations
@@ -165,28 +169,28 @@ def read_jordan_blocks(field, eps):
     return blocks
 
 
+def free_eps(field, c, r):
+    """Canonical rectangular nilpotent of type c^r."""
+    return jordan_nilpotent(field, [c] * r)
+
+
+def _bare_module(spec, r):
+    """The module of rank r with canonical eps and zero arrows."""
+    field = spec.field()
+    datum = spec.datum
+    dims = [datum.D[v] * r[v] for v in range(datum.n)]
+    eps = [free_eps(field, datum.D[v], r[v]) for v in range(datum.n)]
+    arrows = {key: linalg.zeros(field, dims[key[0]], dims[key[1]]) for key in spec.arrow_keys()}
+    return HModule(spec, dims, eps, arrows)
+
+
 def zero_module(spec) -> HModule:
-    n = spec.datum.n
-    return HModule(spec, (0,) * n, [[] for _ in range(n)],
-                   {k: [] for k in spec.arrow_keys()})
+    return _bare_module(spec, (0,) * spec.datum.n)
 
 
 def generalized_simple(spec, i) -> HModule:
     """E_i: rank alpha_i, concentrated at i, eps_i one nilpotent chain of length c_i."""
-    field = spec.field()
-    n = spec.datum.n
-    dims = [0] * n
-    dims[i] = spec.datum.D[i]
-    eps = [jordan_nilpotent(field, [dims[v]]) if dims[v] else [] for v in range(n)]
-    arrows = {}
-    for (a, b, k) in spec.arrow_keys():
-        arrows[(a, b, k)] = linalg.zeros(field, dims[a], dims[b])
-    return HModule(spec, dims, eps, arrows)
-
-
-def free_eps(field, c, r):
-    """Canonical rectangular nilpotent of type c^r."""
-    return jordan_nilpotent(field, [c] * r)
+    return _bare_module(spec, [int(v == i) for v in range(spec.datum.n)])
 
 
 def direct_sum(M, N):
@@ -735,22 +739,16 @@ def _hom_system(M, N):
     return vertex_bases, offsets, total, rows
 
 
-@dataclass
-class HomBasis:
-    basis: list  # each element: tuple of per-vertex matrices
-    dimension: int
-
-
-def hom_basis(M, N) -> HomBasis:
-    """Basis of Hom_H(M, N): vertex tuples intertwining eps and all arrows,
-    the kernel of the rows of _hom_system."""
+def hom_basis(M, N) -> list:
+    """Basis of Hom_H(M, N), each element a tuple of per-vertex matrices
+    intertwining eps and all arrows: the kernel of the rows of _hom_system."""
     if M.spec != N.spec:
         raise SpecMismatchError("hom needs a common algebra spec")
     field = M.field()
     z = field.zero
     vertex_bases, offsets, total, rows = _hom_system(M, N)
     if total == 0:
-        return HomBasis([], 0)
+        return []
     if rows:
         sols = linalg.nullspace(field, rows, total)
     else:
@@ -768,11 +766,11 @@ def hom_basis(M, N) -> HomBasis:
                         m[e[0]][e[1]] = field.add(m[e[0]][e[1]], y)
             maps.append(m)
         out.append(tuple(maps))
-    return HomBasis(out, len(out))
+    return out
 
 
 def hom_dim(M, N) -> int:
-    return hom_basis(M, N).dimension
+    return len(hom_basis(M, N))
 
 
 def _ext1_and_hom(M, N):
@@ -823,16 +821,6 @@ def euler_pairing_check(M, N):
 # --- randomized generation --------------------------------------------------
 
 
-def _bare_module(spec, r):
-    """The module of rank r with canonical eps and zero arrows."""
-    field = spec.field()
-    datum = spec.datum
-    dims = [datum.D[v] * r[v] for v in range(datum.n)]
-    eps = [free_eps(field, datum.D[v], r[v]) for v in range(datum.n)]
-    arrows = {key: linalg.zeros(field, dims[key[0]], dims[key[1]]) for key in spec.arrow_keys()}
-    return HModule(spec, dims, eps, arrows)
-
-
 def arrow_solution_dimension(spec, r) -> int:
     """K-dimension of the arrow solution space at canonical eps of rank r."""
     bare = _bare_module(spec, r)
@@ -881,7 +869,7 @@ def is_isomorphic(M, N, tries=40) -> bool:
     if M.total_dim() == 0:
         return True
     hmn = hom_basis(M, N)
-    t = hmn.dimension
+    t = len(hmn)
     if t == 0:
         return False
     field = M.field()
@@ -891,7 +879,7 @@ def is_isomorphic(M, N, tries=40) -> bool:
     def random_try():
         coeffs = [field.from_int(rng.randrange(size) if size else rng.randint(-9, 9))
                   for _ in range(t)]
-        return _combination_invertible(field, M, hmn.basis, coeffs)
+        return _combination_invertible(field, M, hmn, coeffs)
 
     if tries and random_try():
         return True
@@ -907,7 +895,7 @@ def is_isomorphic(M, N, tries=40) -> bool:
         for combo in itertools.product(range(size), repeat=t):
             if all(c == 0 for c in combo):
                 continue
-            if _combination_invertible(field, M, hmn.basis, list(combo)):
+            if _combination_invertible(field, M, hmn, list(combo)):
                 return True
         return False
     raise InternalMismatchError(
@@ -934,7 +922,7 @@ def _combination_invertible(field, M, basis, coeffs):
     return True
 
 
-# --- projectives and injectives via monomial rewriting ----------------------
+# --- projectives via monomial rewriting; injectives as their transposes -----
 
 
 def _normalize_monomial(spec, v0, s0, steps):
@@ -1044,57 +1032,16 @@ def projective_module(spec, i) -> HModule:
 
 
 def injective_module(spec, i) -> HModule:
-    """D(e_i H): dual of the right projective at i, via right multiplication."""
-    field = spec.field()
-    datum = spec.datum
-    n = datum.n
-    # monomials of e_i H: normal forms whose top (leading) vertex is i
-    monos = []
-    for start in range(n):
-        for m in _monomials_from(spec, start):
-            if _mono_vertex(m) == i:
-                monos.append(m)
-    by_vertex = {v: [] for v in range(n)}
-    for m in monos:
-        by_vertex[m[0]].append(m)  # right-module grading by bottom vertex
-    for v in by_vertex:
-        by_vertex[v].sort()
-    index = {}
-    for v in range(n):
-        for t, m in enumerate(by_vertex[v]):
-            index[m] = (v, t)
-    dims = [len(by_vertex[v]) for v in range(n)]
-
-    def right_mul_eps(m):
-        return _normalize_monomial(spec, m[0], m[1] + 1, m[2])
-
-    def right_mul_arrow(m, key):
-        # m * alpha for an arrow key[1] -> key[0]; needs bottom vertex = key[0]
-        if m[0] != key[0]:
-            return None
-        steps = [(key, m[1])] + list(m[2])
-        return _normalize_monomial(spec, key[1], 0, steps)
-
-    # dual left module: the action matrix of each generator is the transpose
-    # of its right-multiplication matrix on e_i H
-    eps = [linalg.zeros(field, dims[v], dims[v]) for v in range(n)]
-    for v in range(n):
-        for t, m in enumerate(by_vertex[v]):
-            r = right_mul_eps(m)
-            if r is not None and r in index:
-                eps[v][t][index[r][1]] = field.one
-    arrows = {}
-    for key in spec.arrow_keys():
-        (a, b, _) = key
-        # right multiplication by the arrow maps grading v0=a into v0=b, so
-        # the dual left action maps the b-component into the a-component
-        mat = linalg.zeros(field, dims[a], dims[b])
-        for s, m in enumerate(by_vertex[a]):
-            r = right_mul_arrow(m, key)
-            if r is not None and r in index:
-                mat[s][index[r][1]] = field.one
-        arrows[key] = mat
-    return normalize_eps(HModule(spec, dims, eps, arrows))
+    """D(e_i H), the transpose of e_i H: the projective at i of the opposite
+    algebra H(C, D, Omega^op), whose arrows are those of Omega reversed."""
+    op = HAlgebraSpec(spec.datum, Orientation(frozenset((j, i) for i, j in spec.omega.pairs)),
+                      spec.fieldspec)
+    P = projective_module(op, i)
+    eps = [linalg.transpose(m) for m in P.eps]
+    # by columns: linalg.transpose of an arrow with no rows would have no rows
+    arrows = {(a, b, k): [[row[c] for row in P.arrows[(b, a, k)]] for c in range(P.dims[a])]
+              for (a, b, k) in spec.arrow_keys()}
+    return normalize_eps(HModule(spec, P.dims, eps, arrows))
 
 
 # --- serialization ----------------------------------------------------------

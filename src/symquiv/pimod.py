@@ -28,7 +28,6 @@ from . import cartan, grassmann, hmod, linalg
 from .errors import (
     InternalMismatchError,
     NotLocallyFreeError,
-    SearchBudgetExceededError,
     SpecMismatchError,
     UndefinedValueError,
 )
@@ -51,9 +50,7 @@ def double_arrow_keys(spec):
 
 
 def pi_zero_module(spec) -> PiModule:
-    n = spec.datum.n
-    return PiModule(spec, (0,) * n, [[] for _ in range(n)],
-                    {k: [] for k in double_arrow_keys(spec)})
+    return from_h_module(hmod.zero_module(spec))
 
 
 def pi_simple(spec, i) -> PiModule:
@@ -238,15 +235,17 @@ def is_E_filtered(M: PiModule, budget=100000):
     sub_space are tried, all drawn from one random.Random(0) stream, so the
     outcome does not depend on earlier calls.  A search that finds no flag
     after any randomized step is inconclusive and raises
-    InternalMismatchError: the answer is then unknown, never False.  Budget
-    exhaustion raises SearchBudgetExceededError, also unknown.
+    InternalMismatchError: the answer is then unknown, never False.  Each
+    candidate tried spends one unit of a grassmann._Budget of `budget` units,
+    whose exhaustion raises TooLargeError, also unknown.
     """
     M = hmod.chain_form(M)
     if M is None:
         return False, None
     field = M.field()
     rng = random.Random(0)
-    state = {"budget": budget, "randomized": False}
+    query = grassmann._Budget(budget)
+    randomized = False
 
     def candidates(current, j):
         if isinstance(field, PrimeField):
@@ -274,18 +273,18 @@ def is_E_filtered(M: PiModule, budget=100000):
         return out, False
 
     def search(current):
+        nonlocal randomized
         if current.total_dim() == 0:
             return []
         for j in range(current.spec.datum.n):
             if current.dims[j] == 0:
                 continue
             cands, exhaustive = candidates(current, j)
-            state["randomized"] |= not exhaustive
+            randomized |= not exhaustive
             c = current.spec.datum.D[j]
             for u in cands:
-                state["budget"] -= 1
-                if state["budget"] < 0:
-                    raise SearchBudgetExceededError(budget)
+                query.spend(1, f"the E-filtration candidates at vertex {j} "
+                               f"of a module of dims {current.dims}")
                 span = [u]
                 for _ in range(c - 1):
                     span.append(linalg.mat_vec(field, current.eps[j], span[-1]))
@@ -297,7 +296,7 @@ def is_E_filtered(M: PiModule, budget=100000):
         return None
 
     witness = search(M)
-    if witness is None and state["randomized"]:
+    if witness is None and randomized:
         raise InternalMismatchError(
             f"E-filtration search inconclusive over {field!r}: no flag found, and the "
             f"bottom factors were sampled at random at some step (dims {M.dims})")

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from symquiv import cartan, cli, errors, grassmann
-from symquiv.errors import InterpolationError, SearchBudgetExceededError, TooLargeError
+from symquiv.errors import InterpolationError, TooLargeError
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -92,8 +92,7 @@ class TestExitCodes:
         proc = run_cli("roots")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("error", [TooLargeError("enumeration budget of 1 exhausted"),
-                                       SearchBudgetExceededError(1)])
+    @pytest.mark.parametrize("error", [TooLargeError("enumeration budget of 1 exhausted")])
     def test_exhausted_resources_exit_3(self, monkeypatch, capsys, error):
         # running out of budget is not a broken invariant (exit 1)
         def exhausted(self, m, n):

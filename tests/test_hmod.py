@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from symquiv import cartan, functors, hmod, linalg, pimod
+from symquiv import cartan, functors, hmod, linalg, pimod, verify
 from symquiv.errors import InternalMismatchError, NotNilpotentError, SpecMismatchError
 from symquiv.fields import RATIONALS, prime_field_spec
 
@@ -65,7 +65,7 @@ def brute_force_isomorphic(M, N):
     """Whether some coefficient vector over F_p makes the combination of the
     Hom(M, N) basis invertible at every vertex; every vector is tried."""
     field = M.field()
-    basis = hmod.hom_basis(M, N).basis
+    basis = hmod.hom_basis(M, N)
     for coeffs in itertools.product(field.elements(), repeat=len(basis)):
         maps = [linalg.zeros(field, N.dims[v], M.dims[v]) for v in range(len(M.dims))]
         for coeff, f in zip(coeffs, basis):
@@ -399,7 +399,7 @@ class TestHom:
             n = hmod.random_locally_free(spec, (2, 1), rng.randrange(10 ** 6))
             hb = hmod.hom_basis(m, n)
             field = spec.field()
-            for f in hb.basis:
+            for f in hb:
                 for v in range(2):
                     lhs = linalg.mat_mul(field, f[v], m.eps[v])
                     rhs = linalg.mat_mul(field, n.eps[v], f[v])
@@ -442,7 +442,7 @@ class TestHom:
         for mm, nn, euler in pairs:
             field = mm.field()
             hb = hmod.hom_basis(mm, nn)
-            for f in hb.basis:
+            for f in hb:
                 for v in range(2):
                     if mm.dims[v] and nn.dims[v]:
                         assert (linalg.mat_mul(field, f[v], mm.eps[v])
@@ -452,15 +452,15 @@ class TestHom:
                     if nn.dims[i] and mm.dims[j]:
                         assert (linalg.mat_mul(field, f[i], mm.arrows[key])
                                 == linalg.mat_mul(field, nn.arrows[key], f[j]))
-            flat = [[x for fv in f for row in fv for x in row] for f in hb.basis]
-            assert linalg.rank(field, flat) == hb.dimension
-            assert dense_hom_dim(mm, nn) == hb.dimension
+            flat = [[x for fv in f for row in fv for x in row] for f in hb]
+            assert linalg.rank(field, flat) == len(hb)
+            assert dense_hom_dim(mm, nn) == len(hb)
             if euler is None:
                 reversed_arrows += any(x != field.zero for key in mm.arrows
                                        if key not in mm.spec.arrow_keys()
                                        for row in mm.arrows[key] for x in row)
             else:
-                assert hb.dimension - hmod.ext1_dim(mm, nn) == euler
+                assert len(hb) - hmod.ext1_dim(mm, nn) == euler
         assert len(pairs) == 56
         assert reversed_arrows >= 4
 
@@ -604,6 +604,25 @@ class TestProjectiveInjective:
                 assert hmod.check_relations(inj) == []
                 assert hmod.is_locally_free(inj) == gammas[k]
 
+    def test_projective_and_injective_represent_the_vertex_component(self):
+        # Hom(He_i, M) = e_i M and Hom(M, D(e_i H)) = D(e_i M), so both have
+        # dimension dim M_i: every catalog datum in every orientation over
+        # F_5, at every vertex, for three random modules, P_i and I_i
+        rng = random.Random(11)
+        checked = 0
+        for datum in verify.catalog_rank_le_4().values():
+            for omega in cartan.all_orientations(datum):
+                spec = hmod.HAlgebraSpec(datum, omega, prime_field_spec(5))
+                for i in range(datum.n):
+                    p, inj = hmod.projective_module(spec, i), hmod.injective_module(spec, i)
+                    randoms = [hmod.random_locally_free(
+                        spec, tuple(rng.randint(0, 2) for _ in range(datum.n)),
+                        rng.randrange(10 ** 6)) for _ in range(3)]
+                    for M in randoms + [p, inj]:
+                        assert hmod.hom_dim(p, M) == M.dims[i] == hmod.hom_dim(M, inj)
+                        checked += 1
+        assert checked == 1045
+
 
 class TestSubQuotient:
     def test_quotient_of_projective_by_socle_part(self):
@@ -635,7 +654,7 @@ class TestSubQuotient:
             if seed % 2:
                 M = generic_conjugate(M, rng)
             for i in range(2):
-                basis = hmod.hom_basis(hmod.projective_module(spec, i), M).basis
+                basis = hmod.hom_basis(hmod.projective_module(spec, i), M)
                 coeffs = [field.from_int(rng.randint(-3, 3)) for _ in basis]
                 subspaces = []
                 for v in range(2):

@@ -179,9 +179,9 @@ class TestEFiltered:
         assert hmod.is_isomorphic(m, pimod.pi_simple(SPEC_B2_F7, 0))
 
     def test_budget_exhaustion_is_loud(self):
-        from symquiv.errors import SearchBudgetExceededError
+        from symquiv.errors import TooLargeError
         m = pimod.random_E_filtered(SPEC_B2_F7, (0, 1, 0), 2)
-        with pytest.raises(SearchBudgetExceededError):
+        with pytest.raises(TooLargeError, match=r"at vertex 0 of a module of dims \(4, 1\)$"):
             pimod.is_E_filtered(m, budget=0)
 
 
