@@ -79,12 +79,13 @@ DEFAULT_BUDGET = 10 ** 7
 
 class _Budget:
     """Enumeration units left to one query.  Every top-level query (one
-    count_locally_free_submodules, Counter.flag_count, ClassFlagCounter.count
-    or ClassFlagCounter.exists call) gets a fresh instance.  Each generator of
-    an E_j letter spends one unit; each vertex enumeration of a point count
-    spends the size of its whole canonical candidate set, although only the
-    candidates that solve its conditions are enumerated, and whether or not
-    its candidate list is memoized (_CandidateMemo)."""
+    count_locally_free_submodules, Counter.flag_count, ClassFlagCounter.count,
+    ClassFlagCounter.exists or pimod.is_E_filtered call) gets a fresh
+    instance.  Each generator of an E_j letter that is taken spends one unit;
+    each vertex enumeration of a point count spends the size of its whole
+    canonical candidate set, although only the candidates that solve its
+    conditions are enumerated, and whether or not its candidate list is
+    memoized (_CandidateMemo)."""
 
     __slots__ = ("units", "left")
 
@@ -432,6 +433,14 @@ def _e_letter_generators(M, j):
     arrow_rows = [row for (_, src, _), A in M.arrows.items() if src == j for row in A]
     for _, cols in _pivot_forms(field.p, c, M.dims[j] // c, 1, killed_by=arrow_rows):
         yield tuple(itertools.chain.from_iterable(cols[0]))
+
+
+def _e_letter_quotient(M, j, u):
+    """M / Hu for a canonical generator u of _e_letter_generators: Hu is
+    spanned by the shifts eps^t u (t < c) of the flattened generator."""
+    c, n = M.spec.datum.D[j], M.spec.datum.n
+    span = [[u[x - t] if x % c >= t else 0 for x in range(len(u))] for t in range(c)]
+    return hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
 
 
 def _vertex_rank(M, v):
@@ -954,23 +963,20 @@ class Counter:
     def _automorphisms(self, M):
         """Verified automorphisms of M over its prime field, as tuples of
         vertex matrices: AUT_DRAWS seeded random elements of End(M)
-        (hom_basis, once per module), each kept only if
-        hmod._combination_invertible proves it invertible.  None are drawn
+        (hom_basis, once per module), each built by
+        hmod._invertible_combination and kept only if invertible.  None are drawn
         when End(M) is the scalars, which fix every submodule."""
         memo_key = M.key()
         if memo_key not in self.aut_memo:
             field = M.field()
-            p = field.p
             basis = hmod.hom_basis(M, M)
             rng = random.Random(0)
             auts = []
             for _ in range(AUT_DRAWS if len(basis) > 1 else 0):
-                coeffs = [rng.randrange(p) for _ in basis]
-                if hmod._combination_invertible(field, M, basis, coeffs):
-                    auts.append(tuple(
-                        [[sum(x * f[v][a][b] for x, f in zip(coeffs, basis)) % p
-                          for b in range(M.dims[v])] for a in range(M.dims[v])]
-                        for v in range(M.spec.datum.n)))
+                g = hmod._invertible_combination(
+                    field, M, basis, [rng.randrange(field.p) for _ in basis])
+                if g is not None:
+                    auts.append(g)
             self.aut_memo[memo_key] = auts
         return self.aut_memo[memo_key]
 
@@ -1016,25 +1022,18 @@ class Counter:
 
         The E_j-submodules are the H u for the canonical generators u of
         _e_letter_generators, each spending one unit.  An automorphism g of M
-        gives M/Hu = M/H(g u), so one quotient is built per orbit (_orbits),
-        from its first-seen generator, and weighted by the orbit size; orbits
-        merge further by class (_merge): the class registry of the counter,
-        shared by all its queries (class_rep)."""
+        gives M/Hu = M/H(g u), so one quotient (_e_letter_quotient) is built
+        per orbit (_orbits), from its first-seen generator, and weighted by
+        the orbit size; orbits merge further by class (_merge): the class
+        registry of the counter, shared by all its queries (class_rep)."""
         key = (M.key(), j)
         if key in self.group_memo:
             return self.group_memo[key]
-        c = M.spec.datum.D[j]
-        n = M.spec.datum.n
         gens = []
         for u in _e_letter_generators(M, j):
             self._query.spend(1)
             gens.append(u)
-
-        def quotient(u):
-            span = [[u[x - t] if x % c >= t else 0 for x in range(len(u))] for t in range(c)]
-            return hmod.quotient_by_subspaces(M, [span if v == j else [] for v in range(n)])
-
-        out = self._merge((quotient(gens[k]), size)
+        out = self._merge((_e_letter_quotient(M, j, gens[k]), size)
                           for k, size in self._orbits(M, j, gens)) if gens else []
         self.group_memo[key] = out
         return out

@@ -879,7 +879,7 @@ def is_isomorphic(M, N, tries=40) -> bool:
     def random_try():
         coeffs = [field.from_int(rng.randrange(size) if size else rng.randint(-9, 9))
                   for _ in range(t)]
-        return _combination_invertible(field, M, hmn, coeffs)
+        return _invertible_combination(field, M, hmn, coeffs) is not None
 
     if tries and random_try():
         return True
@@ -895,7 +895,7 @@ def is_isomorphic(M, N, tries=40) -> bool:
         for combo in itertools.product(range(size), repeat=t):
             if all(c == 0 for c in combo):
                 continue
-            if _combination_invertible(field, M, hmn, list(combo)):
+            if _invertible_combination(field, M, hmn, list(combo)) is not None:
                 return True
         return False
     raise InternalMismatchError(
@@ -903,12 +903,13 @@ def is_isomorphic(M, N, tries=40) -> bool:
         f"{t}-dimensional Hom space at dims {M.dims} were singular")
 
 
-def _combination_invertible(field, M, basis, coeffs):
+def _invertible_combination(field, M, basis, coeffs):
+    """The vertex matrices of the homomorphism sum(coeffs[k] * basis[k]) out
+    of M, or None at the first vertex where it is singular."""
     z = field.zero
+    mats = []
     for v in range(M.spec.datum.n):
         d = M.dims[v]
-        if d == 0:
-            continue
         m = linalg.zeros(field, d, d)
         for coeff, f in zip(coeffs, basis):
             if coeff != z:
@@ -918,8 +919,9 @@ def _combination_invertible(field, M, basis, coeffs):
                         if x != z:
                             out[q] = field.add(out[q], field.mul(coeff, x))
         if linalg.rank(field, m) != d:
-            return False
-    return True
+            return None
+        mats.append(m)
+    return tuple(mats)
 
 
 # --- projectives via monomial rewriting; injectives as their transposes -----

@@ -16,12 +16,14 @@ A PiModule's relation table (_pi_relation_table) is that of H on the double
 quiver plus the meshes.  hmod evaluates and linearizes whichever table a
 module's type carries, so check_pi_relations, the random extensions of
 random_E_filtered and ext1_pi run the same code as their H counterparts.
+Likewise is_E_filtered takes its E-letter submodules and their quotients
+from grassmann, the ones a flag count uses, and so searches exhaustively
+over a prime field.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import random
 
 from . import cartan, grassmann, hmod, linalg
@@ -223,83 +225,42 @@ def phi(M: PiModule, i) -> int:
 
 
 def is_E_filtered(M: PiModule, budget=100000):
-    """(flag, witness): search for a flag with generalized-simple subquotients.
+    """(flag, witness): search for a flag with generalized-simple subquotients,
+    witness listing their vertices from the bottom.
 
     An E-filtered module is locally free, so a module that is not returns
     (False, None) at once; one whose eps is not in canonical chain form is
     normalized once (hmod.chain_form), and every quotient the search takes
-    stays locally free and normalized.  Over a prime field, when there are
-    at most 512 free rank-one candidates at a vertex, they are enumerated
-    exhaustively (grassmann._e_letter_generators, stopped at the 513th);
-    otherwise, and always over the rationals, 64 random elements of
-    sub_space are tried, all drawn from one random.Random(0) stream, so the
-    outcome does not depend on earlier calls.  A search that finds no flag
-    after any randomized step is inconclusive and raises
-    InternalMismatchError: the answer is then unknown, never False.  Each
-    candidate tried spends one unit of a grassmann._Budget of `budget` units,
-    whose exhaustion raises TooLargeError, also unknown.
+    stays locally free and normalized.  The search runs over prime fields
+    only.  At each vertex it walks the E-letter generators in the order of
+    the one enumerator (grassmann._e_letter_generators), recurses on each
+    quotient (grassmann._e_letter_quotient) and returns at the first complete
+    flag, so it is exhaustive and a False is certified.  Each candidate
+    tried spends one unit of a grassmann._Budget of `budget` units, whose
+    exhaustion raises TooLargeError: the answer is then unknown.
     """
     M = hmod.chain_form(M)
     if M is None:
         return False, None
-    field = M.field()
-    rng = random.Random(0)
+    if not isinstance(M.field(), PrimeField):
+        raise ValueError("the E-filtration search runs over prime fields")
     query = grassmann._Budget(budget)
-    randomized = False
-
-    def candidates(current, j):
-        if isinstance(field, PrimeField):
-            gens = list(itertools.islice(grassmann._e_letter_generators(current, j), 513))
-            if len(gens) <= 512:
-                return gens, True
-        space = sub_space(current, j)
-        if not space:
-            return [], True
-        # randomized sweep over the candidate space
-        c = current.spec.datum.D[j]
-        out = []
-        eps_top = linalg.mat_pow(field, current.eps[j], c - 1)
-        for _ in range(64):
-            coeffs = [field.from_int(rng.randrange(field.size())
-                                     if field.size() else rng.randint(-4, 4))
-                      for _ in space]
-            u = [field.zero] * current.dims[j]
-            for coeff, b in zip(coeffs, space):
-                if coeff != field.zero:
-                    for t in range(len(u)):
-                        u[t] = field.add(u[t], field.mul(coeff, b[t]))
-            if any(x != field.zero for x in linalg.mat_vec(field, eps_top, u)):
-                out.append(u)
-        return out, False
 
     def search(current):
-        nonlocal randomized
         if current.total_dim() == 0:
             return []
         for j in range(current.spec.datum.n):
             if current.dims[j] == 0:
                 continue
-            cands, exhaustive = candidates(current, j)
-            randomized |= not exhaustive
-            c = current.spec.datum.D[j]
-            for u in cands:
+            for u in grassmann._e_letter_generators(current, j):
                 query.spend(1, f"the E-filtration candidates at vertex {j} "
                                f"of a module of dims {current.dims}")
-                span = [u]
-                for _ in range(c - 1):
-                    span.append(linalg.mat_vec(field, current.eps[j], span[-1]))
-                subspaces = [span if v == j else [] for v in range(current.spec.datum.n)]
-                quotient = hmod.quotient_by_subspaces(current, subspaces)
-                rest = search(quotient)
+                rest = search(grassmann._e_letter_quotient(current, j, u))
                 if rest is not None:
                     return [j] + rest
         return None
 
     witness = search(M)
-    if witness is None and randomized:
-        raise InternalMismatchError(
-            f"E-filtration search inconclusive over {field!r}: no flag found, and the "
-            f"bottom factors were sampled at random at some step (dims {M.dims})")
     return (witness is not None), witness
 
 

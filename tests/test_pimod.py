@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from symquiv import cartan, grassmann, hmod, linalg, pimod, verify
-from symquiv.errors import InternalMismatchError, UndefinedValueError
+from symquiv.errors import TooLargeError, UndefinedValueError
 from symquiv.fields import RATIONALS, prime_field_spec
 from test_hmod import _relation_space_dim
 
@@ -104,7 +105,7 @@ class TestFacSub:
 
 class TestEFiltered:
     def test_simple_is_filtered(self):
-        flag, witness = pimod.is_E_filtered(pimod.pi_simple(SPEC_B2, 0))
+        flag, witness = pimod.is_E_filtered(pimod.pi_simple(SPEC_B2_F7, 0))
         assert flag and witness == [0]
 
     def test_h_locally_free_is_filtered(self):
@@ -124,19 +125,18 @@ class TestEFiltered:
         flag, witness = pimod.is_E_filtered(fixture)
         assert not flag and witness is None
 
-    def test_inconclusive_search_is_unknown(self):
-        # over Q every bottom factor is sampled at random, so finding no flag
-        # is "unknown"; over F_7 every step is exhaustive and "no" is certified
-        with pytest.raises(InternalMismatchError, match="inconclusive"):
+    def test_search_runs_over_prime_fields(self):
+        # the search is exhaustive, so over F_7 "no" is certified; over Q it
+        # is refused rather than sampled
+        with pytest.raises(ValueError, match="runs over prime fields"):
             pimod.is_E_filtered(make_pi_b2((0, 1), (1, 0), RATIONALS))
         assert pimod.is_E_filtered(make_pi_b2((0, 1), (1, 0), prime_field_spec(7))) == (False, None)
 
-    @pytest.mark.parametrize("copies, drawn, sampled", [(2, 30, False), (3, 513, True)])
-    def test_exhaustive_branch_takes_at_most_512_letters(self, monkeypatch, copies, drawn,
-                                                         sampled):
+    @pytest.mark.parametrize("copies", [2, 3])
+    def test_search_takes_one_generator_per_level(self, monkeypatch, copies):
         # E_1^copies over F_5 has p^(copies-1) [copies]_p free rank-one
-        # submodules at vertex 1: 30 are all taken from the enumerator, and of
-        # 775 the search takes 513 and then samples sub_space instead
+        # submodules at vertex 1, but every quotient is E_1^(copies-1), so
+        # the first generator at each level completes the flag
         spec = hmod.HAlgebraSpec(B2, B2_OMEGA, prime_field_spec(5))
         m = hmod.generalized_simple(spec, 0)
         for _ in range(copies - 1):
@@ -154,7 +154,7 @@ class TestEFiltered:
         monkeypatch.setattr(pimod, "sub_space", lambda M, k: spaces.append(k) or sub_space(M, k))
         flag, witness = pimod.is_E_filtered(pimod.from_h_module(m))
         assert flag and witness == [0] * copies
-        assert taken[0] == drawn and bool(spaces) == sampled
+        assert taken == [1] * copies and not spaces
 
     def test_not_locally_free_has_no_flag(self):
         # an E-filtered module is locally free: certified "no", over Q as well
@@ -179,10 +179,53 @@ class TestEFiltered:
         assert hmod.is_isomorphic(m, pimod.pi_simple(SPEC_B2_F7, 0))
 
     def test_budget_exhaustion_is_loud(self):
-        from symquiv.errors import TooLargeError
         m = pimod.random_E_filtered(SPEC_B2_F7, (0, 1, 0), 2)
         with pytest.raises(TooLargeError, match=r"at vertex 0 of a module of dims \(4, 1\)$"):
             pimod.is_E_filtered(m, budget=0)
+
+    def test_budget_boundary_is_exact(self, monkeypatch):
+        m = pimod.random_E_filtered(SPEC_B2_F7, (0, 1, 0), 2)
+        budgets = []
+
+        class Recorded(grassmann._Budget):
+            def __init__(self, units):
+                super().__init__(units)
+                budgets.append(self)
+
+        monkeypatch.setattr(grassmann, "_Budget", Recorded)
+        expected = pimod.is_E_filtered(m)
+        monkeypatch.undo()
+        spent = budgets[0].units - budgets[0].left
+        assert expected[0] and spent >= 2
+        assert pimod.is_E_filtered(m, budget=spent) == expected
+        with pytest.raises(TooLargeError, match=rf"^enumeration budget of {spent - 1} exhausted "
+                                                r"by the E-filtration candidates at vertex \d "
+                                                r"of a module of dims \(\d+, \d+\)$"):
+            pimod.is_E_filtered(m, budget=spent - 1)
+
+    def test_search_agrees_with_flag_counts(self):
+        # differential test against Counter.flag_count: M is E-filtered iff
+        # some ordering of the letters of its rank has a flag, and the
+        # witness is such an ordering
+        f7 = prime_field_spec(7)
+        rng = random.Random(11)
+        modules = [make_pi_b2((0, 1), (1, 0), f7), make_pi_b2((0, 3), (5, 0), f7)]
+        modules += [hmod.direct_sum(modules[0], pimod.pi_simple(SPEC_B2_F7, i)) for i in range(2)]
+        for spec in (SPEC_B2_F7, hmod.HAlgebraSpec(verify.G2, verify.OM_G2, f7)):
+            for seq in [(0, 1), (1, 0), (0, 1, 0), (1, 0, 0), (0,), (1,)]:
+                modules += [pimod.random_E_filtered(spec, seq, rng.randrange(10 ** 6))
+                            for _ in range(4)]
+        outcomes = []
+        for m in modules:
+            rank = hmod.is_locally_free(m)
+            letters = [v for v, r in enumerate(rank) for _ in range(r)]
+            flag, witness = pimod.is_E_filtered(m)
+            assert flag == any(grassmann.Counter().flag_count(m, word) > 0
+                               for word in set(itertools.permutations(letters)))
+            if flag:
+                assert grassmann.Counter().flag_count(m, witness) > 0
+            outcomes.append(flag)
+        assert outcomes.count(False) == 4
 
 
 class TestCrystal:
