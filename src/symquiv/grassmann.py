@@ -18,12 +18,14 @@ for the number of free submodules with prescribed containments; the Jordan
 type that formula needs comes from one elimination of the forced span, its
 columns ordered by eps-degree (quotient_type).  Flag counts recurse on the
 bottom factor.  An E_j letter's submodules are the free rank-one ones killed
-by the arrows out of j (_e_letter_generators); they are split into orbits
-of a few verified automorphisms of the module, and one quotient is built
-per orbit (an automorphism g gives M/U = M/gU); quotients falling in one
-isomorphism class are merged through the counter's class registry
-(Counter.class_rep: byte-equality first, then a cheap invariant, then a
-certified isomorphism search), so the recursion depth stays flat.  Whether
+by the arrows out of j (_e_letter_generators); they are split into parts
+of orbits of the module's automorphisms, drawn lazily (the first maps every
+generator, each later one only the first member of each part, until a pass
+merges nothing), and one quotient is built per part (an automorphism g
+gives M/U = M/gU); quotients falling in one isomorphism class are merged
+through the counter's class registry (Counter.class_rep: byte-equality
+first, then dims, then a cheap invariant, then a certified isomorphism
+search), so the recursion depth stays flat.  Whether
 a flag of prescribed classes exists (ClassFlagCounter.exists) is decided on
 the same quotients, unmerged, by a depth-first walk that stops at the first
 flag.  Flag Euler characteristics are values at q = 1 of integer polynomials
@@ -885,7 +887,38 @@ def _rank1_key(p, c, u):
                  for pos in range(0, len(u), c) for t in range(c))
 
 
-AUT_DRAWS = 2  # random elements of End(M) tried as automorphisms, per module
+AUT_DRAWS = 2  # singular draws in a row that end a module's automorphism stream
+
+
+def _class_invariant(M):
+    """What class_rep compares before an isomorphism search, past the spec
+    and dims: the Jordan type of eps at every vertex and the rank of every
+    arrow."""
+    return (tuple(hmod.eps_partition(M, v) for v in range(M.spec.datum.n)),
+            tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
+                         for k, m in M.arrows.items())))
+
+
+def _draw_automorphisms(M):
+    """Yield seeded random elements of End(M) (random.Random(0) over one
+    hom_basis) that hmod._invertible_combination proves invertible, as
+    tuples of vertex matrices.  A singular draw is skipped; AUT_DRAWS
+    singular draws in a row end the stream.  Nothing is drawn when End(M)
+    is the scalars, which fix every submodule."""
+    field = M.field()
+    basis = hmod.hom_basis(M, M)
+    if len(basis) <= 1:
+        return
+    rng = random.Random(0)
+    misses = 0
+    while misses < AUT_DRAWS:
+        g = hmod._invertible_combination(
+            field, M, basis, [rng.randrange(field.p) for _ in basis])
+        if g is None:
+            misses += 1
+        else:
+            misses = 0
+            yield g
 
 
 class Counter:
@@ -897,6 +930,8 @@ class Counter:
     The class registry (class_rep) outlives queries too: every quotient list
     merges through it (_merge), so a class met again in a later query keeps
     its first representative and that representative's memoized counts.
+    So does each module's stream of verified automorphisms (_automorphisms),
+    which splits its E-letter generators into parts of orbits (_orbits).
     """
 
     def __init__(self, budget=DEFAULT_BUDGET):
@@ -904,27 +939,32 @@ class Counter:
         self._query = _Budget(budget)
         self.flag_memo = {}
         self.group_memo = {}
-        self.class_reps = []
+        self.class_reps = []  # [invariant or None until needed, representative]
         self.rep_memo = {}  # (spec, key) -> representative; key() omits the spec
-        self.aut_memo = {}  # key -> verified automorphisms (_automorphisms)
+        self.aut_memo = {}  # key -> (automorphisms drawn so far, their stream)
 
     def class_rep(self, M):
         """The first-seen module isomorphic to M (M itself if none is).
 
         A module seen before is a memo hit on its key.  Otherwise only the
-        registered modules with M's invariant (spec, dims, Jordan types of
-        eps, arrow ranks) are tested, by the certified search
+        registered modules with M's spec and dims are looked at, and of
+        those only the ones with M's invariant (_class_invariant, computed
+        for each module on first need) are tested, by the certified search
         hmod.is_isomorphic; an inconclusive search counts as 'distinct', since
         a missed merge only costs speed."""
         memo_key = (M.spec, M.key())
         if memo_key in self.rep_memo:
             return self.rep_memo[memo_key]
-        inv = (M.spec, M.dims,
-               tuple(hmod.eps_partition(M, v) for v in range(M.spec.datum.n)),
-               tuple(sorted((k, linalg.rank(M.field(), m) if m else 0)
-                            for k, m in M.arrows.items())))
-        for inv2, rep in self.class_reps:
-            if inv2 != inv:
+        inv = None
+        for entry in self.class_reps:
+            rep = entry[1]
+            if rep.dims != M.dims or rep.spec != M.spec:
+                continue
+            if inv is None:
+                inv = _class_invariant(M)
+            if entry[0] is None:
+                entry[0] = _class_invariant(rep)
+            if entry[0] != inv:
                 continue
             try:
                 if hmod.is_isomorphic(M, rep):
@@ -932,7 +972,7 @@ class Counter:
             except InternalMismatchError:
                 pass
         else:
-            self.class_reps.append((inv, M))
+            self.class_reps.append([inv, M])
             rep = M
         self.rep_memo[memo_key] = rep
         return rep
@@ -961,31 +1001,34 @@ class Counter:
         return self.flag_memo[key]
 
     def _automorphisms(self, M):
-        """Verified automorphisms of M over its prime field, as tuples of
-        vertex matrices: AUT_DRAWS seeded random elements of End(M)
-        (hom_basis, once per module), each built by
-        hmod._invertible_combination and kept only if invertible.  None are drawn
-        when End(M) is the scalars, which fix every submodule."""
+        """Yield verified automorphisms of M over its prime field, as tuples
+        of vertex matrices, drawn lazily by _draw_automorphisms.  The draws
+        are kept per module in aut_memo, so every iteration over one module
+        yields the same sequence and draws each automorphism once."""
         memo_key = M.key()
         if memo_key not in self.aut_memo:
-            field = M.field()
-            basis = hmod.hom_basis(M, M)
-            rng = random.Random(0)
-            auts = []
-            for _ in range(AUT_DRAWS if len(basis) > 1 else 0):
-                g = hmod._invertible_combination(
-                    field, M, basis, [rng.randrange(field.p) for _ in basis])
-                if g is not None:
-                    auts.append(g)
-            self.aut_memo[memo_key] = auts
-        return self.aut_memo[memo_key]
+            self.aut_memo[memo_key] = ([], _draw_automorphisms(M))
+        drawn, fresh = self.aut_memo[memo_key]
+        for k in itertools.count():
+            if k == len(drawn):
+                g = next(fresh, None)
+                if g is None:
+                    return
+                drawn.append(g)
+            yield drawn[k]
 
     def _orbits(self, M, j, gens):
-        """[(index of the first-seen generator, orbit size)] of the canonical
-        rank-one generators gens at vertex j (_e_letter_generators), in
-        first-seen order, under the group that the automorphisms of M
-        generate: each u is joined with g_j u, found by its _rank1_key.  An
-        image that is not among gens raises."""
+        """[(root, part size)] of a partition of the canonical rank-one
+        generators gens at vertex j (_e_letter_generators) whose every part
+        lies in one orbit of Aut(M), in first-seen order; each root is the
+        index of its part's first-seen member.  A pass joins u with g_j u,
+        found by its _rank1_key, for one automorphism g of the stream
+        _automorphisms(M): the first pass maps every generator, each later
+        one only the root of each part, and a next automorphism is drawn
+        only while the previous pass merged a pair and more than one part is
+        left.  Every join is made by an automorphism g, and M/Hu = M/H(g u),
+        so all members of a part have isomorphic quotients.  An image that
+        is not among gens raises."""
         if len(gens) == 1:
             return [(0, 1)]
         field = M.field()
@@ -999,9 +1042,11 @@ class Counter:
                 k = root[k]
             return k
 
+        todo = range(len(gens))  # the roots, in first-seen order
         for g in self._automorphisms(M):
-            for k, u in enumerate(gens):
-                image = index.get(_rank1_key(p, c, [sum(map(operator.mul, row, u)) % p
+            parts = len(todo)
+            for k in todo:
+                image = index.get(_rank1_key(p, c, [sum(map(operator.mul, row, gens[k])) % p
                                                      for row in g[j]]))
                 if image is None:
                     raise InternalMismatchError(
@@ -1010,11 +1055,13 @@ class Counter:
                 a, b = find(k), find(image)
                 if a != b:
                     root[max(a, b)] = min(a, b)  # the first-seen member stays the root
-        sizes = {}
+            todo = [k for k in todo if root[k] == k]
+            if len(todo) in (parts, 1):  # merged nothing, or one part left
+                break
+        sizes = dict.fromkeys(todo, 0)
         for k in range(len(gens)):
-            r = find(k)
-            sizes[r] = sizes.get(r, 0) + 1
-        return sorted(sizes.items())
+            sizes[find(k)] += 1
+        return list(sizes.items())
 
     def bottom_e_groups(self, M, j):
         """[(quotient representative, multiplicity)] over E_j-submodules of M,
@@ -1023,9 +1070,10 @@ class Counter:
         The E_j-submodules are the H u for the canonical generators u of
         _e_letter_generators, each spending one unit.  An automorphism g of M
         gives M/Hu = M/H(g u), so one quotient (_e_letter_quotient) is built
-        per orbit (_orbits), from its first-seen generator, and weighted by
-        the orbit size; orbits merge further by class (_merge): the class
-        registry of the counter, shared by all its queries (class_rep)."""
+        per part of the partition _orbits, from its first-seen generator, and
+        weighted by the part size; parts merge further by class (_merge): the
+        class registry of the counter, shared by all its queries
+        (class_rep)."""
         key = (M.key(), j)
         if key in self.group_memo:
             return self.group_memo[key]

@@ -315,6 +315,54 @@ def e_generators(M, j):
     return list(grassmann._e_letter_generators(M, j))
 
 
+def replay_passes(M, j, gens, auts):
+    """Oracle: the passes of Counter._orbits replayed over the automorphisms
+    auts: the first maps every generator, a later one the first generator
+    of every part, and the passes stop once one merges nothing or one part
+    is left.  Returns the parts ({first generator: members}, in first-seen
+    order) and the number of images keyed in each pass."""
+    field, c = M.field(), M.spec.datum.D[j]
+    order = {u: k for k, u in enumerate(gens)}
+    parts = {u: [u] for u in gens}
+    part_of = {u: u for u in gens}
+    keyed = []
+    todo = list(gens)
+    for g in auts:
+        keyed.append(len(todo))
+        merged = False
+        for u in todo:
+            image = grassmann._rank1_key(field.p, c, linalg.mat_vec(field, g[j], u))
+            a, b = sorted((part_of[u], part_of[image]), key=order.get)
+            if a != b:
+                for w in parts.pop(b):
+                    part_of[w] = a
+                    parts[a].append(w)
+                merged = True
+        if not merged or len(parts) == 1:
+            break
+        todo = sorted(parts, key=order.get)
+    return dict(sorted(parts.items(), key=lambda item: order[item[0]])), keyed
+
+
+def reached_e_groups(spec, p, count):
+    """Every (module, vertex) whose E-group the Serre commutator's flag
+    counts reach on the first `count` criterion-9 modules of spec over F_p."""
+    seen = []
+
+    class Recording(grassmann.Counter):
+        def bottom_e_groups(self, M, j):
+            if (M.key(), j) not in self.group_memo:
+                seen.append((M, j))
+            return super().bottom_e_groups(M, j)
+
+    combo = grassmann.serre_commutator(0, 1, 1 - spec.datum.C[0][1])
+    for module in criterion_9_modules(spec, count):
+        counter = Recording()
+        for _, word in combo:
+            counter.flag_count(hmod.reduce_mod_p(module, p), word)
+    return seen
+
+
 def h_act(field, eps, a, u):
     """a(eps) u for an H-element a given by its coefficients."""
     out = [field.zero] * len(u)
@@ -889,7 +937,7 @@ class TestOrbitMerge:
             m = hmod.reduce_mod_p(module, p)
             field, n = m.field(), spec.datum.n
             gens = e_generators(m, 0)
-            auts = grassmann.Counter()._automorphisms(m)
+            auts = list(grassmann.Counter()._automorphisms(m))  # the whole stream
             assert auts
             for g in auts:
                 for v in range(n):  # an invertible module map
@@ -901,6 +949,89 @@ class TestOrbitMerge:
                 images = {grassmann._rank1_key(p, spec.datum.D[0], linalg.mat_vec(field, g[0], u))
                           for u in gens}
                 assert images == set(gens)
+
+    @pytest.mark.parametrize("spec, p", [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5), (SPEC_G2, 7)])
+    def test_parts_lie_in_orbits(self, spec, p):
+        # each part's members have quotients isomorphic to its root's, so
+        # weighting the root's quotient by the part size counts exactly
+        combo = grassmann.serre_commutator(0, 1, 1 - spec.datum.C[0][1])
+        for module in criterion_9_modules(spec, 2):
+            m = hmod.reduce_mod_p(module, p)
+            for _, word in combo:
+                assert grassmann.Counter().flag_count(m, word) == oracle_flag_count(m, word)
+        seen = reached_e_groups(spec, p, 2)
+        assert len(seen) > 10
+        for M, j in seen:
+            counter = grassmann.Counter()
+            gens = e_generators(M, j)
+            got = counter._orbits(M, j, gens)
+            parts, _ = replay_passes(M, j, gens, counter._automorphisms(M))
+            assert got == [(gens.index(r), len(members)) for r, members in parts.items()]
+            assert sum(size for _, size in got) == len(gens)
+            for r, members in parts.items():
+                quotient = grassmann._e_letter_quotient(M, j, r)
+                for u in members[1:]:
+                    assert hmod.is_isomorphic(grassmann._e_letter_quotient(M, j, u), quotient)
+
+    def test_later_passes_key_only_roots(self, monkeypatch):
+        # every generator is keyed in the first pass, and only the root of
+        # each part in every later one; a lone generator is not keyed
+        keyed = []
+        key = grassmann._rank1_key
+        monkeypatch.setattr(grassmann, "_rank1_key", lambda *args: keyed.append(1) or key(*args))
+        total = later = 0
+        for spec, p in [(SPEC_B2, 5), (SPEC_B2, 7), (SPEC_G2, 5), (SPEC_G2, 7)]:
+            for M, j in reached_e_groups(spec, p, 2):
+                counter = grassmann.Counter()
+                gens = e_generators(M, j)
+                del keyed[:]
+                counter._orbits(M, j, gens)
+                made = len(keyed)
+                _, passes = replay_passes(M, j, gens, counter._automorphisms(M))
+                if len(gens) == 1:
+                    assert made == 0
+                    continue
+                assert made == sum(passes), (M.dims, j)
+                total += len(gens)
+                later += made - len(gens)
+        assert 0 < later < total
+
+    def test_one_orbit_is_one_part(self):
+        # GL_2(H) moves every free rank-one submodule of H^2: E_1 + E_1 of
+        # G2 over F_5 has (5 + 1) * 5^2 generators and one part
+        e1 = hmod.generalized_simple(SPEC_G2.with_field(prime_field_spec(5)), 0)
+        m = hmod.direct_sum(e1, e1)
+        gens = e_generators(m, 0)
+        assert len(gens) == 150
+        assert grassmann.Counter()._orbits(m, 0, gens) == [(0, 150)]
+
+    @pytest.mark.parametrize("rejected", [1, grassmann.AUT_DRAWS])
+    def test_rejected_draws(self, monkeypatch, rejected):
+        # a singular draw is skipped: with only the first rejected the parts
+        # still merge; AUT_DRAWS rejected in a row end the stream, and every
+        # generator is its own part.  The counts stay exact either way
+        m = hmod.reduce_mod_p(criterion_9_modules(SPEC_B2, 1)[0], 7)
+        assert hmod.chain_form(m) is m
+        draws = []
+        invertible = hmod._invertible_combination
+
+        def rejecting(field, M, basis, coeffs):
+            if M is m:
+                draws.append(coeffs)
+                if len(draws) <= rejected:
+                    return None
+            return invertible(field, M, basis, coeffs)
+
+        monkeypatch.setattr(hmod, "_invertible_combination", rejecting)
+        gens = e_generators(m, 0)
+        parts = grassmann.Counter()._orbits(m, 0, gens)
+        if rejected < grassmann.AUT_DRAWS:
+            assert len(parts) < len(gens)
+        else:
+            assert parts == [(k, 1) for k in range(len(gens))]
+            assert len(draws) == grassmann.AUT_DRAWS
+        for word in [(0, 0, 1), (0, 1, 0)]:
+            assert grassmann.Counter().flag_count(m, word) == oracle_flag_count(m, word)
 
     def test_missing_image_raises(self, monkeypatch):
         # an invertible map at vertex 0 that does not commute with eps takes
@@ -983,8 +1114,11 @@ class TestSerre:
         counter = grassmann.Counter()
         for m in modules + [flip]:
             counter.class_rep(m)
-        for inv, rep in counter.class_reps:
-            assert inv[2] == tuple(eps_partition_by_ranks(rep, v) for v in range(rep.spec.datum.n))
+        for inv, rep in counter.class_reps:  # an invariant is computed on first need
+            assert inv in (None, grassmann._class_invariant(rep))
+            assert grassmann._class_invariant(rep)[0] == \
+                tuple(eps_partition_by_ranks(rep, v) for v in range(rep.spec.datum.n))
+        assert any(inv is not None for inv, _ in counter.class_reps)
         ranked = []
         rank = linalg.rank
         monkeypatch.setattr(linalg, "rank", lambda *args: ranked.append(where) or rank(*args))
@@ -1078,6 +1212,53 @@ class TestSerre:
         assert shared and all(hmod.is_isomorphic(M, rep) for M, rep in shared)
         # below the top, every count of the second query is a flag_memo hit
         assert [M for q, M in grouped if q == 1] == [second_top]
+
+    def test_class_invariant_waits_for_a_same_dims_module(self, monkeypatch):
+        # class_rep computes a module's invariant only once a registered
+        # module has its spec and dims, and then tests the same pairs and
+        # picks the same representatives as a registry that computes every
+        # invariant up front
+        modules = [grassmann._e_letter_quotient(M, j, u)
+                   for spec, p in [(SPEC_B2, 7), (SPEC_G2, 5)]
+                   for M, j in reached_e_groups(spec, p, 2) for u in e_generators(M, j)]
+        modules.append(hmod.zero_module(modules[0].spec))
+        tried, read = [], []
+        is_isomorphic, invariant = hmod.is_isomorphic, grassmann._class_invariant
+
+        def trying(A, B):
+            tried.append((id(A), id(B)))
+            return is_isomorphic(A, B)
+
+        monkeypatch.setattr(hmod, "is_isomorphic", trying)
+        eager, registry, memo = [], [], {}
+        for M in modules:
+            key = (M.spec, M.key())
+            if key not in memo:
+                inv = (M.spec, M.dims, invariant(M))
+                for inv2, rep in registry:
+                    if inv2 == inv and soft_iso(M, rep):
+                        break
+                else:
+                    registry.append((inv, M))
+                    rep = M
+                memo[key] = rep
+            eager.append(memo[key])
+        eager_tried = tried[:]
+        del tried[:]
+        monkeypatch.setattr(grassmann, "_class_invariant",
+                            lambda M: read.append(id(M)) or invariant(M))
+        counter = grassmann.Counter()
+        assert [counter.class_rep(M) for M in modules] == eager
+        assert tried == eager_tried and len(tried) > 10
+        # the first module of each key is read once if another key has its
+        # spec and dims, and never otherwise
+        first = {}
+        for M in modules:
+            first.setdefault((M.spec, M.key()), M)
+        shapes = [(M.spec, M.dims) for M in first.values()]
+        shared = sorted(id(M) for M in first.values() if shapes.count((M.spec, M.dims)) > 1)
+        assert sorted(read) == shared and 0 < len(shared) < len(first)
+
 
 class TestPBW:
     def test_diagonal_unit(self):
