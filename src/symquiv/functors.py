@@ -249,8 +249,7 @@ def homext_table(table: RootModuleTable):
     out = [[None] * r for _ in range(r)]
     for i in range(r):
         for j in range(r):
-            h = hmod.hom_dim(mods[i], mods[j])
-            e = hmod.ext1_dim(mods[i], mods[j])
+            h, e, _ = hmod.euler_pairing_check(mods[i], mods[j])
             pairing = cartan.euler_form(spec.datum, spec.omega,
                                         table.betas[i], table.betas[j])
             expected = (pairing, 0) if i <= j else (0, -pairing)

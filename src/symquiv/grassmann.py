@@ -19,7 +19,8 @@ type that formula needs comes from one elimination of the forced span, its
 columns ordered by eps-degree (quotient_type).  Flag counts recurse on the
 bottom factor.  An E_j letter's submodules are the free rank-one ones killed
 by the arrows out of j (_e_letter_generators); they are split into parts
-of orbits of the module's automorphisms, drawn lazily (the first maps every
+of orbits of the module's automorphisms, drawn lazily from one seeded
+stream that the split reads once and keeps nowhere (the first maps every
 generator, each later one only the first member of each part, until a pass
 merges nothing), and one quotient is built per part (an automorphism g
 gives M/U = M/gU); quotients falling in one isomorphism class are merged
@@ -60,7 +61,6 @@ import bisect
 import itertools
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,9 +103,10 @@ class _Budget:
 
 
 class FreeSubCandidate:
-    """A free rank-e submodule of H^r in canonical (pivot-identity) form."""
+    """A free rank-e submodule of H^r in canonical (pivot-identity) form.
+    Its K-basis is built on each k_basis call, not kept: few are read twice."""
 
-    __slots__ = ("p", "c", "r", "e", "pivots", "cols", "_kbasis")
+    __slots__ = ("p", "c", "r", "e", "pivots", "cols")
 
     def __init__(self, p, c, r, e, pivots, cols):
         self.p = p
@@ -114,27 +115,21 @@ class FreeSubCandidate:
         self.e = e
         self.pivots = pivots
         self.cols = cols  # e columns, each an r-list of H-tuples
-        self._kbasis = None
 
     def k_basis(self):
         """K-basis of the submodule: eps^t * column for t < c."""
-        if self._kbasis is None:
-            p, c, r = self.p, self.c, self.r
-            basis = []
-            for col in self.cols:
-                for t in range(c):
-                    vec = [0] * (c * r)
-                    for b in range(r):
-                        h = col[b]
-                        for a in range(c - t):
-                            if h[a]:
-                                vec[b * c + a + t] = h[a]
-                    basis.append(vec)
-            self._kbasis = basis
-        return self._kbasis
-
-    def forget_k_basis(self):
-        self._kbasis = None
+        c, r = self.c, self.r
+        basis = []
+        for col in self.cols:
+            for t in range(c):
+                vec = [0] * (c * r)
+                for b in range(r):
+                    h = col[b]
+                    for a in range(c - t):
+                        if h[a]:
+                            vec[b * c + a + t] = h[a]
+                basis.append(vec)
+        return basis
 
 
 def _pivot_slots(c, r, pivots, weights=None):
@@ -677,8 +672,6 @@ class _LocallyFreeCounts:
             chosen[v] = cand
             total += self._walk(idx + 1, chosen, e, query)
             del chosen[v]
-            if self.weights is not None:
-                cand.forget_k_basis()  # a kept candidate holds its K-basis only while chosen
         return total
 
 
@@ -900,22 +893,20 @@ def _class_invariant(M):
 
 
 def _draw_automorphisms(M):
-    """Yield seeded random elements of End(M) (random.Random(0) over one
-    hom_basis) that hmod._invertible_combination proves invertible, as
-    tuples of vertex matrices.  A singular draw is skipped; AUT_DRAWS
-    singular draws in a row end the stream.  Nothing is drawn when End(M)
-    is the scalars, which fix every submodule."""
-    field = M.field()
+    """Yield the seeded random elements of End(M) that are invertible, as
+    tuples of vertex matrices: the non-None draws of
+    hmod._seeded_combinations over one hom_basis.  A singular draw is
+    skipped; AUT_DRAWS singular draws in a row end the stream.  Nothing is
+    drawn when End(M) is the scalars, which fix every submodule."""
     basis = hmod.hom_basis(M, M)
     if len(basis) <= 1:
         return
-    rng = random.Random(0)
     misses = 0
-    while misses < AUT_DRAWS:
-        g = hmod._invertible_combination(
-            field, M, basis, [rng.randrange(field.p) for _ in basis])
+    for g in hmod._seeded_combinations(M.field(), M, basis):
         if g is None:
             misses += 1
+            if misses == AUT_DRAWS:
+                return
         else:
             misses = 0
             yield g
@@ -930,8 +921,9 @@ class Counter:
     The class registry (class_rep) outlives queries too: every quotient list
     merges through it (_merge), so a class met again in a later query keeps
     its first representative and that representative's memoized counts.
-    So does each module's stream of verified automorphisms (_automorphisms),
-    which splits its E-letter generators into parts of orbits (_orbits).
+    Automorphisms are not kept: the one split of a module's E-letter
+    generators into parts of orbits (_orbits, memoized with its quotients in
+    group_memo) reads the stream _draw_automorphisms once.
     """
 
     def __init__(self, budget=DEFAULT_BUDGET):
@@ -941,7 +933,6 @@ class Counter:
         self.group_memo = {}
         self.class_reps = []  # [invariant or None until needed, representative]
         self.rep_memo = {}  # (spec, key) -> representative; key() omits the spec
-        self.aut_memo = {}  # key -> (automorphisms drawn so far, their stream)
 
     def class_rep(self, M):
         """The first-seen module isomorphic to M (M itself if none is).
@@ -1000,35 +991,18 @@ class Counter:
                                       for quotient, count in groups(M, word[0]))
         return self.flag_memo[key]
 
-    def _automorphisms(self, M):
-        """Yield verified automorphisms of M over its prime field, as tuples
-        of vertex matrices, drawn lazily by _draw_automorphisms.  The draws
-        are kept per module in aut_memo, so every iteration over one module
-        yields the same sequence and draws each automorphism once."""
-        memo_key = M.key()
-        if memo_key not in self.aut_memo:
-            self.aut_memo[memo_key] = ([], _draw_automorphisms(M))
-        drawn, fresh = self.aut_memo[memo_key]
-        for k in itertools.count():
-            if k == len(drawn):
-                g = next(fresh, None)
-                if g is None:
-                    return
-                drawn.append(g)
-            yield drawn[k]
-
     def _orbits(self, M, j, gens):
         """[(root, part size)] of a partition of the canonical rank-one
         generators gens at vertex j (_e_letter_generators) whose every part
         lies in one orbit of Aut(M), in first-seen order; each root is the
         index of its part's first-seen member.  A pass joins u with g_j u,
-        found by its _rank1_key, for one automorphism g of the stream
-        _automorphisms(M): the first pass maps every generator, each later
-        one only the root of each part, and a next automorphism is drawn
-        only while the previous pass merged a pair and more than one part is
-        left.  Every join is made by an automorphism g, and M/Hu = M/H(g u),
-        so all members of a part have isomorphic quotients.  An image that
-        is not among gens raises."""
+        found by its _rank1_key, for one automorphism g of a fresh stream
+        _draw_automorphisms(M): the first pass maps every generator, each
+        later one only the root of each part, and a next automorphism is
+        drawn only while the previous pass merged a pair and more than one
+        part is left.  Every join is made by an automorphism g, and
+        M/Hu = M/H(g u), so all members of a part have isomorphic quotients.
+        An image that is not among gens raises."""
         if len(gens) == 1:
             return [(0, 1)]
         field = M.field()
@@ -1043,7 +1017,7 @@ class Counter:
             return k
 
         todo = range(len(gens))  # the roots, in first-seen order
-        for g in self._automorphisms(M):
+        for g in _draw_automorphisms(M):
             parts = len(todo)
             for k in todo:
                 image = index.get(_rank1_key(p, c, [sum(map(operator.mul, row, gens[k])) % p
@@ -1300,10 +1274,9 @@ class ClassFlagCounter(Counter):
     vertex enumerations (_Budget).
     """
 
-    def __init__(self, spec_p, class_modules, budget=DEFAULT_BUDGET):
+    def __init__(self, class_modules, budget=DEFAULT_BUDGET):
         # class_modules: list of rigid locally free modules over the prime field
         super().__init__(budget)
-        self.spec = spec_p
         self.classes = class_modules
         self.ranks = [hmod.require_locally_free(m) for m in class_modules]
         self.end_dims = [hmod.hom_dim(m, m) for m in class_modules]
@@ -1398,7 +1371,7 @@ class PBWEngine:
     def _prime_setup(self, p):
         if p not in self._per_prime:
             mods_p = [hmod.reduce_mod_p(m, p) for m in self.table.modules]
-            self._per_prime[p] = ClassFlagCounter(mods_p[0].spec, mods_p, self.budget)
+            self._per_prime[p] = ClassFlagCounter(mods_p, self.budget)
         return self._per_prime[p]
 
     def class_word(self, n):

@@ -621,7 +621,7 @@ def quotient_by_subspaces(M, subspaces):
 # --- Hom and Ext ------------------------------------------------------------
 
 
-def _vertex_hom_basis(field, blocks_m, blocks_n):
+def _vertex_hom_basis(blocks_m, blocks_n):
     """Basis of H_i-linear maps between chain-form nilpotent spaces.
 
     Returns sparse maps as lists of (row, col) pairs: the basis map for
@@ -659,7 +659,7 @@ def _vertex_hom_bases(M, N):
         if bm is None or bn is None:
             out.append(_generic_intertwiners(field, M.eps[v], N.eps[v]))
         else:
-            out.append(_vertex_hom_basis(field, bm, bn))
+            out.append(_vertex_hom_basis(bm, bn))
     return out
 
 
@@ -799,22 +799,29 @@ def ext1_dim(M, N) -> int:
     """
     if M.spec != N.spec:
         raise SpecMismatchError("ext needs a common algebra spec")
-    rk_m = require_locally_free(M)
+    return _checked_ext1_and_hom(M, N, require_locally_free(M), is_locally_free(N))[0]
+
+
+def _checked_ext1_and_hom(M, N, rk_m, rk_n):
+    """_ext1_and_hom(M, N) for M of rank rk_m; when rk_n is not None (N
+    locally free of that rank), dim Ext^1 is cross-checked against
+    dim Hom - <rk M, rk N>."""
     ext, homd = _ext1_and_hom(M, N)
-    rk_n = is_locally_free(N)
     if rk_n is not None:
         expected = homd - cartan.euler_form(M.spec.datum, M.spec.omega, rk_m, rk_n)
         if ext != expected:
             raise InternalMismatchError(
                 f"resolution Ext={ext} disagrees with Euler-form Ext={expected}")
-    return ext
+    return ext, homd
 
 
 def euler_pairing_check(M, N):
-    """(dim Hom, dim Ext^1, <rk M, rk N>) for locally free M, N."""
+    """(dim Hom, dim Ext^1, <rk M, rk N>) for locally free M, N, both
+    dimensions read off one reduction of the Hom system."""
     rm, rn = require_locally_free(M), require_locally_free(N)
-    h = hom_dim(M, N)
-    e = ext1_dim(M, N)
+    if M.spec != N.spec:
+        raise SpecMismatchError("hom needs a common algebra spec")
+    e, h = _checked_ext1_and_hom(M, N, rm, rn)
     return h, e, cartan.euler_form(M.spec.datum, M.spec.omega, rm, rn)
 
 
@@ -859,8 +866,8 @@ def is_isomorphic(M, N, tries=40) -> bool:
 
     The common case is an isomorphism that exists, so the first random
     element is tried before the refuting invariants are computed. All random
-    elements come from one random.Random(0) stream, so the outcome does not
-    depend on where the invariants are checked, nor on earlier calls.
+    elements come from one _seeded_combinations stream, so the outcome does
+    not depend on where the invariants are checked, nor on earlier calls.
     """
     if M.spec != N.spec:
         raise SpecMismatchError("isomorphism test needs a common spec")
@@ -874,14 +881,8 @@ def is_isomorphic(M, N, tries=40) -> bool:
         return False
     field = M.field()
     size = field.size()
-    rng = random.Random(0)
-
-    def random_try():
-        coeffs = [field.from_int(rng.randrange(size) if size else rng.randint(-9, 9))
-                  for _ in range(t)]
-        return _invertible_combination(field, M, hmn, coeffs) is not None
-
-    if tries and random_try():
+    draws = _seeded_combinations(field, M, hmn)
+    if tries and next(draws) is not None:
         return True
     for v in range(M.spec.datum.n):
         if eps_partition(M, v) != eps_partition(N, v):
@@ -889,7 +890,7 @@ def is_isomorphic(M, N, tries=40) -> bool:
     if not (t == hom_dim(N, M) == hom_dim(M, M) == hom_dim(N, N)):
         return False
     for _ in range(tries - 1):
-        if random_try():
+        if next(draws) is not None:
             return True
     if size is not None and size ** t <= 300000:
         for combo in itertools.product(range(size), repeat=t):
@@ -901,6 +902,19 @@ def is_isomorphic(M, N, tries=40) -> bool:
     raise InternalMismatchError(
         f"isomorphism test inconclusive over {field!r}: {tries} random elements of a "
         f"{t}-dimensional Hom space at dims {M.dims} were singular")
+
+
+def _seeded_combinations(field, M, basis):
+    """Yield _invertible_combination(field, M, basis, coeffs) (the vertex
+    matrices, or None) for each draw of coefficients from random.Random(0):
+    randrange(p) over F_p, randint(-9, 9) over Q.  Private, so that the
+    tracer does not make a span of every draw."""
+    size = field.size()
+    rng = random.Random(0)
+    while True:
+        coeffs = [field.from_int(rng.randrange(size) if size else rng.randint(-9, 9))
+                  for _ in basis]
+        yield _invertible_combination(field, M, basis, coeffs)
 
 
 def _invertible_combination(field, M, basis, coeffs):

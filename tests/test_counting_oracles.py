@@ -169,7 +169,7 @@ class TestFlagBruteForce:
         m = hmod.random_locally_free(spec, (2, 1), 3)
         counter = grassmann.Counter()
         simples = [hmod.generalized_simple(spec, i) for i in range(2)]
-        class_counter = grassmann.ClassFlagCounter(spec, simples)
+        class_counter = grassmann.ClassFlagCounter(simples)
         for word in [(0, 0, 1), (0, 1, 0), (1, 0, 0)]:
             fast = counter.flag_count(m, word)
             by_class = class_counter.count(m, word)

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import re
+import types
 from fractions import Fraction
 
 import pytest
@@ -342,6 +344,20 @@ def replay_passes(M, j, gens, auts):
             break
         todo = sorted(parts, key=order.get)
     return dict(sorted(parts.items(), key=lambda item: order[item[0]])), keyed
+
+
+def reachable(roots):
+    """Every object reachable from roots through gc.get_referents, past
+    classes, modules and functions."""
+    seen, out, stack = set(), [], list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
 
 
 def reached_e_groups(spec, p, count):
@@ -937,7 +953,7 @@ class TestOrbitMerge:
             m = hmod.reduce_mod_p(module, p)
             field, n = m.field(), spec.datum.n
             gens = e_generators(m, 0)
-            auts = list(grassmann.Counter()._automorphisms(m))  # the whole stream
+            auts = list(grassmann._draw_automorphisms(m))  # the whole stream
             assert auts
             for g in auts:
                 for v in range(n):  # an invertible module map
@@ -965,7 +981,7 @@ class TestOrbitMerge:
             counter = grassmann.Counter()
             gens = e_generators(M, j)
             got = counter._orbits(M, j, gens)
-            parts, _ = replay_passes(M, j, gens, counter._automorphisms(M))
+            parts, _ = replay_passes(M, j, gens, grassmann._draw_automorphisms(M))
             assert got == [(gens.index(r), len(members)) for r, members in parts.items()]
             assert sum(size for _, size in got) == len(gens)
             for r, members in parts.items():
@@ -987,7 +1003,7 @@ class TestOrbitMerge:
                 del keyed[:]
                 counter._orbits(M, j, gens)
                 made = len(keyed)
-                _, passes = replay_passes(M, j, gens, counter._automorphisms(M))
+                _, passes = replay_passes(M, j, gens, grassmann._draw_automorphisms(M))
                 if len(gens) == 1:
                     assert made == 0
                     continue
@@ -1041,9 +1057,60 @@ class TestOrbitMerge:
         g = [row[:] for row in linalg.identity(field, 4)]
         g[0], g[1] = g[1], g[0]
         fake = (g, linalg.identity(field, 1))
-        monkeypatch.setattr(grassmann.Counter, "_automorphisms", lambda self, M: [fake])
+        monkeypatch.setattr(grassmann, "_draw_automorphisms", lambda M: [fake])
         with pytest.raises(InternalMismatchError, match="outside the generators"):
             grassmann.Counter().bottom_e_groups(m, 0)
+
+    def test_counter_keeps_no_automorphisms(self, monkeypatch):
+        # the stream of each split is read once and dropped: after the
+        # Serre counts, neither a generator nor a Hom basis is kept
+        bases = []
+        hom_basis = hmod.hom_basis
+        monkeypatch.setattr(hmod, "hom_basis", lambda M, N: bases.append(hom_basis(M, N)) or bases[-1])
+        m = hmod.reduce_mod_p(criterion_9_modules(SPEC_G2, 1)[0], 7)
+        counter = grassmann.Counter()
+        for _, word in grassmann.serre_commutator(0, 1, 1 - SPEC_G2.datum.C[0][1]):
+            counter.flag_count(m, word)
+        assert any(len(basis) > 1 for basis in bases)  # some split drew automorphisms
+        kept = reachable(vars(counter).values())
+        assert not [obj for obj in kept if isinstance(obj, types.GeneratorType)]
+        basis_ids = {id(basis) for basis in bases} | {id(f) for basis in bases for f in basis}
+        assert not [obj for obj in kept if id(obj) in basis_ids]
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_draws_are_the_seeded_stream(self, monkeypatch, p):
+        # _draw_automorphisms yields the invertible draws of
+        # hmod._seeded_combinations, which replays random.Random(0).randrange(p)
+        # coefficient by coefficient, until AUT_DRAWS singular draws in a row;
+        # is_isomorphic(M, M) reads the same first draw
+        modules = [hmod.reduce_mod_p(m, p)
+                   for name in ("B2", "G2", "B3", "C3")
+                   for m in functors.all_root_modules(hmod.HAlgebraSpec(
+                       CATALOG[name], cartan.all_orientations(CATALOG[name])[0], RATIONALS)).modules]
+        modules += [M for M, _ in reached_e_groups(SPEC_B2, p, 1)]
+        calls = []
+        invertible = hmod._invertible_combination
+        monkeypatch.setattr(hmod, "_invertible_combination",
+                            lambda *args: calls.append(1) or invertible(*args))
+        checked = first_invertible = 0
+        for M in modules:
+            basis = hmod.hom_basis(M, M)
+            if len(basis) <= 1:
+                continue
+            field, rng = M.field(), random.Random(0)
+            draws = []
+            while draws[-grassmann.AUT_DRAWS:] != [None] * grassmann.AUT_DRAWS:
+                draws.append(invertible(field, M, basis, [rng.randrange(p) for _ in basis]))
+            stream = hmod._seeded_combinations(field, M, basis)
+            assert list(itertools.islice(stream, len(draws))) == draws
+            assert list(grassmann._draw_automorphisms(M)) == [g for g in draws if g is not None]
+            del calls[:]
+            assert hmod.is_isomorphic(M, M)
+            if draws[0] is not None:
+                assert len(calls) == 1
+                first_invertible += 1
+            checked += 1
+        assert checked > 20 and first_invertible > 10
 
 
 class TestSerre:
@@ -1364,7 +1431,7 @@ class TestPBW:
         oracles = {}
         for counter, M, cls_idx, got in seen:
             if counter not in oracles:
-                oracles[counter] = type(counter)(counter.spec, counter.classes)
+                oracles[counter] = type(counter)(counter.classes)
             quotients = oracles[counter]._class_quotients(M, cls_idx)
             assert_same_groups(got, oracle_merge((quotient, 1) for quotient in quotients))
 
@@ -1395,7 +1462,7 @@ class TestPBW:
         counts = []
 
         def count():
-            counter = grassmann.ClassFlagCounter(mods[0].spec, mods)
+            counter = grassmann.ClassFlagCounter(mods)
             for b, m in enumerate(mods):
                 counts.append(counter.count(hmod.direct_sum(m, m), (b, b)))
 
@@ -1445,7 +1512,7 @@ class TestFiltrationOrder:
         """Two ClassFlagCounters over F_p with separate memos, and the
         root modules reduced mod p."""
         mods = [hmod.reduce_mod_p(m, p) for m in table.modules]
-        return [grassmann.ClassFlagCounter(mods[0].spec, mods, budget) for _ in range(2)], mods
+        return [grassmann.ClassFlagCounter(mods, budget) for _ in range(2)], mods
 
     @pytest.mark.parametrize("datum,omega", [(verify.B2, verify.OM_B2), (verify.G2, verify.OM_G2),
                                              (verify.B3, verify.OM_B3)], ids=["B2", "G2", "B3"])
@@ -1579,7 +1646,7 @@ class TestBudgets:
         # rank at query entry, so a budget of one candidate is never touched
         spec5 = SPEC_B2.with_field(prime_field_spec(5))
         table = functors.all_root_modules(spec5)
-        engine = grassmann.ClassFlagCounter(spec5, table.modules, budget=1)
+        engine = grassmann.ClassFlagCounter(table.modules, budget=1)
         m = table.module_of((1, 1))
         assert engine.count(m, (table.betas.index((1, 0)),)) == 0
         assert grassmann.Counter(budget=1).flag_count(m, (0,)) == 0

@@ -503,6 +503,28 @@ class TestExt:
                 h, e, euler = hmod.euler_pairing_check(m, n)
                 assert h - e == euler
 
+    def test_one_hom_reduction_per_pair(self, monkeypatch):
+        # euler_pairing_check (and homext_table through it) reads dim Hom
+        # and dim Ext^1 off one Hom system per ordered pair, and agrees with
+        # hom_dim and ext1_dim read separately
+        rng = random.Random(5)
+        spec = spec_g2(prime_field_spec(7))
+        pairs = [tuple(hmod.random_locally_free(spec, (rng.randint(0, 2), rng.randint(0, 2)),
+                                                rng.randrange(10 ** 6)) for _ in range(2))
+                 for _ in range(10)]
+        table = functors.all_root_modules(spec_b2())
+        expected = [(hmod.hom_dim(m, n), hmod.ext1_dim(m, n)) for m, n in pairs]
+        built = []
+        system = hmod._hom_system
+        monkeypatch.setattr(hmod, "_hom_system", lambda M, N: built.append(1) or system(M, N))
+        for (m, n), dims in zip(pairs, expected):
+            del built[:]
+            assert hmod.euler_pairing_check(m, n)[:2] == dims
+            assert len(built) == 1
+        del built[:]
+        functors.homext_table(table)
+        assert len(built) == len(table.modules) ** 2
+
 
 class TestIso:
     def test_self(self):
