@@ -111,7 +111,7 @@ def _write_transcripts(args, engine):
             "samples": [list(s) for s in poly.samples],
             "held_out": list(poly.held_out),
         }
-        if poly.variety:  # a Grassmannian fit: "fixed_locus" or "grassmannian"
+        if poly.variety:  # a Grassmannian fit, on the torus-fixed locus
             out[label]["variety"] = poly.variety
     path = os.path.join(args.results_dir, "transcripts.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -33,26 +33,28 @@ flag.  Flag Euler characteristics are values at q = 1 of integer polynomials
 fitted (in integer arithmetic) to counts over several primes and verified on
 a held-out prime.
 
-Grassmannian Euler characteristics use torus localization first.  A module
-whose basis a weighting separates at every vertex (torus_weighting, the
-gate: every structure map homogeneous, no two basis vectors at one vertex
-forced to the same weight) has chi(Gr^lf_e) = the number of its coordinate
-lf submodules: unions of whole eps-chains closed under the support of every
-arrow (coordinate_counts, one table per module, no prime and no budget).
-A module that fails the gate but has eps in canonical chain form is still
-acted on by the torus diag(t^w) of its weighting (_torus_weights), and
-chi(Gr^lf_e) is chi of the fixed locus: the graded lf submodules.  They are
-point-counted and fitted as above, with every pivot-form entry that does not
-sit at its pivot's weight forced to 0 (iter_free_submodules(weights=)),
+A module is locally free exactly when it has a canonical chain form
+(hmod.chain_form), and every counting engine counts on that form, taken
+once at its entry (the flag queries: after the grading cut-off and memo).
+
+Grassmannian Euler characteristics use torus localization.  A module whose
+basis a weighting separates at every vertex (the gate: every structure map
+homogeneous, no two basis vectors at one vertex forced to the same weight)
+has chi(Gr^lf_e) = the number of its coordinate lf submodules: unions of
+whole eps-chains closed under the support of every arrow (coordinate_counts,
+one table per module, no prime and no budget).  A module that fails the gate
+is still acted on by the torus diag(t^w) of its weighting (_torus_weights),
+and chi(Gr^lf_e) is chi of the fixed locus: the graded lf submodules.  They
+are point-counted and fitted as above, with every pivot-form entry that does
+not sit at its pivot's weight forced to 0 (iter_free_submodules(weights=)),
 every vertex enumerated (the sink formula counts ungraded submodules too)
 and the candidate lists kept per (vertex, e_v, forced span) across the e of
-one F-polynomial.  A module whose eps is not in chain form counts the whole
-Gr^lf_e.  Either way an F-polynomial reduces the module mod each prime and
-prepares it (canonical eps, constraint order, eps powers at the closed
-sinks) once for all of its e, and the count is a plain walk over the
-constraint order (_LocallyFreeCounts).  On the fixed locus, candidate lists
+one F-polynomial.  An F-polynomial reduces the module mod each prime and
+prepares it (constraint order) once for all of its e, and the count is a
+plain walk over the constraint order (_LocallyFreeCounts); candidate lists
 and forced spans share one bounded memo per F-polynomial (_CandidateMemo);
-the count below a vertex is not kept.
+the count below a vertex is not kept.  count_locally_free_submodules, the
+tests' reference, counts the whole Gr^lf_e and closes sinks by formula.
 """
 
 from __future__ import annotations
@@ -343,13 +345,10 @@ class CountingPolynomial:
     coefficients: tuple  # ascending powers of q
     samples: tuple       # ((prime, count), ...) used for the fit
     held_out: tuple      # (prime, count) validation point
-    variety: str | None = None  # what a Grassmannian fit counted: "grassmannian" or "fixed_locus"
+    variety: str | None = None  # "fixed_locus" for a Grassmannian fit, None for a flag fit
 
     def value_at_one(self):
         return sum(self.coefficients)
-
-    def degree(self):
-        return len(self.coefficients) - 1
 
 
 def interpolate_counts(count_fn, degree_bound, pool=PRIME_POOL):
@@ -424,7 +423,7 @@ def _e_letter_generators(M, j):
     into a tuple (u[b*c + t] is the eps^t coefficient at row b).  M_j must be free with
     eps_j in canonical chain form."""
     field, c = M.field(), M.spec.datum.D[j]
-    if not hmod._free_chains(field, M.eps[j], c):
+    if not hmod._free_chains(M.eps[j], c):
         raise ValueError(f"E_{j + 1}-submodules are enumerated in a free M_{j + 1} "
                          "with eps in canonical chain form")
     arrow_rows = [row for (_, src, _), A in M.arrows.items() if src == j for row in A]
@@ -768,21 +767,12 @@ def _torus_weights(M):
     return [w[offset[v]:offset[v + 1]] for v in range(n)], separated
 
 
-def torus_weighting(M):
-    """_torus_weights of M when they separate its basis at every vertex, else
-    None: M fails the gate when its eps is not in canonical chain form or
-    two basis vectors at one vertex collide."""
-    if not hmod.in_chain_form(M):
-        return None
-    weights, separated = _torus_weights(M)
-    return weights if separated else None
-
-
 def coordinate_counts(M, torus=None):
     """{e: chi(Gr^lf_e(M))} over the rank vectors e of nonzero Euler
-    characteristic, or None when M fails the torus_weighting gate.  A caller
-    that already has M's _torus_weights (so M's eps is in canonical chain
-    form) passes them as `torus`.
+    characteristic, or None when M fails the torus gate: its eps is not in
+    canonical chain form, or two basis vectors at one vertex collide
+    (_torus_weights).  A caller that already has M's _torus_weights (so M's
+    eps is in canonical chain form) passes them as `torus`.
 
     For M that passes, diag(t^w) rescales every structure map, so it acts on
     Gr^lf_e(M) (eps_v is only rescaled, so free stays free) and chi(Gr^lf_e)
@@ -1060,26 +1050,32 @@ class Counter:
         self.group_memo[key] = out
         return out
 
-    def flag_count(self, M, word):
-        """Number of flags of submodules with subquotients E_{word[0]}, ... ,
-        E_{word[-1]} from the bottom, over the prime field of M.  Such a flag
-        makes M locally free, so a module that is not has none; one whose eps
-        is not in canonical chain form is normalized once (hmod.chain_form),
-        after the memo is looked up, so a repeated query reads no eps.
-        Every quotient of the recursion is locally free (H is self-injective,
-        so a free Hu is a summand at its vertex) and normalized by
-        quotient_by_subspaces."""
-        word = tuple(word)
-        if not _fills(M, [word.count(v) for v in range(M.spec.datum.n)]):
+    def _answer(self, M, word, rank, known, walk):
+        """The entry of every flag query on (M, word), in this order: 0 when
+        M fails the grading cut-off (_fills of rank); the memoized answer
+        known((M.key(), word)) if any, so a repeated query reads no eps; 0
+        when M is not locally free (a flag would make it so); else walk(M in
+        chain form (hmod.chain_form), word) under a fresh budget.  Every
+        quotient of the recursion is locally free (H is self-injective) and
+        normalized by quotient_by_subspaces."""
+        if not _fills(M, rank):
             return 0
-        known = self.flag_memo.get((M.key(), word))
-        if known is not None:
-            return known
+        answer = known((M.key(), word))
+        if answer is not None:
+            return answer
         M = hmod.chain_form(M)
         if M is None:
             return 0
         self._query = _Budget(self.budget)
-        return self._count_flags(M, word, self.bottom_e_groups)
+        return walk(M, word)
+
+    def flag_count(self, M, word):
+        """Number of flags of submodules with subquotients E_{word[0]}, ... ,
+        E_{word[-1]} from the bottom, over the prime field of M (_answer)."""
+        word = tuple(word)
+        return self._answer(M, word, [word.count(v) for v in range(M.spec.datum.n)],
+                            self.flag_memo.get,
+                            lambda N, w: self._count_flags(N, w, self.bottom_e_groups))
 
 
 def _flag_degree_bound(M_rk, datum, word):
@@ -1098,19 +1094,16 @@ def _grlf_degree_bound(datum, r, e):
 
 
 class _PointCounts:
-    """The counts mod p that chi(Gr^lf_e(M)) is fitted to, for a module M
-    that fails the torus gate.  When M's eps is in canonical chain form the
-    torus diag(t^w) of its _torus_weights still acts, and chi(Gr^lf_e) is
-    chi of the fixed locus (Bialynicki-Birula), so the graded lf submodules
-    are counted (variety "fixed_locus"); otherwise the whole Gr^lf_e is
-    ("grassmannian").  M is reduced and prepared (_LocallyFreeCounts) once
-    per prime, for every e.  torus is M's _torus_weights, or None when its
-    eps is not in chain form."""
+    """The counts mod p that chi(Gr^lf_e(M)) is fitted to, for a module M in
+    canonical chain form that fails the torus gate.  The torus diag(t^w) of
+    its _torus_weights w still acts, and chi(Gr^lf_e) is chi of the fixed
+    locus (Bialynicki-Birula), so the graded lf submodules are counted.  M
+    is reduced and prepared (_LocallyFreeCounts) once per prime, for every
+    e."""
 
-    def __init__(self, M, torus):
+    def __init__(self, M, weights):
         self.M = M
-        self.weights = None if torus is None else torus[0]
-        self.variety = "grassmannian" if self.weights is None else "fixed_locus"
+        self.weights = weights
         self.by_prime = {}
         self.memo = _CandidateMemo()
 
@@ -1122,11 +1115,22 @@ class _PointCounts:
 
 
 def _localize(M):
-    """(coordinate_counts(M), None) when M passes the torus gate, else (None,
-    _PointCounts of M), with M's _torus_weights computed once."""
-    torus = _torus_weights(M) if hmod.in_chain_form(M) else None
-    coordinate = None if torus is None else coordinate_counts(M, torus)
-    return coordinate, None if coordinate is not None else _PointCounts(M, torus)
+    """(coordinate_counts(M), None) when M, in canonical chain form, passes
+    the torus gate, else (None, _PointCounts of M), with M's _torus_weights
+    computed once."""
+    torus = _torus_weights(M)
+    coordinate = coordinate_counts(M, torus)
+    return coordinate, None if coordinate is not None else _PointCounts(M, torus[0])
+
+
+def _locally_free(M):
+    """(M in canonical chain form (hmod.chain_form), its rank vector): the
+    one normal form the EulerEngine entries count on; NotLocallyFreeError
+    when M is not locally free."""
+    M = hmod.chain_form(M)
+    if M is None:
+        raise NotLocallyFreeError("module is not locally free")
+    return M, tuple(d // c for d, c in zip(M.dims, M.spec.datum.D))
 
 
 class EulerEngine:
@@ -1153,7 +1157,7 @@ class EulerEngine:
     def euler_char_grlf(self, M, e):
         """chi of the locally free Grassmannian of rank e: a coordinate count
         when M passes the torus gate, else fitted to point counts."""
-        rk = hmod.require_locally_free(M)
+        M, rk = _locally_free(M)
         return self._grlf(rk, tuple(e), *_localize(M))
 
     def _grlf(self, rk, e, coordinate, points):
@@ -1168,15 +1172,15 @@ class EulerEngine:
             return chi
         bound = _grlf_degree_bound(points.M.spec.datum, rk, e)
         poly = interpolate_counts(lambda p: points.count(p, e, self.budget), bound, pool=self.pool)
-        poly.variety = points.variety
+        poly.variety = "fixed_locus"
         self._record("grlf", rk, e, poly)
         return poly.value_at_one()
 
     def f_polynomial(self, M):
         """F_M = sum over e of chi(Grlf_e(M)) Y^e as an exponent->coeff table.
-        M is checked and put through the torus gate once; a module that fails
-        it is reduced and prepared mod each prime once for all e."""
-        rk = hmod.require_locally_free(M)
+        M is normalized and put through the torus gate once; a module that
+        fails it is reduced and prepared mod each prime once for all e."""
+        M, rk = _locally_free(M)
         coordinate, points = _localize(M)
         terms = {}
         for e in itertools.product(*(range(r + 1) for r in rk)):
@@ -1189,11 +1193,11 @@ class EulerEngine:
         return terms
 
     def flag_euler(self, M, word):
-        return self._flag_euler(M, hmod.require_locally_free(M), word)
+        return self._flag_euler(*_locally_free(M), word)
 
     def _flag_euler(self, M, rk, word):
-        """flag_euler of M, locally free of rank rk; 0 unless the letters of
-        word add up to rk."""
+        """flag_euler of M, in canonical chain form and of rank rk; 0 unless
+        the letters of word add up to rk."""
         datum = M.spec.datum
         need = [0] * datum.n
         for letter in word:
@@ -1216,7 +1220,7 @@ class EulerEngine:
     def theta_eval(self, combination, M):
         """Evaluate a formal integer combination of E-words on M, exactly;
         graded pieces of the wrong weight evaluate to zero."""
-        rk = hmod.require_locally_free(M)
+        M, rk = _locally_free(M)
         return sum((Fraction(coeff) * self._flag_euler(M, rk, word)
                     for coeff, word in combination), Fraction(0))
 
@@ -1301,39 +1305,39 @@ class ClassFlagCounter(Counter):
                 (quotient, 1) for quotient in self._class_quotients(M, cls_idx))
         return self.group_memo[key]
 
-    def _fills_word(self, M, class_word):
-        rank = [sum(self.ranks[idx][v] for idx in class_word) for v in range(M.spec.datum.n)]
-        return _fills(M, rank)
+    def _word_rank(self, M, class_word):
+        return [sum(self.ranks[idx][v] for idx in class_word) for v in range(M.spec.datum.n)]
 
     def count(self, M, class_word):
         """Number of flags of submodules with subquotients in the classes
-        class_word[0], ... , class_word[-1] from the bottom."""
+        class_word[0], ... , class_word[-1] from the bottom (_answer)."""
         class_word = tuple(class_word)
-        if not self._fills_word(M, class_word):
-            return 0
-        self._query = _Budget(self.budget)
-        return self._count_flags(M, class_word, self._sub_groups)
+        return self._answer(M, class_word, self._word_rank(M, class_word), self.flag_memo.get,
+                            lambda N, w: self._count_flags(N, w, self._sub_groups))
 
     def exists(self, M, class_word):
         """Whether count(M, class_word) > 0, found by a depth-first walk that
         returns at the first complete flag; a "yes" spends only up to it."""
         class_word = tuple(class_word)
-        if not self._fills_word(M, class_word):
-            return False
-        self._query = _Budget(self.budget)
-        return self._exists(M, class_word)
+        return bool(self._answer(M, class_word, self._word_rank(M, class_word), self._known,
+                                 self._exists))
+
+    def _known(self, key):
+        """Whether a flag exists, when a count or a walk has decided it, else None."""
+        if key in self.flag_memo:
+            return self.flag_memo[key] > 0
+        return self.exists_memo.get(key)
 
     def _exists(self, M, word):
         if not word:
             return True
         key = (M.key(), word)
-        if key in self.flag_memo:
-            return self.flag_memo[key] > 0
-        if key not in self.exists_memo:
+        known = self._known(key)
+        if known is None:
             # a walk cut off by TooLargeError leaves before the store
-            self.exists_memo[key] = any(self._exists(quotient, word[1:])
-                                        for quotient in self._class_quotients(M, word[0]))
-        return self.exists_memo[key]
+            known = self.exists_memo[key] = any(self._exists(quotient, word[1:])
+                                                for quotient in self._class_quotients(M, word[0]))
+        return known
 
 
 def _weight_splits(betas, target, bound):

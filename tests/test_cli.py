@@ -387,3 +387,16 @@ class TestVerifyCommand:
     def test_verify_criterion_13(self):
         proc = run_cli("verify", "--criterion", "13")
         assert proc.returncode == 0
+
+    def test_criterion_4_euler_form_mismatch_exits_1(self, monkeypatch, capsys):
+        # a broken Euler form is caught by euler_pairing_check's cross-check
+        # of dim Ext^1: an invariant violation, not the criterion's FAIL line
+        euler_form = cartan.euler_form
+        monkeypatch.setattr(cartan, "euler_form", lambda *args: euler_form(*args) + 1)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["verify", "--criterion", "4"])
+        assert info.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.match(r"violated: resolution Ext=\d+ disagrees with Euler-form Ext=-?\d+$",
+                        err.strip()), err

@@ -1133,32 +1133,33 @@ class TestSerre:
             assert engine.theta_eval(combo, m) == 0
 
     def test_query_checks_once_and_reduces_once_per_prime(self, monkeypatch):
-        # theta_eval checks local freeness once for all of its words, and the
-        # class representative is reduced once per prime for every word and query
+        # theta_eval checks local freeness (takes the chain form of its input)
+        # once for all of its words, and the class representative is reduced
+        # once per prime for every word and query
         lf_checks, reductions = [], []
-        is_locally_free, reduce_mod_p = hmod.is_locally_free, hmod.reduce_mod_p
+        chain_form, reduce_mod_p = hmod.chain_form, hmod.reduce_mod_p
 
         def checking(M):
             lf_checks.append(M)
-            return is_locally_free(M)
+            return chain_form(M)
 
         def reducing(M, p):
             reductions.append((M.key(), p))
             return reduce_mod_p(M, p)
 
         m = hmod.random_locally_free(SPEC_B2, (2, 1), 7)
-        monkeypatch.setattr(hmod, "is_locally_free", checking)
+        monkeypatch.setattr(hmod, "chain_form", checking)
         monkeypatch.setattr(hmod, "reduce_mod_p", reducing)
         engine = grassmann.EulerEngine()
         combo = grassmann.serre_commutator(0, 1, 2)
         assert engine.theta_eval(combo, m) == 0
-        assert len(lf_checks) == 1
+        assert sum(M is m for M in lf_checks) == 1
         fit = engine.transcripts["flag [2, 1] [0, 0, 1]"]
         primes = {p for p, _ in fit.samples} | {fit.held_out[0]}
         assert sorted(reductions) == sorted((m.key(), p) for p in primes)
         made = len(reductions)
         assert engine.theta_eval(combo, m) == 0
-        assert len(lf_checks) == 2 and len(reductions) == made
+        assert sum(M is m for M in lf_checks) == 2 and len(reductions) == made
 
     def test_class_invariant_reads_chain_form_eps(self, monkeypatch):
         # eps_partition reads the Jordan type of a chain-form eps off the
@@ -1573,6 +1574,76 @@ class TestFiltrationOrder:
         searcher.budget = grassmann.DEFAULT_BUDGET
         assert searcher.exists(module, word) is True
         assert searcher.exists_memo[(module.key(), word)] is True
+
+
+def unimodular_conjugate(M, rng):
+    """M after an integral change of basis of determinant 1 at every vertex
+    (unit lower times unit upper triangular) that moves some eps out of
+    chain form: the integral model reduces mod every prime."""
+    field = M.field()
+    while True:
+        out = hmod.HModule(M.spec, M.dims, M.eps, M.arrows)
+        for v, d in enumerate(M.dims):
+            lower = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(d)]
+                     for i in range(d)]
+            upper = [[1 if i == j else (rng.randint(-2, 2) if i < j else 0) for j in range(d)]
+                     for i in range(d)]
+            hmod.change_vertex_basis(out, v, linalg.mat_mul(field, lower, upper))
+        if not hmod.in_chain_form(out):
+            return out
+
+
+class TestNormalForm:
+    """Every counting engine normalizes its input at entry: a module whose
+    eps is out of chain form gets the answers of its chain form."""
+
+    @pytest.mark.parametrize("datum, pairs, beta", [(B3, [(0, 1), (1, 2)], (1, 2, 2)),
+                                                    (G2, [(0, 1)], (2, 3))])
+    def test_non_chain_conjugate_answers_as_the_root_module(self, datum, pairs, beta):
+        # every nofilt-check decomposition of beta, in both orders, at F_5
+        table = root_table(datum, pairs)
+        k = table.betas.index(beta)
+        m = table.modules[k]
+        conj = unimodular_conjugate(m, random.Random(3))
+        assert hmod.is_isomorphic(hmod.reduce_mod_p(conj, 5), hmod.reduce_mod_p(m, 5))
+        classes = [hmod.reduce_mod_p(x, 5) for x in table.modules]
+        counter = grassmann.ClassFlagCounter(classes)
+        pbw = grassmann.PBWEngine(table)
+        m5, conj5 = hmod.reduce_mod_p(m, 5), hmod.reduce_mod_p(conj, 5)
+        words = 0
+        for mult in cli._decompositions(table.betas, beta, k):
+            increasing = [(j, x) for j, x in enumerate(mult) if x]
+            for prescription in (increasing, increasing[::-1]):
+                word = tuple(j for j, x in prescription for _ in range(x))
+                count = grassmann.ClassFlagCounter(classes).count(m5, word)
+                assert counter.count(conj5, word) == count, word
+                assert grassmann.ClassFlagCounter(classes).exists(conj5, word) == (count > 0)
+                assert pbw.filtration_exists(conj, prescription, primes=(5,)) == \
+                    pbw.filtration_exists(m, prescription, primes=(5,)) == {5: count > 0}
+                words += 1
+        assert words >= 10
+        normal, plain = grassmann.EulerEngine(), grassmann.EulerEngine()
+        assert normal.f_polynomial(conj) == plain.f_polynomial(m)
+        e_words = sorted(set(itertools.permutations([v for v, x in enumerate(beta)
+                                                     for _ in range(x)])))
+        values = [plain.theta_eval([(1, word)], m) for word in e_words]
+        assert [normal.theta_eval([(1, word)], conj) for word in e_words] == values
+        assert any(values)
+
+    def test_repeated_theta_eval_normalizes_once(self, monkeypatch):
+        # the flag memo is keyed by chain-form reductions, so a repeated
+        # query on a non-chain module normalizes only its input
+        m = unimodular_conjugate(hmod.random_locally_free(SPEC_B2, (2, 1), 7), random.Random(1))
+        engine = grassmann.EulerEngine()
+        combo = grassmann.serre_commutator(0, 1, 2)
+        assert engine.theta_eval(combo, m) == 0
+        normalized = []
+        normalize_eps = hmod.normalize_eps
+        monkeypatch.setattr(hmod, "normalize_eps",
+                            lambda M: normalized.append(M) or normalize_eps(M))
+        for calls in (1, 2):
+            assert engine.theta_eval(combo, m) == 0
+            assert len(normalized) == calls
 
 
 class TestVertexBudget:

@@ -296,7 +296,7 @@ class TestLocallyFree:
             ranks_taken.clear()
             assert hmod.is_locally_free(m) == expected
             # a free chain-form module is read off its eps, with no rank
-            assert (not ranks_taken) == (expected is not None)
+            assert not ranks_taken or expected is None
             assert self.rank_path(m) == expected
             conjugate = generic_conjugate(m, rng)
             moved = [eps for eps in conjugate.eps if any(any(row) for row in eps)]
@@ -345,6 +345,8 @@ class TestLocallyFree:
             hmod.eps_partition(m, 0)
         with pytest.raises(NotNilpotentError, match="not nilpotent"):
             hmod.normalize_eps(m)
+        # a module with such an eps has no chain form: it is not locally free
+        assert hmod.chain_form(m) is None and hmod.is_locally_free(m) is None
         # nilpotent of full index d: stops exactly at eps^d = 0
         assert hmod.eps_partition(hmod.generalized_simple(spec, 0), 0) == (2,)
 

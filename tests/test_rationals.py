@@ -142,7 +142,7 @@ class TestOneWordTable:
 def test_collided_module_is_weighted_once(monkeypatch):
     # G2 (2, 3) fails the torus gate and is counted on its fixed locus
     M = functors.all_root_modules(_spec("G2")).module_of((2, 3))
-    assert grassmann.torus_weighting(M) is None
+    assert grassmann.coordinate_counts(M) is None
     calls = []
     torus_weights = grassmann._torus_weights
 

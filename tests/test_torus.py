@@ -1,4 +1,4 @@
-"""Torus localization (grassmann.torus_weighting, grassmann.coordinate_counts):
+"""Torus localization (grassmann._torus_weights, grassmann.coordinate_counts):
 the gate against a dense nullspace oracle, the coordinate counts against the
 point counts and against the cluster-mutation oracle; and the fixed-locus
 counts of collided modules (iter_free_submodules(weights=)) against the
@@ -105,7 +105,7 @@ def point_count_f_polynomial(M):
 def test_gate_agrees_with_dense_nullspace(label):
     t = table(label)
     refused = [beta for beta, m in zip(t.betas, t.modules)
-               if grassmann.torus_weighting(m) is None]
+               if grassmann.coordinate_counts(m) is None]
     assert sorted(refused) == sorted(COLLIDED.get(label, []))
     for beta, m in zip(t.betas, t.modules):
         assert oracle_collides(m) == (beta in refused), beta
@@ -115,8 +115,8 @@ def test_gate_agrees_with_dense_nullspace(label):
 def test_weighting_is_homogeneous_and_separating(label):
     t = table(label)
     for beta, m in zip(t.betas, t.modules):
-        w = grassmann.torus_weighting(m)
-        if w is None:
+        w, separated = grassmann._torus_weights(m)
+        if not separated:
             continue
         assert all(len(set(wv)) == len(wv) == d for wv, d in zip(w, m.dims)), beta
         for A, src, tgt in structure_maps(m):
@@ -129,13 +129,14 @@ def test_weighting_is_homogeneous_and_separating(label):
                                         ("B3b", (1, 2, 2)), ("D4", (1, 2, 1, 1))])
 def test_gate_refuses_collided_roots(label, beta):
     m = table(label).module_of(beta)
-    assert grassmann.torus_weighting(m) is None
+    assert not grassmann._torus_weights(m)[1]
     assert grassmann.coordinate_counts(m) is None
 
 
 def test_gate_refuses_non_canonical_eps():
     # the B2 root (1, 1) with its basis at vertex 0 reversed: the same module,
-    # eps no longer in chain form, so it goes to the point count
+    # eps no longer in chain form, so the gate refuses it; the engine
+    # normalizes it first and counts its chain form
     m = table("B2").module_of((1, 1))
     flip = hmod.change_vertex_basis(hmod.HModule(m.spec, m.dims, m.eps, m.arrows), 0,
                                     [[0, 1], [1, 0]])
@@ -150,8 +151,8 @@ def test_direct_sums_pass_the_gate(beta):
     # vectors do not collide: each summand's weights can be shifted alone
     m = table("B2").module_of(beta)
     double = hmod.direct_sum(m, m)
-    w = grassmann.torus_weighting(double)
-    assert w is not None
+    w, separated = grassmann._torus_weights(double)
+    assert separated
     assert all(len(set(wv)) == len(wv) for wv in w)
     coordinate = grassmann.coordinate_counts(double)
     assert coordinate == point_count_f_polynomial(double)
@@ -275,13 +276,14 @@ def non_chain_g2():
 
 def test_non_chain_eps_counts_the_grassmannian():
     # G2 (2, 3) with two basis vectors at vertex 0 swapped: eps_0 leaves
-    # chain form, so the whole Grassmannian is point-counted, to the same chi
+    # chain form, so the engine normalizes it at entry and counts the fixed
+    # locus of its chain form, to the same chi
     m = table("G2").module_of((2, 3))
     flip = non_chain_g2()
     assert hmod.read_jordan_blocks(RATIONALS.field(), flip.eps[0]) is None
-    fixed, whole = grassmann.EulerEngine(), grassmann.EulerEngine()
-    assert whole.f_polynomial(flip) == fixed.f_polynomial(m)
-    assert {poly.variety for poly in whole.transcripts.values()} == {"grassmannian"}
+    fixed, normalized = grassmann.EulerEngine(), grassmann.EulerEngine()
+    assert normalized.f_polynomial(flip) == fixed.f_polynomial(m)
+    assert {poly.variety for poly in normalized.transcripts.values()} == {"fixed_locus"}
     assert {poly.variety for poly in fixed.transcripts.values()} == {"fixed_locus"}
 
 
